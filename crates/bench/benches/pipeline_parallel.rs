@@ -119,14 +119,14 @@ fn synth_changes(n: usize) -> Vec<ChangeRecord> {
             let mut after = Snapshot::unreachable(fqdn.clone(), day, Rcode::NoError, None);
             after.http_status = Some(200);
             after.index_hash = i as u64;
-            after.keywords = pool
+            after.page_mut().keywords = pool
                 .iter()
                 .enumerate()
                 .filter(|(k, _)| *k != i % pool.len())
                 .map(|(_, w)| w.to_string())
                 .collect();
             after.sitemap_bytes = (i % 3 == 0).then_some(800_000);
-            after.identifiers = vec![format!("phone:62{}", i % 5)];
+            after.page_mut().identifiers = vec![format!("phone:62{}", i % 5)];
             ChangeRecord {
                 fqdn,
                 day,
@@ -157,8 +157,8 @@ fn bench_retro_scaling(c: &mut Criterion) {
         .enumerate()
         .map(|(i, rec)| {
             let mut s = rec.after;
-            s.keywords = vec![format!("benign{}", i % 50), "newsletter".into()];
-            s.identifiers.clear();
+            s.page_mut().keywords = vec![format!("benign{}", i % 50), "newsletter".into()];
+            s.page_mut().identifiers.clear();
             s
         })
         .collect();

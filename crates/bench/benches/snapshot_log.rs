@@ -87,9 +87,9 @@ fn base_record(i: usize) -> ObsRecord {
     snap.http_status = Some(200);
     snap.index_hash = mix(i as u64, 0);
     snap.index_size = 18_432;
-    snap.title = Some(format!("Corp {parent} Developer Portal"));
-    snap.language = Some("en".into());
-    snap.keywords = ["developer", "portal", "docs", "api"]
+    snap.page_mut().title = Some(format!("Corp {parent} Developer Portal"));
+    snap.page_mut().language = Some("en".into());
+    snap.page_mut().keywords = ["developer", "portal", "docs", "api"]
         .map(String::from)
         .to_vec();
     snap.sitemap_bytes = Some(48_000);
@@ -117,10 +117,10 @@ fn advance_round(pool: &mut [ObsRecord], r: u64) {
             rec.snap.sitemap_bytes = Some(48_000 + r * 17);
             rec.change = Some(ChangeMeta {
                 kinds: vec![ChangeKind::Content, ChangeKind::SitemapGrew],
-                before_language: rec.snap.language.clone(),
+                before_language: rec.snap.page.language.clone(),
                 before_sitemap_bytes: before_sitemap,
                 before_serving: true,
-                before_keywords: rec.snap.keywords.clone(),
+                before_keywords: rec.snap.page.keywords.clone(),
             });
         } else {
             rec.change = None;

@@ -48,8 +48,8 @@ fn main() {
                     "   day={} kinds={:?} kw={:?} meta={:?} sm={:?} serving={}",
                     c.day,
                     c.kinds,
-                    c.after.keywords,
-                    c.after.meta_keywords,
+                    c.after.page.keywords,
+                    c.after.page.meta_keywords,
                     c.after.sitemap_bytes,
                     c.after.is_serving()
                 );

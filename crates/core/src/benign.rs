@@ -32,9 +32,10 @@ impl ChangeCluster {
 /// One record's cluster fingerprint: its first five content keywords, or its
 /// first five meta keywords when the content yields none.
 pub(crate) fn fingerprint(rec: &ChangeRecord) -> Option<String> {
-    let mut fp: Vec<String> = rec.after.keywords.iter().take(5).cloned().collect();
+    let page = &rec.after.page;
+    let mut fp: Vec<String> = page.keywords.iter().take(5).cloned().collect();
     if fp.is_empty() {
-        fp = rec.after.meta_keywords.iter().take(5).cloned().collect();
+        fp = page.meta_keywords.iter().take(5).cloned().collect();
     }
     if fp.is_empty() {
         return None;
@@ -167,7 +168,7 @@ mod tests {
     fn change(fqdn: &str, kws: &[&str]) -> ChangeRecord {
         let mut s = Snapshot::unreachable(fqdn.parse().unwrap(), SimTime(1), Rcode::NoError, None);
         s.http_status = Some(200);
-        s.keywords = kws.iter().map(|k| k.to_string()).collect();
+        s.page_mut().keywords = kws.iter().map(|k| k.to_string()).collect();
         ChangeRecord {
             fqdn: fqdn.parse().unwrap(),
             day: SimTime(1),

@@ -36,8 +36,8 @@ fn score(keywords: &[String], vocab: &[&str]) -> usize {
 
 /// Classify the topic of an abused snapshot from its extracted keywords.
 pub fn classify_topic(snap: &Snapshot) -> Topic {
-    let mut kws = snap.keywords.clone();
-    kws.extend(snap.meta_keywords.iter().cloned());
+    let mut kws = snap.page.keywords.clone();
+    kws.extend(snap.page.meta_keywords.iter().cloned());
     let scores = [
         (AbuseTopic::Gambling, score(&kws, corpus::GAMBLING_KEYWORDS)),
         (AbuseTopic::Adult, score(&kws, corpus::ADULT_KEYWORDS)),
@@ -63,7 +63,7 @@ pub fn detect_techniques(snap: &Snapshot) -> Vec<SeoTechnique> {
     // Japanese Keyword Hack: Japanese content on a non-Japanese victim
     // domain plus a mass upload (§5.2.1 "Cloaking").
     let mass_upload = snap.sitemap_bytes.unwrap_or(0) >= crate::signature::HUGE_SITEMAP_BYTES;
-    if (snap.language.as_deref() == Some("ja")
+    if (snap.page.language.as_deref() == Some("ja")
         || corpus::JAPANESE_FRAGMENTS.iter().any(|f| html.contains(f)))
         && mass_upload
     {
@@ -84,7 +84,7 @@ pub fn detect_techniques(snap: &Snapshot) -> Vec<SeoTechnique> {
         out.push(SeoTechnique::DoorwayPages);
     }
     // Keyword stuffing: the keywords meta tag (41% of analyzed pages).
-    if !snap.meta_keywords.is_empty() {
+    if !snap.page.meta_keywords.is_empty() {
         out.push(SeoTechnique::KeywordStuffing);
     }
     out
@@ -114,10 +114,10 @@ mod tests {
         let mut s =
             Snapshot::unreachable("x.v.com".parse().unwrap(), SimTime(0), Rcode::NoError, None);
         s.http_status = Some(200);
-        s.keywords = kws.iter().map(|k| k.to_string()).collect();
+        s.page_mut().keywords = kws.iter().map(|k| k.to_string()).collect();
         s.html = Some(html.to_string());
         s.sitemap_bytes = sitemap;
-        s.language = lang.map(str::to_string);
+        s.page_mut().language = lang.map(str::to_string);
         s
     }
 
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn meta_keywords_count_for_topic() {
         let mut s = snap_with(&[], "", None, None);
-        s.meta_keywords = vec!["viagra".into(), "pharmacy".into()];
+        s.page_mut().meta_keywords = vec!["viagra".into(), "pharmacy".into()];
         assert_eq!(classify_topic(&s), Topic::Abuse(AbuseTopic::Pharma));
     }
 
@@ -170,7 +170,7 @@ mod tests {
     fn doorway_and_stuffing() {
         let html = r#"<a href="https://maxwin.example/register?ref=REF7">daftar</a>"#;
         let mut s = snap_with(&["slot"], html, None, Some("id"));
-        s.meta_keywords = vec!["slot".into()];
+        s.page_mut().meta_keywords = vec!["slot".into()];
         let t = detect_techniques(&s);
         assert!(t.contains(&SeoTechnique::DoorwayPages));
         assert!(t.contains(&SeoTechnique::KeywordStuffing));

@@ -69,7 +69,7 @@ pub fn diff(prev: &Snapshot, curr: &Snapshot) -> Vec<ChangeKind> {
     if curr.is_serving() && prev.index_hash != curr.index_hash && prev.index_hash != 0 {
         kinds.push(ChangeKind::Content);
     }
-    if let (Some(a), Some(b)) = (&prev.language, &curr.language) {
+    if let (Some(a), Some(b)) = (&prev.page.language, &curr.page.language) {
         if a != b {
             kinds.push(ChangeKind::Language);
         }
@@ -92,10 +92,10 @@ pub fn record(prev: &Snapshot, curr: Snapshot) -> Option<ChangeRecord> {
         fqdn: curr.fqdn.clone(),
         day: curr.day,
         kinds,
-        before_language: prev.language.clone(),
+        before_language: prev.page.language.clone(),
         before_sitemap_bytes: prev.sitemap_bytes,
         before_serving: prev.is_serving(),
-        before_keywords: prev.keywords.clone(),
+        before_keywords: prev.page.keywords.clone(),
         after: curr,
     })
 }
@@ -114,7 +114,7 @@ mod tests {
         );
         s.http_status = Some(200);
         s.index_hash = 111;
-        s.language = Some("en".into());
+        s.page_mut().language = Some("en".into());
         s
     }
 
@@ -131,7 +131,7 @@ mod tests {
         let a = base(0);
         let mut b = base(7);
         b.index_hash = 222;
-        b.language = Some("id".into());
+        b.page_mut().language = Some("id".into());
         let kinds = diff(&a, &b);
         assert!(kinds.contains(&ChangeKind::Content));
         assert!(kinds.contains(&ChangeKind::Language));

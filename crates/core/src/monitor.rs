@@ -241,25 +241,12 @@ impl<'a> CrawlInFlight<'a> {
                 match probe.into_result() {
                     ProbeResult::HttpResponse(resp) => {
                         let hash = body_hash(&resp.body);
-                        let mut snap = Snapshot {
-                            fqdn: self.fqdn.clone(),
-                            day: self.now,
-                            rcode,
-                            cname_target: cname,
-                            ip: Some(ip),
-                            http_status: Some(resp.status.0),
-                            index_hash: hash,
-                            index_size: resp.body.len() as u32,
-                            title: None,
-                            language: None,
-                            keywords: Vec::new(),
-                            meta_keywords: Vec::new(),
-                            generator: None,
-                            sitemap_bytes: None,
-                            script_srcs: Vec::new(),
-                            identifiers: Vec::new(),
-                            html: None,
-                        };
+                        let mut snap =
+                            Snapshot::unreachable(self.fqdn.clone(), self.now, rcode, cname);
+                        snap.ip = Some(ip);
+                        snap.http_status = Some(resp.status.0);
+                        snap.index_hash = hash;
+                        snap.index_size = resp.body.len() as u32;
                         let changed = self.prev.map(|p| p.index_hash) != Some(hash);
                         if changed && resp.status.is_success() {
                             let html = String::from_utf8_lossy(&resp.body);
@@ -402,7 +389,7 @@ mod tests {
         let fqdn: Name = "shop.acme.com".parse().unwrap();
         let s = Crawler::sample(&fqdn, &resolver, &platform, None, SimTime(7));
         assert_eq!(s.http_status, Some(200));
-        assert!(s.title.as_deref().unwrap().contains("ACME"));
+        assert!(s.page.title.as_deref().unwrap().contains("ACME"));
         assert_eq!(s.sitemap_bytes, Some(120 + 40_000 * 80));
         assert!(s.html.is_some());
         assert!(s.ip.is_some());
@@ -417,7 +404,7 @@ mod tests {
         assert_eq!(second.index_hash, first.index_hash);
         // Lazy path: no re-extraction and no second request, but features
         // are inherited so downstream consumers never see an empty view.
-        assert_eq!(second.title, first.title);
+        assert_eq!(second.page.title, first.page.title);
         assert_eq!(second.sitemap_bytes, first.sitemap_bytes);
         assert!(second.html.is_none());
     }

@@ -274,8 +274,8 @@ pub fn bytes_per_fqdn_of(store: &SnapshotStore, monitored: &[Name]) -> f64 {
     if monitored.is_empty() {
         return 0.0;
     }
-    let monitored_vec = std::mem::size_of_val(monitored)
-        + monitored.iter().map(Name::heap_bytes).sum::<usize>();
+    let monitored_vec =
+        std::mem::size_of_val(monitored) + monitored.iter().map(Name::heap_bytes).sum::<usize>();
     let total = store.approx_bytes() + monitored_vec + dns::intern::global().label_bytes();
     total as f64 / monitored.len() as f64
 }

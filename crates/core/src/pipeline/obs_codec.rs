@@ -37,6 +37,7 @@ use dns::{Name, Rcode};
 use simcore::SimTime;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use storelog::codec::{
     put_ivarint, put_len_prefixed, put_uvarint, CodecError, CodecResult, Reader,
 };
@@ -250,7 +251,9 @@ impl ShardCodec {
             .filter(|&id| self.last[id as usize].is_some());
         let id = match known {
             Some(id) => {
-                let (prev, chain) = self.last[id as usize].clone().unwrap();
+                let (prev, chain) = self.last[id as usize]
+                    .take()
+                    .expect("`known` holds only names with a previous snapshot");
                 out.push(TAG_DELTA);
                 put_ivarint(rec.round.0 as i64, out);
                 put_uvarint(rec.seq as u64, out);
@@ -299,29 +302,26 @@ impl ShardCodec {
         if snap.index_size != base.index_size {
             mask |= F_INDEX_SIZE;
         }
-        if snap.title != base.title {
-            mask |= F_TITLE;
-        }
-        if snap.language != base.language {
-            mask |= F_LANGUAGE;
-        }
-        if snap.keywords != base.keywords {
-            mask |= F_KEYWORDS;
-        }
-        if snap.meta_keywords != base.meta_keywords {
-            mask |= F_META_KEYWORDS;
-        }
-        if snap.generator != base.generator {
-            mask |= F_GENERATOR;
+        // A shared page (an unchanged crawl, or a delta decoded against
+        // this very context) differs in nothing.
+        if !Arc::ptr_eq(&snap.page, &base.page) {
+            let (a, b) = (&*snap.page, &*base.page);
+            for (differs, bit) in [
+                (a.title != b.title, F_TITLE),
+                (a.language != b.language, F_LANGUAGE),
+                (a.keywords != b.keywords, F_KEYWORDS),
+                (a.meta_keywords != b.meta_keywords, F_META_KEYWORDS),
+                (a.generator != b.generator, F_GENERATOR),
+                (a.script_srcs != b.script_srcs, F_SCRIPT_SRCS),
+                (a.identifiers != b.identifiers, F_IDENTIFIERS),
+            ] {
+                if differs {
+                    mask |= bit;
+                }
+            }
         }
         if snap.sitemap_bytes != base.sitemap_bytes {
             mask |= F_SITEMAP;
-        }
-        if snap.script_srcs != base.script_srcs {
-            mask |= F_SCRIPT_SRCS;
-        }
-        if snap.identifiers != base.identifiers {
-            mask |= F_IDENTIFIERS;
         }
         if snap.html != base.html {
             mask |= F_HTML;
@@ -353,19 +353,19 @@ impl ShardCodec {
             put_uvarint(snap.index_size as u64, out);
         }
         if mask & F_TITLE != 0 {
-            self.strs.put_opt_ref(snap.title.as_deref(), out);
+            self.strs.put_opt_ref(snap.page.title.as_deref(), out);
         }
         if mask & F_LANGUAGE != 0 {
-            self.strs.put_opt_ref(snap.language.as_deref(), out);
+            self.strs.put_opt_ref(snap.page.language.as_deref(), out);
         }
         if mask & F_KEYWORDS != 0 {
-            self.put_str_list(&snap.keywords, out);
+            self.put_str_list(&snap.page.keywords, out);
         }
         if mask & F_META_KEYWORDS != 0 {
-            self.put_str_list(&snap.meta_keywords, out);
+            self.put_str_list(&snap.page.meta_keywords, out);
         }
         if mask & F_GENERATOR != 0 {
-            self.strs.put_opt_ref(snap.generator.as_deref(), out);
+            self.strs.put_opt_ref(snap.page.generator.as_deref(), out);
         }
         if mask & F_SITEMAP != 0 {
             match snap.sitemap_bytes {
@@ -377,10 +377,10 @@ impl ShardCodec {
             }
         }
         if mask & F_SCRIPT_SRCS != 0 {
-            self.put_str_list(&snap.script_srcs, out);
+            self.put_str_list(&snap.page.script_srcs, out);
         }
         if mask & F_IDENTIFIERS != 0 {
-            self.put_str_list(&snap.identifiers, out);
+            self.put_str_list(&snap.page.identifiers, out);
         }
         if mask & F_HTML != 0 {
             match &snap.html {
@@ -570,19 +570,19 @@ impl ShardCodec {
                 .map_err(|_| CodecError::Malformed(format!("index size {v} overflows u32")))?;
         }
         if mask & F_TITLE != 0 {
-            snap.title = self.read_opt_str(r)?;
+            snap.page_mut().title = self.read_opt_str(r)?;
         }
         if mask & F_LANGUAGE != 0 {
-            snap.language = self.read_opt_str(r)?;
+            snap.page_mut().language = self.read_opt_str(r)?;
         }
         if mask & F_KEYWORDS != 0 {
-            snap.keywords = self.read_str_list(r)?;
+            snap.page_mut().keywords = self.read_str_list(r)?;
         }
         if mask & F_META_KEYWORDS != 0 {
-            snap.meta_keywords = self.read_str_list(r)?;
+            snap.page_mut().meta_keywords = self.read_str_list(r)?;
         }
         if mask & F_GENERATOR != 0 {
-            snap.generator = self.read_opt_str(r)?;
+            snap.page_mut().generator = self.read_opt_str(r)?;
         }
         if mask & F_SITEMAP != 0 {
             snap.sitemap_bytes = match r.u8()? {
@@ -596,10 +596,10 @@ impl ShardCodec {
             };
         }
         if mask & F_SCRIPT_SRCS != 0 {
-            snap.script_srcs = self.read_str_list(r)?;
+            snap.page_mut().script_srcs = self.read_str_list(r)?;
         }
         if mask & F_IDENTIFIERS != 0 {
-            snap.identifiers = self.read_str_list(r)?;
+            snap.page_mut().identifiers = self.read_str_list(r)?;
         }
         if mask & F_HTML != 0 {
             snap.html = match r.u8()? {
@@ -704,14 +704,15 @@ mod tests {
         s.http_status = Some(200);
         s.index_hash = 0xfeed_beef;
         s.index_size = 4821;
-        s.title = Some("Welcome — «démo»".into());
-        s.language = Some("fr".into());
-        s.keywords = vec!["casino".into(), "slots".into()];
-        s.meta_keywords = vec!["casino".into()];
-        s.generator = Some("WordPress 6.2".into());
         s.sitemap_bytes = Some(120_000);
-        s.script_srcs = vec!["https://cdn.example/app.js".into()];
-        s.identifiers = vec!["ua-1234".into()];
+        let page = s.page_mut();
+        page.title = Some("Welcome — «démo»".into());
+        page.language = Some("fr".into());
+        page.keywords = vec!["casino".into(), "slots".into()];
+        page.meta_keywords = vec!["casino".into()];
+        page.generator = Some("WordPress 6.2".into());
+        page.script_srcs = vec!["https://cdn.example/app.js".into()];
+        page.identifiers = vec!["ua-1234".into()];
         s.html = Some("<html lang=\"fr\">🦀</html>".into());
         s
     }

@@ -19,6 +19,11 @@
 //! uninterrupted run, at any thread count (`resume_equivalence` enforces
 //! this).
 //!
+//! Replay streams the log: one cursor per shard decodes records only as
+//! their round comes up, so a resume holds one round plus one look-ahead
+//! record per shard, never the whole history. The dir is opened for
+//! appending only at the frontier, once replay has reproduced it.
+//!
 //! Replay is validated, not trusted: every checkpoint records aggregate
 //! counters and a digest of the world stage's RNG stream positions
 //! ([`RunState::rng_witness`]); at the frontier the resumed run must
@@ -41,15 +46,15 @@
 //! the final store state from the kept last-per-FQDN records.
 
 use super::obs_codec::ShardCodec;
-use super::{CrawlOutcome, RunState, ShardedExecutor};
+use super::{CrawlOutcome, RunState};
 use crate::diff::{ChangeKind, ChangeRecord};
 use crate::scenario::ScenarioConfig;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{fqdn_shard, Snapshot};
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use storelog::{CompactStats, LogReader, LogWriter, Retention};
+use storelog::{CompactStats, LogReader, LogWriter, Retention, ShardStream};
 
 /// Version of the record/checkpoint payloads inside the storelog frames,
 /// tracking [`storelog::FORMAT_VERSION`]: v1 = JSON `ObsRecord`s, v2 =
@@ -240,29 +245,175 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
-/// The recorded history a resuming run replays instead of crawling.
+/// One shard's committed history, decoded one record ahead of replay.
+struct ShardCursor {
+    shard: usize,
+    /// The dir's shard count, for the partition-membership check.
+    shards: usize,
+    stream: ShardStream,
+    /// Byte offset of the next undecoded frame in `stream`.
+    offset: u64,
+    /// v2 decoder context (`None` for v1 JSON dirs). At the frontier it is
+    /// the exact encoder context live appends continue from.
+    codec: Option<ShardCodec>,
+    /// The next record replay has not handed out yet.
+    ahead: Option<ObsRecord>,
+}
+
+impl ShardCursor {
+    fn open(
+        shard: usize,
+        shards: usize,
+        stream: ShardStream,
+        v2: bool,
+    ) -> Result<Self, PersistError> {
+        let mut cursor = ShardCursor {
+            shard,
+            shards,
+            stream,
+            offset: 0,
+            codec: v2.then(ShardCodec::new),
+            ahead: None,
+        };
+        cursor.advance()?;
+        Ok(cursor)
+    }
+
+    /// Hand out the look-ahead record and decode its successor, checking
+    /// that the successor belongs to this shard and that the shard's rounds
+    /// never go backwards.
+    fn advance(&mut self) -> Result<Option<ObsRecord>, PersistError> {
+        let shard = self.shard;
+        let Some(payload) = self.stream.next_at(&mut self.offset) else {
+            return Ok(self.ahead.take());
+        };
+        let rec = match &mut self.codec {
+            Some(c) => c
+                .decode(payload)
+                .map_err(|e| PersistError::Decode(format!("shard {shard}: {e}")))?,
+            None => serde_json::from_slice::<ObsRecord>(payload)?,
+        };
+        // A checksum-valid frame spliced in from another shard's segment
+        // would decode fine; membership in the shard's FQDN partition is the
+        // structural check against it.
+        let home = fqdn_shard(&rec.snap.fqdn, self.shards);
+        if home != shard {
+            return Err(PersistError::Decode(format!(
+                "shard {shard}: record for {} belongs to shard {home}",
+                rec.snap.fqdn
+            )));
+        }
+        if let Some(prev) = &self.ahead {
+            if rec.round < prev.round {
+                return Err(PersistError::Decode(format!(
+                    "shard {shard}: a round-{} record follows round {} \
+                     (moved or spliced frame)",
+                    rec.round.0, prev.round.0
+                )));
+            }
+        }
+        Ok(self.ahead.replace(rec))
+    }
+}
+
+/// The recorded history a resuming run replays instead of crawling,
+/// decoded lazily: one cursor per shard, so replay holds one round plus one
+/// look-ahead record per shard rather than the whole log.
 struct ReplayData {
     /// Last committed round; rounds ≤ this replay from the log.
     frontier: SimTime,
-    /// Observations grouped by round, each group in `seq` order.
-    rounds: BTreeMap<i32, Vec<ObsRecord>>,
+    cursors: Vec<ShardCursor>,
     /// The checkpoint replay must reproduce at the frontier.
     checkpoint: Checkpoint,
+    /// Opened for appending only once the frontier is proven.
+    state_dir: PathBuf,
+}
+
+impl ReplayData {
+    /// Position one replay cursor at the start of every shard's committed
+    /// stream (None for a dir that never committed a round). Only the
+    /// segment bytes are read here; records decode as replay reaches them.
+    fn open(reader: &LogReader, dir: &Path) -> Result<Option<Self>, PersistError> {
+        let version = reader.format_version();
+        let shards = reader.shard_count();
+        let Some(commit) = reader.last_commit() else {
+            return Ok(None);
+        };
+        let checkpoint: Checkpoint = serde_json::from_slice(&commit.app)?;
+        if checkpoint.format != version {
+            return Err(PersistError::Diverged(format!(
+                "checkpoint says payload format v{}, FORMAT file says v{version}",
+                checkpoint.format
+            )));
+        }
+        let cursors = (0..shards)
+            .map(|shard| {
+                ShardCursor::open(shard, shards, reader.stream_shard(shard)?, version >= 2)
+            })
+            .collect::<Result<_, PersistError>>()?;
+        Ok(Some(ReplayData {
+            frontier: checkpoint.round,
+            cursors,
+            checkpoint,
+            state_dir: dir.to_path_buf(),
+        }))
+    }
+
+    /// Pull round `now`'s records off every shard cursor, in `seq` order.
+    /// Compaction may have thinned the round (superseded no-change
+    /// records); whatever remains replays in original order and rebuilds
+    /// the change log exactly and the store eventually.
+    fn take_round(&mut self, now: SimTime) -> Result<Vec<ObsRecord>, PersistError> {
+        let mut records: Vec<ObsRecord> = Vec::new();
+        for cursor in &mut self.cursors {
+            while let Some(round) = cursor.ahead.as_ref().map(|r| r.round) {
+                if round > now {
+                    break;
+                }
+                if round < now {
+                    return Err(PersistError::Decode(format!(
+                        "shard {}: record for round {}, which replay never reached \
+                         (next replayed round is {})",
+                        cursor.shard, round.0, now.0
+                    )));
+                }
+                records.extend(cursor.advance()?);
+            }
+            if now == self.frontier {
+                if let Some(rec) = &cursor.ahead {
+                    return Err(PersistError::Decode(format!(
+                        "shard {}: record for round {} past the committed frontier {}",
+                        cursor.shard, rec.round.0, now.0
+                    )));
+                }
+            }
+        }
+        records.sort_unstable_by_key(|r| r.seq);
+        if records.windows(2).any(|w| w[0].seq == w[1].seq) {
+            return Err(PersistError::Decode(format!(
+                "round {}: duplicate seq (spliced or duplicated frame)",
+                now.0
+            )));
+        }
+        Ok(records)
+    }
 }
 
 /// The persistence stage (see module docs). Only instantiated when a state
 /// dir is configured; the plain in-memory pipeline never pays for it.
 pub struct PersistStage {
-    writer: LogWriter,
+    /// `None` while replaying: a resumed dir is neither truncated nor
+    /// appended to until replay reproduces its checkpoint.
+    writer: Option<LogWriter>,
     replay: Option<ReplayData>,
     rounds_done: u64,
     max_rounds: Option<u64>,
     /// The dir's payload format (1 = JSON, 2 = binary; see [`OBS_FORMAT`]).
     payload_format: u32,
     /// v2 only: one streaming codec context per shard. On resume these are
-    /// the decoder states at the end of the committed history, so live
-    /// appends continue the intern tables and delta chains exactly where
-    /// the recording stopped. Empty for v1 dirs.
+    /// the replay cursors' decoder states at the frontier, so live appends
+    /// continue the intern tables and delta chains exactly where the
+    /// recording stopped. Empty for v1 dirs.
     codecs: Vec<ShardCodec>,
     /// Scratch encode buffer, reused across records.
     scratch: Vec<u8>,
@@ -300,19 +451,14 @@ impl PersistStage {
         let dir = &opts.state_dir;
         let threads = cfg.crawl_threads.max(1);
 
-        let existing = match LogReader::open_with_threads(dir, threads) {
-            Ok(reader) => Some(reader),
-            Err(storelog::Error::NoState(_)) => None,
-            Err(e) => return Err(e.into()),
-        };
-
-        let (replay, codecs) = match existing {
-            None => {
+        let reader = match LogReader::open_with_threads(dir, threads) {
+            Ok(reader) => reader,
+            Err(storelog::Error::NoState(_)) => {
                 std::fs::create_dir_all(dir).map_err(storelog::Error::Io)?;
                 let version = opts.format.unwrap_or(OBS_FORMAT);
                 let writer = LogWriter::create_versioned(dir, shards, &fingerprint, version)?;
                 return Ok(PersistStage {
-                    writer,
+                    writer: Some(writer),
                     replay: None,
                     rounds_done: 0,
                     max_rounds: opts.max_rounds,
@@ -321,136 +467,48 @@ impl PersistStage {
                     scratch: Vec::new(),
                 });
             }
-            Some(reader) => {
-                if !opts.resume {
-                    return Err(PersistError::AlreadyExists(dir.clone()));
-                }
-                if reader.config() != fingerprint.as_slice() {
-                    return Err(PersistError::ConfigMismatch {
-                        state_dir: dir.clone(),
-                    });
-                }
-                if reader.shard_count() != shards {
-                    return Err(PersistError::Diverged(format!(
-                        "state dir has {} shards, store has {shards}",
-                        reader.shard_count()
-                    )));
-                }
-                Self::load_replay(&reader, threads)?
-            }
+            Err(e) => return Err(e.into()),
         };
-
-        if let Some(rep) = &replay {
-            obs::info!(
-                "resuming {}: replaying {} recorded round(s) up to day {}",
-                dir.display(),
-                rep.rounds.len(),
-                rep.frontier.0
-            );
+        if !opts.resume {
+            return Err(PersistError::AlreadyExists(dir.clone()));
+        }
+        if reader.config() != fingerprint.as_slice() {
+            return Err(PersistError::ConfigMismatch {
+                state_dir: dir.clone(),
+            });
+        }
+        if reader.shard_count() != shards {
+            return Err(PersistError::Diverged(format!(
+                "state dir has {} shards, store has {shards}",
+                reader.shard_count()
+            )));
         }
         // The dir dictates the payload format on resume; `opts.format` only
         // applies to fresh creations.
-        let writer = LogWriter::open_append(dir)?;
-        let payload_format = writer.format_version();
+        let payload_format = reader.format_version();
+        let replay = ReplayData::open(&reader, dir)?;
+        let writer = match &replay {
+            Some(rep) => {
+                obs::info!(
+                    "resuming {}: replaying {} recorded round(s) up to day {}",
+                    dir.display(),
+                    rep.checkpoint.rounds_done,
+                    rep.frontier.0
+                );
+                None
+            }
+            // Created but never committed a round: nothing to replay.
+            None => Some(LogWriter::open_append(dir)?),
+        };
         Ok(PersistStage {
             writer,
             replay,
             rounds_done: 0,
             max_rounds: opts.max_rounds,
             payload_format,
-            codecs,
+            codecs: fresh_codecs(payload_format, shards),
             scratch: Vec::new(),
         })
-    }
-
-    /// Load the committed history for replay, decoding shards in parallel
-    /// through the pipeline's [`ShardedExecutor`]. Returns the replay data
-    /// (None for an empty dir) plus, for v2 dirs, the per-shard codec states
-    /// at the end of the committed stream — the exact encoder contexts live
-    /// appends must continue from.
-    fn load_replay(
-        reader: &LogReader,
-        threads: usize,
-    ) -> Result<(Option<ReplayData>, Vec<ShardCodec>), PersistError> {
-        let version = reader.format_version();
-        let shards = reader.shard_count();
-        let Some(commit) = reader.last_commit() else {
-            // Created but never committed a round: nothing to replay.
-            return Ok((None, fresh_codecs(version, shards)));
-        };
-        let checkpoint: Checkpoint = serde_json::from_slice(&commit.app)?;
-        if checkpoint.format != version {
-            return Err(PersistError::Diverged(format!(
-                "checkpoint says payload format v{}, FORMAT file says v{version}",
-                checkpoint.format
-            )));
-        }
-
-        // Shards are independent streams — fan the decode out under the same
-        // determinism contract as the crawl (results re-assembled in shard
-        // order; merge below is shard-order deterministic).
-        let shard_ids: Vec<usize> = (0..shards).collect();
-        type ShardOut = Result<(Vec<ObsRecord>, Option<ShardCodec>), PersistError>;
-        let exec = ShardedExecutor::new(threads, crate::exec_metric_names!("persist.replay"));
-        let per_shard: Vec<ShardOut> = exec.map(
-            &shard_ids,
-            shards,
-            |&s| s,
-            || (),
-            |_, _, &shard| {
-                let stream = reader.stream_shard(shard).map_err(PersistError::from)?;
-                let mut recs: Vec<ObsRecord> = Vec::new();
-                let mut codec = (version >= 2).then(ShardCodec::new);
-                for payload in stream.iter() {
-                    let rec = match &mut codec {
-                        Some(c) => c
-                            .decode(payload)
-                            .map_err(|e| PersistError::Decode(format!("shard {shard}: {e}")))?,
-                        None => serde_json::from_slice::<ObsRecord>(payload)?,
-                    };
-                    // A checksum-valid frame spliced in from another shard's
-                    // segment would decode fine; membership in the shard's
-                    // FQDN partition is the structural check against it.
-                    if crate::snapshot::fqdn_shard(&rec.snap.fqdn, shards) != shard {
-                        return Err(PersistError::Decode(format!(
-                            "shard {shard}: record for {} belongs to shard {}",
-                            rec.snap.fqdn,
-                            crate::snapshot::fqdn_shard(&rec.snap.fqdn, shards)
-                        )));
-                    }
-                    recs.push(rec);
-                }
-                Ok((recs, codec))
-            },
-        );
-
-        let mut rounds: BTreeMap<i32, Vec<ObsRecord>> = BTreeMap::new();
-        let mut codecs: Vec<ShardCodec> = Vec::new();
-        for out in per_shard {
-            let (recs, codec) = out?;
-            for rec in recs {
-                rounds.entry(rec.round.0).or_default().push(rec);
-            }
-            if let Some(c) = codec {
-                codecs.push(c);
-            }
-        }
-        for (round, group) in rounds.iter_mut() {
-            group.sort_unstable_by_key(|r| r.seq);
-            if group.windows(2).any(|w| w[0].seq == w[1].seq) {
-                return Err(PersistError::Decode(format!(
-                    "round {round}: duplicate seq (spliced or duplicated frame)"
-                )));
-            }
-        }
-        Ok((
-            Some(ReplayData {
-                frontier: checkpoint.round,
-                rounds,
-                checkpoint,
-            }),
-            codecs,
-        ))
     }
 
     /// If `now` is inside the recorded history, install the logged outcomes
@@ -463,10 +521,7 @@ impl PersistStage {
         if now > rep.frontier {
             return Ok(false);
         }
-        // Compaction may have thinned the round (superseded no-change
-        // records); whatever remains replays in original order and rebuilds
-        // the change log exactly and the store eventually.
-        let records = rep.rounds.remove(&now.0).unwrap_or_default();
+        let records = rep.take_round(now)?;
         obs::counter("persist.rounds_replayed").inc();
         obs::counter("persist.records_replayed").add(records.len() as u64);
         if records.len() > rs.monitored.len() {
@@ -498,6 +553,11 @@ impl PersistStage {
     /// [`Self::finish_round`] makes them durable). Runs on live rounds only,
     /// before the diff stage drains the batch.
     pub fn record_round(&mut self, rs: &RunState, now: SimTime) -> Result<(), PersistError> {
+        let Some(writer) = self.writer.as_mut() else {
+            // Only a resumed stage still short of its frontier has no writer.
+            let frontier = self.replay.as_ref().map_or(now, |r| r.frontier);
+            return Err(passed_frontier(now, frontier));
+        };
         for (i, out) in rs.crawl_batch.iter().enumerate() {
             let rec = ObsRecord {
                 round: now,
@@ -508,10 +568,10 @@ impl PersistStage {
             let shard = rs.store.shard_of(&out.snap.fqdn);
             if self.payload_format >= 2 {
                 self.codecs[shard].encode_into(&rec, &mut self.scratch);
-                self.writer.append(shard, &self.scratch);
+                writer.append(shard, &self.scratch);
             } else {
                 let payload = serde_json::to_vec(&rec)?;
-                self.writer.append(shard, &payload);
+                writer.append(shard, &payload);
             }
         }
         obs::counter("persist.records").add(rs.crawl_batch.len() as u64);
@@ -538,20 +598,21 @@ impl PersistStage {
                             now.0, rep.checkpoint
                         )));
                     }
-                    self.replay = None;
+                    let writer = LogWriter::open_append(&rep.state_dir)?;
+                    let rep = self.replay.take().expect("replay checked above");
+                    self.codecs = rep.cursors.into_iter().filter_map(|c| c.codec).collect();
+                    self.writer = Some(writer);
                     return Ok(());
                 }
-                std::cmp::Ordering::Greater => {
-                    return Err(PersistError::Diverged(format!(
-                        "round {} passed the recorded frontier {} without \
-                         reaching it (monitoring cadence mismatch?)",
-                        now.0, rep.frontier.0
-                    )))
-                }
+                std::cmp::Ordering::Greater => return Err(passed_frontier(now, rep.frontier)),
             }
         }
         let cp = Checkpoint::capture(rs, now, self.rounds_done, self.payload_format);
-        self.writer.commit(&serde_json::to_vec(&cp)?)?;
+        let writer = self
+            .writer
+            .as_mut()
+            .expect("a live stage always has a writer");
+        writer.commit(&serde_json::to_vec(&cp)?)?;
         Ok(())
     }
 
@@ -564,6 +625,15 @@ impl PersistStage {
     pub fn rounds_done(&self) -> u64 {
         self.rounds_done
     }
+}
+
+/// A live round arrived while the replay was still short of its frontier.
+fn passed_frontier(now: SimTime, frontier: SimTime) -> PersistError {
+    PersistError::Diverged(format!(
+        "round {} passed the recorded frontier {} without \
+         reaching it (monitoring cadence mismatch?)",
+        now.0, frontier.0
+    ))
 }
 
 /// Compact a state directory: drop every unchanged-snapshot record that a
@@ -745,7 +815,7 @@ mod tests {
             Snapshot::unreachable(fqdn.parse().unwrap(), SimTime(day), Rcode::NoError, None);
         s.http_status = Some(200);
         s.index_hash = 7;
-        s.title = Some("Titre — déjà vu".into());
+        s.page_mut().title = Some("Titre — déjà vu".into());
         s
     }
 
@@ -834,5 +904,97 @@ mod tests {
         let bytes = serde_json::to_vec(&cp).unwrap();
         let back: Checkpoint = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(back, cp);
+    }
+
+    /// A v2 state dir holding `records` — `(round, seq, fqdn)` observations
+    /// appended in this order — committed once with a checkpoint at
+    /// `frontier`.
+    fn write_dir(tag: &str, records: &[(i32, u32, &str)], frontier: i32) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("persist_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let shards = 4;
+        let mut writer = LogWriter::create_versioned(&dir, shards, b"cfg", 2).unwrap();
+        let mut codecs = fresh_codecs(2, shards);
+        let mut buf = Vec::new();
+        for &(round, seq, fqdn) in records {
+            let rec = ObsRecord {
+                round: SimTime(round),
+                seq,
+                snap: snap(fqdn, round),
+                change: None,
+            };
+            let shard = fqdn_shard(&rec.snap.fqdn, shards);
+            codecs[shard].encode_into(&rec, &mut buf);
+            writer.append(shard, &buf);
+        }
+        let cp = Checkpoint {
+            format: 2,
+            round: SimTime(frontier),
+            rounds_done: 0,
+            monitored_total: 0,
+            store_len: 0,
+            changes_total: 0,
+            ip_lottery_declines: 0,
+            caa_blocked_certs: 0,
+            liveness_len: 0,
+            rng_witness: 0,
+        };
+        writer.commit(&serde_json::to_vec(&cp).unwrap()).unwrap();
+        dir
+    }
+
+    fn replay_of(dir: &Path) -> ReplayData {
+        let reader = LogReader::open(dir).unwrap();
+        ReplayData::open(&reader, dir)
+            .unwrap()
+            .expect("a committed round")
+    }
+
+    const NAMES: [&str; 4] = ["a.x.com", "b.x.com", "c.y.com", "d.z.com"];
+
+    #[test]
+    fn take_round_merges_shards_in_seq_order() {
+        let mut records = Vec::new();
+        for round in [0, 7] {
+            // Appended in reverse seq order: the merge must sort.
+            for (seq, name) in NAMES.iter().enumerate().rev() {
+                records.push((round, seq as u32, *name));
+            }
+        }
+        let dir = write_dir("merge", &records, 7);
+        let mut rep = replay_of(&dir);
+        for round in [0, 7] {
+            let got = rep.take_round(SimTime(round)).unwrap();
+            let seqs: Vec<u32> = got.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, vec![0, 1, 2, 3]);
+            assert!(got.iter().all(|r| r.round == SimTime(round)));
+            assert_eq!(got[2].snap.fqdn.to_string(), NAMES[2]);
+        }
+        assert!(rep.cursors.iter().all(|c| c.ahead.is_none()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_round_replay_never_reaches_is_a_decode_error() {
+        let dir = write_dir("skipped", &[(0, 0, NAMES[0]), (3, 0, NAMES[0])], 7);
+        let mut rep = replay_of(&dir);
+        rep.take_round(SimTime(0)).unwrap();
+        match rep.take_round(SimTime(7)) {
+            Err(PersistError::Decode(m)) => assert!(m.contains("never reached"), "{m}"),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_past_the_frontier_are_a_decode_error() {
+        let dir = write_dir("leftover", &[(0, 0, NAMES[1]), (14, 0, NAMES[1])], 7);
+        let mut rep = replay_of(&dir);
+        rep.take_round(SimTime(0)).unwrap();
+        match rep.take_round(SimTime(7)) {
+            Err(PersistError::Decode(m)) => assert!(m.contains("past the committed frontier")),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -115,7 +115,7 @@ pub(crate) fn assemble_results(
                 signature_kinds: Vec::new(),
                 topic: outcome.topic,
                 techniques: outcome.techniques,
-                language: rec.after.language.clone(),
+                language: rec.after.page.language.clone(),
                 cname_target: rec.after.cname_target.clone(),
                 service,
                 sitemap_bytes: rec.after.sitemap_bytes,
@@ -124,10 +124,10 @@ pub(crate) fn assemble_results(
                     .sitemap_bytes
                     .map(|b| b.saturating_sub(120) / 80)
                     .unwrap_or(0),
-                identifiers: rec.after.identifiers.clone(),
-                meta_keywords: rec.after.meta_keywords.clone(),
-                keywords: rec.after.keywords.clone(),
-                generator: rec.after.generator.clone(),
+                identifiers: rec.after.page.identifiers.clone(),
+                meta_keywords: rec.after.page.meta_keywords.clone(),
+                keywords: rec.after.page.keywords.clone(),
+                generator: rec.after.page.generator.clone(),
                 html: rec.after.html.clone(),
             }
         });

@@ -74,8 +74,8 @@ impl Signature {
             .keywords
             .iter()
             .filter(|kw| {
-                snap.keywords.iter().any(|k| &k == kw)
-                    || snap.meta_keywords.iter().any(|k| &k == kw)
+                snap.page.keywords.iter().any(|k| &k == kw)
+                    || snap.page.meta_keywords.iter().any(|k| &k == kw)
             })
             .count();
         if hits < needed.max(1) {
@@ -90,12 +90,12 @@ impl Signature {
             let any = self
                 .script_markers
                 .iter()
-                .any(|m| snap.script_srcs.iter().any(|s| s.contains(m.as_str())));
+                .any(|m| snap.page.script_srcs.iter().any(|s| s.contains(m.as_str())));
             if !any {
                 return false;
             }
         }
-        if self.requires_identifiers && snap.identifiers.is_empty() {
+        if self.requires_identifiers && snap.page.identifiers.is_empty() {
             return false;
         }
         true
@@ -131,7 +131,9 @@ pub fn is_suspicious(rec: &ChangeRecord) -> bool {
             ChangeKind::Content | ChangeKind::HttpStatus | ChangeKind::Dns
         )
     });
-    if only_content && crate::keywords::overlap(&rec.before_keywords, &rec.after.keywords) >= 0.5 {
+    if only_content
+        && crate::keywords::overlap(&rec.before_keywords, &rec.after.page.keywords) >= 0.5
+    {
         return false;
     }
     true
@@ -154,7 +156,7 @@ struct GroupMember {
 impl GroupMember {
     fn of(rec: &ChangeRecord, fingerprint: Vec<String>) -> Self {
         let mut script_files = std::collections::BTreeSet::new();
-        for src in &rec.after.script_srcs {
+        for src in &rec.after.page.script_srcs {
             if let Some(fname) = src.rsplit('/').next() {
                 script_files.insert(fname.to_string());
             }
@@ -164,7 +166,7 @@ impl GroupMember {
             sld: rec.fqdn.sld(),
             sitemap_bytes: rec.after.sitemap_bytes,
             script_files,
-            has_identifiers: !rec.after.identifiers.is_empty(),
+            has_identifiers: !rec.after.page.identifiers.is_empty(),
         }
     }
 }
@@ -340,8 +342,8 @@ pub fn derive_signatures(changes: &[ChangeRecord], min_slds: usize) -> Vec<Signa
 }
 
 fn member_keywords(rec: &ChangeRecord) -> Vec<String> {
-    let mut v = rec.after.keywords.clone();
-    v.extend(rec.after.meta_keywords.iter().cloned());
+    let mut v = rec.after.page.keywords.clone();
+    v.extend(rec.after.page.meta_keywords.iter().cloned());
     v.sort();
     v.dedup();
     v
@@ -406,9 +408,9 @@ mod tests {
         let mut s = Snapshot::unreachable(fqdn.parse().unwrap(), SimTime(10), Rcode::NoError, None);
         s.http_status = Some(200);
         s.index_hash = 42;
-        s.keywords = kws.iter().map(|k| k.to_string()).collect();
+        s.page_mut().keywords = kws.iter().map(|k| k.to_string()).collect();
         s.sitemap_bytes = sitemap;
-        s.identifiers = ids.iter().map(|i| i.to_string()).collect();
+        s.page_mut().identifiers = ids.iter().map(|i| i.to_string()).collect();
         s
     }
 
@@ -492,7 +494,7 @@ mod tests {
         assert!(!sig.matches(&snap("x.v.com", &["slot", "judi"], Some(10_000), &[])));
         // Meta keywords count too.
         let mut s = snap("x.v.com", &[], Some(500_000), &[]);
-        s.meta_keywords = vec!["slot".into(), "judi".into()];
+        s.page_mut().meta_keywords = vec!["slot".into(), "judi".into()];
         assert!(sig.matches(&s));
         // Unreachable snapshots never match.
         let mut dead = snap("x.v.com", &["slot", "judi"], Some(500_000), &[]);
@@ -533,7 +535,7 @@ mod tests {
         };
         let mut s = snap("x.v.com", &["slot"], None, &[]);
         assert!(!sig.matches(&s));
-        s.script_srcs = vec!["http://203.0.113.7/js/popunder.js".into()];
+        s.page_mut().script_srcs = vec!["http://203.0.113.7/js/popunder.js".into()];
         assert!(sig.matches(&s));
         assert_eq!(sig.kind(), SignatureKind::KeywordsInfra);
     }

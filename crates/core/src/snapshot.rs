@@ -11,9 +11,62 @@ use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::{Arc, OnceLock};
+
+/// Content features extracted from an index body.
+///
+/// Shared copy-on-write between snapshots ([`Snapshot::page`]): most weeks a
+/// page's body hash is unchanged, and the crawl's inherited snapshot, the
+/// log record, the v2 codec's delta base and a change record's `after` all
+/// point at one allocation instead of each copying ~20 strings.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PageFeatures {
+    pub title: Option<String>,
+    /// BCP47-ish tag from content language detection.
+    pub language: Option<String>,
+    /// Top content keywords (extracted lazily, only when content changed).
+    pub keywords: Vec<String>,
+    pub meta_keywords: Vec<String>,
+    pub generator: Option<String>,
+    pub script_srcs: Vec<String>,
+    /// Tagged §6 identifiers found on the page.
+    pub identifiers: Vec<String>,
+}
+
+impl PageFeatures {
+    /// Heap bytes owned by this page when it is held alone: the struct, the
+    /// `Arc` header (strong + weak counts) and every string (capacities
+    /// approximated by length).
+    pub fn approx_bytes(&self) -> usize {
+        fn s(v: &Option<String>) -> usize {
+            v.as_ref().map_or(0, String::len)
+        }
+        fn vs(v: &[String]) -> usize {
+            v.iter()
+                .map(|x| std::mem::size_of::<String>() + x.len())
+                .sum()
+        }
+        std::mem::size_of::<PageFeatures>()
+            + 2 * std::mem::size_of::<usize>()
+            + s(&self.title)
+            + s(&self.language)
+            + s(&self.generator)
+            + vs(&self.keywords)
+            + vs(&self.meta_keywords)
+            + vs(&self.script_srcs)
+            + vs(&self.identifiers)
+    }
+}
+
+/// The one featureless page every unreachable or not-yet-extracted
+/// snapshot shares (so the common case allocates nothing).
+fn empty_page() -> &'static Arc<PageFeatures> {
+    static EMPTY: OnceLock<Arc<PageFeatures>> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::new(PageFeatures::default()))
+}
 
 /// One observation of one FQDN.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     pub fqdn: Name,
     pub day: SimTime,
@@ -25,18 +78,11 @@ pub struct Snapshot {
     /// FNV hash of the served index body (cheap change detector).
     pub index_hash: u64,
     pub index_size: u32,
-    pub title: Option<String>,
-    /// BCP47-ish tag from content language detection.
-    pub language: Option<String>,
-    /// Top content keywords (extracted lazily, only when content changed).
-    pub keywords: Vec<String>,
-    pub meta_keywords: Vec<String>,
-    pub generator: Option<String>,
+    /// Content features, shared copy-on-write (write through
+    /// [`Snapshot::page_mut`]).
+    pub page: Arc<PageFeatures>,
     /// Advertised sitemap size in bytes (`Content-Length` of /sitemap.xml).
     pub sitemap_bytes: Option<u64>,
-    pub script_srcs: Vec<String>,
-    /// Tagged §6 identifiers found on the page.
-    pub identifiers: Vec<String>,
     /// Retained HTML (only populated for changed/flagged snapshots).
     pub html: Option<String>,
 }
@@ -53,29 +99,31 @@ impl Snapshot {
             http_status: None,
             index_hash: 0,
             index_size: 0,
-            title: None,
-            language: None,
-            keywords: Vec::new(),
-            meta_keywords: Vec::new(),
-            generator: None,
+            page: empty_page().clone(),
             sitemap_bytes: None,
-            script_srcs: Vec::new(),
-            identifiers: Vec::new(),
             html: None,
         }
+    }
+
+    /// Mutable access to the content features, unsharing them first if any
+    /// other snapshot holds the same page (value semantics).
+    pub fn page_mut(&mut self) -> &mut PageFeatures {
+        Arc::make_mut(&mut self.page)
     }
 
     /// Populate content features from an HTML body (the expensive path, run
     /// only when the body hash differs from the previous snapshot).
     pub fn ingest_content(&mut self, html: &str, keep_html: bool) {
         self.index_size = html.len() as u32;
-        self.title = extract::title(html);
-        self.language = lang::detect(&extract::visible_text_chars(html)).map(|l| l.tag().into());
-        self.keywords = crate::keywords::extract_keywords(html, 10);
-        self.meta_keywords = extract::meta_keywords(html);
-        self.generator = extract::generator(html);
-        self.script_srcs = extract::script_srcs(html);
-        self.identifiers = extract::identifiers(html).tagged();
+        self.page = Arc::new(PageFeatures {
+            title: extract::title(html),
+            language: lang::detect(&extract::visible_text_chars(html)).map(|l| l.tag().into()),
+            keywords: crate::keywords::extract_keywords(html, 10),
+            meta_keywords: extract::meta_keywords(html),
+            generator: extract::generator(html),
+            script_srcs: extract::script_srcs(html),
+            identifiers: extract::identifiers(html).tagged(),
+        });
         if keep_html {
             self.html = Some(html.to_string());
         }
@@ -83,16 +131,11 @@ impl Snapshot {
 
     /// Carry content features forward from the previous snapshot when the
     /// body hash is unchanged (the lazy-extraction fast path must not erase
-    /// what we know about the site).
+    /// what we know about the site). Shares the previous page, copying
+    /// nothing.
     pub fn inherit_features(&mut self, prev: &Snapshot) {
-        self.title = prev.title.clone();
-        self.language = prev.language.clone();
-        self.keywords = prev.keywords.clone();
-        self.meta_keywords = prev.meta_keywords.clone();
-        self.generator = prev.generator.clone();
+        self.page = Arc::clone(&prev.page);
         self.sitemap_bytes = prev.sitemap_bytes;
-        self.script_srcs = prev.script_srcs.clone();
-        self.identifiers = prev.identifiers.clone();
     }
 
     /// Is the FQDN serving content at all?
@@ -104,27 +147,92 @@ impl Snapshot {
     /// every owned heap allocation (string capacities approximated by
     /// length). This is the per-snapshot term of the paper-scale
     /// `pipeline.bytes_per_fqdn` budget; interned label text is accounted
-    /// once per process by the interner, not here.
+    /// once per process by the interner, not here. The page is charged in
+    /// full ([`PageFeatures::approx_bytes`]) to every snapshot that holds it,
+    /// except the one process-wide empty page.
     pub fn approx_bytes(&self) -> usize {
-        fn s(v: &Option<String>) -> usize {
-            v.as_ref().map_or(0, String::len)
-        }
-        fn vs(v: &[String]) -> usize {
-            v.iter()
-                .map(|x| std::mem::size_of::<String>() + x.len())
-                .sum()
-        }
+        let page = if Arc::ptr_eq(&self.page, empty_page()) {
+            0
+        } else {
+            self.page.approx_bytes()
+        };
         std::mem::size_of::<Snapshot>()
             + self.fqdn.heap_bytes()
             + self.cname_target.as_ref().map_or(0, Name::heap_bytes)
-            + s(&self.title)
-            + s(&self.language)
-            + s(&self.generator)
-            + s(&self.html)
-            + vs(&self.keywords)
-            + vs(&self.meta_keywords)
-            + vs(&self.script_srcs)
-            + vs(&self.identifiers)
+            + page
+            + self.html.as_ref().map_or(0, String::len)
+    }
+}
+
+/// Serialized flat, in the field order of the pre-`PageFeatures` struct:
+/// the v1 log payloads and the golden result digests pin this layout.
+impl Serialize for Snapshot {
+    fn to_json_value(&self) -> serde::Value {
+        use serde::to_value;
+        let p = &*self.page;
+        serde::Value::Object(vec![
+            ("fqdn".into(), to_value(&self.fqdn)),
+            ("day".into(), to_value(&self.day)),
+            ("rcode".into(), to_value(&self.rcode)),
+            ("cname_target".into(), to_value(&self.cname_target)),
+            ("ip".into(), to_value(&self.ip)),
+            ("http_status".into(), to_value(&self.http_status)),
+            ("index_hash".into(), to_value(&self.index_hash)),
+            ("index_size".into(), to_value(&self.index_size)),
+            ("title".into(), to_value(&p.title)),
+            ("language".into(), to_value(&p.language)),
+            ("keywords".into(), to_value(&p.keywords)),
+            ("meta_keywords".into(), to_value(&p.meta_keywords)),
+            ("generator".into(), to_value(&p.generator)),
+            ("sitemap_bytes".into(), to_value(&self.sitemap_bytes)),
+            ("script_srcs".into(), to_value(&p.script_srcs)),
+            ("identifiers".into(), to_value(&p.identifiers)),
+            ("html".into(), to_value(&self.html)),
+        ])
+    }
+}
+
+impl Deserialize for Snapshot {
+    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        // Same rules as the derive: a missing field reads as `null`, which
+        // only `Option` fields accept.
+        fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
+            match v.get(name) {
+                Some(x) => T::from_json_value(x),
+                None => T::from_json_value(&serde::Value::Null).map_err(|_| {
+                    serde::Error::custom(format!("missing field `{name}` in Snapshot"))
+                }),
+            }
+        }
+        if !matches!(v, serde::Value::Object(_)) {
+            return Err(serde::Error::unexpected("object", v));
+        }
+        let page = PageFeatures {
+            title: field(v, "title")?,
+            language: field(v, "language")?,
+            keywords: field(v, "keywords")?,
+            meta_keywords: field(v, "meta_keywords")?,
+            generator: field(v, "generator")?,
+            script_srcs: field(v, "script_srcs")?,
+            identifiers: field(v, "identifiers")?,
+        };
+        Ok(Snapshot {
+            fqdn: field(v, "fqdn")?,
+            day: field(v, "day")?,
+            rcode: field(v, "rcode")?,
+            cname_target: field(v, "cname_target")?,
+            ip: field(v, "ip")?,
+            http_status: field(v, "http_status")?,
+            index_hash: field(v, "index_hash")?,
+            index_size: field(v, "index_size")?,
+            page: if page == PageFeatures::default() {
+                empty_page().clone()
+            } else {
+                Arc::new(page)
+            },
+            sitemap_bytes: field(v, "sitemap_bytes")?,
+            html: field(v, "html")?,
+        })
     }
 }
 
@@ -266,12 +374,94 @@ mod tests {
              <body>daftar situs judi slot online slot</body></html>",
             true,
         );
-        assert_eq!(s.title.as_deref(), Some("SLOT GACOR"));
-        assert_eq!(s.language.as_deref(), Some("id"));
-        assert!(s.keywords.contains(&"slot".to_string()));
-        assert_eq!(s.meta_keywords, vec!["slot", "judi"]);
+        assert_eq!(s.page.title.as_deref(), Some("SLOT GACOR"));
+        assert_eq!(s.page.language.as_deref(), Some("id"));
+        assert!(s.page.keywords.contains(&"slot".to_string()));
+        assert_eq!(s.page.meta_keywords, vec!["slot", "judi"]);
         assert!(s.html.is_some());
         assert!(s.is_serving());
+    }
+
+    fn serving_page(fqdn: &str) -> Snapshot {
+        let mut s = Snapshot::unreachable(fqdn.parse().unwrap(), SimTime(0), Rcode::NoError, None);
+        s.http_status = Some(200);
+        s.ingest_content(
+            "<html><head><title>Shop</title></head><body>buy now</body></html>",
+            false,
+        );
+        s
+    }
+
+    #[test]
+    fn inherit_features_shares_the_page() {
+        let prev = serving_page("shop.example.com");
+        let mut next = Snapshot::unreachable(prev.fqdn.clone(), SimTime(7), Rcode::NoError, None);
+        next.inherit_features(&prev);
+        assert!(Arc::ptr_eq(&next.page, &prev.page));
+        assert_eq!(next.page.title.as_deref(), Some("Shop"));
+    }
+
+    #[test]
+    fn page_mut_on_a_shared_page_copies_on_write() {
+        let a = serving_page("shop.example.com");
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.page, &b.page));
+        b.page_mut().title = Some("Hijacked".into());
+        assert!(!Arc::ptr_eq(&a.page, &b.page));
+        assert_eq!(a.page.title.as_deref(), Some("Shop"));
+        assert_eq!(b.page.title.as_deref(), Some("Hijacked"));
+        assert_eq!(a.page.keywords, b.page.keywords);
+    }
+
+    #[test]
+    fn serializes_flat_in_the_pinned_field_order() {
+        let s = serving_page("shop.example.com");
+        let json = serde_json::to_string(&s).unwrap();
+        let keys = [
+            "fqdn",
+            "day",
+            "rcode",
+            "cname_target",
+            "ip",
+            "http_status",
+            "index_hash",
+            "index_size",
+            "title",
+            "language",
+            "keywords",
+            "meta_keywords",
+            "generator",
+            "sitemap_bytes",
+            "script_srcs",
+            "identifiers",
+            "html",
+        ];
+        let at: Vec<usize> = keys
+            .iter()
+            .map(|k| json.find(&format!("\"{k}\":")).expect(k))
+            .collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{json}");
+        let back: Snapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, s);
+        // A featureless snapshot decodes onto the shared empty page.
+        let dead = Snapshot::unreachable(s.fqdn.clone(), SimTime(7), Rcode::NxDomain, None);
+        let back: Snapshot = serde_json::from_str(&serde_json::to_string(&dead).unwrap()).unwrap();
+        assert!(Arc::ptr_eq(&back.page, empty_page()));
+    }
+
+    #[test]
+    fn approx_bytes_charges_the_page_struct() {
+        let dead =
+            Snapshot::unreachable("a.b.com".parse().unwrap(), SimTime(0), Rcode::NoError, None);
+        let live = serving_page("a.b.com");
+        assert_eq!(
+            live.approx_bytes() - dead.approx_bytes(),
+            live.page.approx_bytes()
+        );
+        assert!(
+            live.page.approx_bytes()
+                > std::mem::size_of::<PageFeatures>() + 2 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

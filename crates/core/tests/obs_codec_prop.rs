@@ -11,6 +11,7 @@ use dns::{Name, Rcode};
 use proptest::prelude::*;
 use simcore::SimTime;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Arbitrary valid names: 1–4 labels over the accepted alphabet, plus a
 /// slot for maximum-length labels (63 chars — the DNS wire limit edge).
@@ -69,14 +70,15 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
                 s.http_status = status;
                 s.index_hash = hash;
                 s.index_size = size;
-                s.title = title;
-                s.language = language;
-                s.keywords = keywords.clone();
-                s.meta_keywords = meta;
-                s.generator = generator;
                 s.sitemap_bytes = sitemap;
-                s.script_srcs = srcs;
-                s.identifiers = keywords; // reuse: interned lists may repeat
+                let page = s.page_mut();
+                page.title = title;
+                page.language = language;
+                page.keywords = keywords.clone();
+                page.meta_keywords = meta;
+                page.generator = generator;
+                page.script_srcs = srcs;
+                page.identifiers = keywords; // reuse: interned lists may repeat
                 s.html = html;
                 s
             },
@@ -202,6 +204,39 @@ proptest! {
             }
             dec.decode(&buf).expect("intact payload decodes");
         }
+    }
+
+    /// An unchanged re-observation decodes as a delta whose page is the
+    /// codec context's — the previous decoded record's — allocation, while
+    /// a changed page is a fresh copy that leaves earlier records intact.
+    #[test]
+    fn unchanged_delta_shares_the_decoded_page(snap in arb_snapshot()) {
+        let week = |r: &ObsRecord| {
+            let mut next = r.clone();
+            next.snap.day = SimTime(r.snap.day.0 + 7);
+            next.round = next.snap.day;
+            next
+        };
+        let first = ObsRecord { round: snap.day, seq: 0, snap, change: None };
+        let same = week(&first);
+        let mut changed = week(&same);
+        // Longer than any generated title, so the page really changes.
+        changed.snap.page_mut().title = Some("re-registered by a new tenant".into());
+        let title = first.snap.page.title.clone();
+
+        let mut enc = ShardCodec::new();
+        let mut dec = ShardCodec::new();
+        let mut decoded = Vec::new();
+        for r in [&first, &same, &changed] {
+            let mut buf = Vec::new();
+            enc.encode_into(r, &mut buf);
+            decoded.push(dec.decode(&buf).expect("decodes"));
+        }
+        prop_assert!(Arc::ptr_eq(&decoded[0].snap.page, &decoded[1].snap.page));
+        prop_assert!(!Arc::ptr_eq(&decoded[1].snap.page, &decoded[2].snap.page));
+        prop_assert_eq!(&decoded[1].snap.page.title, &title);
+        assert_records_equal(&decoded[1], &same);
+        assert_records_equal(&decoded[2], &changed);
     }
 
     /// Replaying an encoded stream into a second encoder reproduces the

@@ -31,8 +31,8 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
                 s.http_status = Some(200);
             }
             s.index_hash = hash;
-            s.keywords = kws;
-            s.meta_keywords = meta;
+            s.page_mut().keywords = kws;
+            s.page_mut().meta_keywords = meta;
             s.sitemap_bytes = sitemap;
             s
         })
@@ -63,10 +63,10 @@ fn arb_persisted_snapshot() -> impl Strategy<Value = Snapshot> {
         .prop_map(
             |(fqdn, day, title, ip, status, keywords, hash, sitemap, html)| {
                 let mut s = Snapshot::unreachable(fqdn, SimTime(day), Rcode::NoError, None);
-                s.title = title;
+                s.page_mut().title = title;
                 s.ip = ip.map(Ipv4Addr::from);
                 s.http_status = status;
-                s.keywords = keywords;
+                s.page_mut().keywords = keywords;
                 s.index_hash = hash;
                 s.sitemap_bytes = sitemap;
                 s.html = html;
@@ -160,9 +160,9 @@ proptest! {
     #[test]
     fn matching_monotone(sig in arb_signature(), mut snap in arb_snapshot()) {
         snap.http_status = Some(200);
-        snap.identifiers = vec!["phone:62".into()];
+        snap.page_mut().identifiers = vec!["phone:62".into()];
         let before = sig.matches(&snap);
-        snap.keywords.extend(sig.keywords.iter().cloned());
+        snap.page_mut().keywords.extend(sig.keywords.iter().cloned());
         snap.sitemap_bytes = Some(snap.sitemap_bytes.unwrap_or(0).max(10_000_000));
         let after = sig.matches(&snap);
         prop_assert!(!before || after);

@@ -57,9 +57,9 @@ fn snap(fqdn: &str, kws: &[String], sitemap: Option<u64>, ids: &[String]) -> Sna
     let mut s = Snapshot::unreachable(fqdn.parse().unwrap(), SimTime(10), Rcode::NoError, None);
     s.http_status = Some(200);
     s.index_hash = 42;
-    s.keywords = kws.to_vec();
+    s.page_mut().keywords = kws.to_vec();
     s.sitemap_bytes = sitemap;
-    s.identifiers = ids.to_vec();
+    s.page_mut().identifiers = ids.to_vec();
     s
 }
 

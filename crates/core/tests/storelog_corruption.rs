@@ -15,9 +15,10 @@
 //! the codec's intern/chain/membership validations (rejected).
 
 use dangling_core::pipeline::obs_codec::ShardCodec;
+use dangling_core::pipeline::persist::ObsRecord;
 use dangling_core::scenario::{Scenario, ScenarioConfig};
 use dangling_core::snapshot::fqdn_shard;
-use dangling_core::PersistOptions;
+use dangling_core::{PersistError, PersistOptions};
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -353,7 +354,6 @@ fn cross_shard_frame_import_is_rejected() {
     // Second leg: a synthetic foreign record whose gibberish labels cannot
     // collide with anything interned — it decodes cleanly, so only the
     // membership check stands, and it must fire.
-    use dangling_core::pipeline::persist::ObsRecord;
     use dangling_core::snapshot::Snapshot;
     let foreign_name: dns::Name = (0..)
         .map(|i| format!("zzqx{i}.vvkw{i}.qqjj{i}"))
@@ -391,6 +391,7 @@ fn spliced_dir_refuses_resume_with_a_decode_error() {
         let copy = frames[i].clone();
         frames.insert(i + 1, copy);
     });
+    let before = dir_bytes(&dir.0);
     let mut opts = PersistOptions::new(&dir.0);
     opts.resume = true;
     let err = match Scenario::new(study_cfg(2)).run_persisted(&opts) {
@@ -401,6 +402,58 @@ fn spliced_dir_refuses_resume_with_a_decode_error() {
         err.to_string().contains("decode"),
         "expected a decode error, got: {err}"
     );
+    // Replay streams the log round by round, so the error surfaces mid-run;
+    // the dir is only opened for appending at the frontier, and a refused
+    // resume must leave it exactly as it found it.
+    assert!(
+        dir_bytes(&dir.0) == before,
+        "a failed resume appended to or truncated the state dir"
+    );
+}
+
+/// Every file of a dir, by name, with its bytes.
+fn dir_bytes(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn v1_frame_moved_ahead_of_an_earlier_round_is_rejected() {
+    // v1 records are self-contained JSON, so no codec context notices a
+    // frame moved within its shard. Replay streams each shard in append
+    // order and requires its rounds never to go backwards.
+    let dir = TempDir::new("v1_moved");
+    let mut opts = PersistOptions::new(&dir.0);
+    opts.max_rounds = Some(8);
+    opts.format = Some(1);
+    Scenario::new(study_cfg(2))
+        .run_persisted(&opts)
+        .expect("v1 recording run");
+    let (shard, _) = busiest_shard(&dir.0);
+    splice(&dir.0, shard, |frames| {
+        let round = |p: &[u8]| {
+            serde_json::from_slice::<ObsRecord>(p)
+                .expect("v1 payload is an ObsRecord")
+                .round
+        };
+        let last = frames.pop().expect("busiest shard has frames");
+        assert!(round(&last) > round(&frames[0]), "8 rounds span one shard");
+        frames.insert(0, last);
+    });
+    let mut opts = PersistOptions::new(&dir.0);
+    opts.resume = true;
+    match Scenario::new(study_cfg(2)).run_persisted(&opts) {
+        Err(PersistError::Decode(m)) => assert!(m.contains("follows round"), "{m}"),
+        Err(e) => panic!("expected a round-order decode error, got: {e}"),
+        Ok(_) => panic!("resume on a reordered v1 dir must fail"),
+    }
 }
 
 #[test]

@@ -467,7 +467,8 @@ impl LogReader {
 }
 
 /// Owned committed bytes of one shard segment; iterate payloads with
-/// [`ShardStream::iter`]. See [`LogReader::stream_shard`].
+/// [`ShardStream::iter`], or keep an offset across calls with
+/// [`ShardStream::next_at`]. See [`LogReader::stream_shard`].
 pub struct ShardStream {
     bytes: Vec<u8>,
 }
@@ -475,6 +476,18 @@ pub struct ShardStream {
 impl ShardStream {
     pub fn iter(&self) -> frame::PayloadIter<'_> {
         frame::payloads(&self.bytes, 0)
+    }
+
+    /// The payload of the frame starting at `*offset`, advancing `offset`
+    /// past it; `None` at the end of the committed bytes. The owned-cursor
+    /// form of [`ShardStream::iter`], for a consumer that keeps its
+    /// position alongside the stream (resume replay pulls one round at a
+    /// time).
+    pub fn next_at(&self, offset: &mut u64) -> Option<&[u8]> {
+        let mut it = frame::payloads(&self.bytes, *offset);
+        let payload = it.next()?;
+        *offset = it.offset();
+        Some(payload)
     }
 }
 
@@ -657,6 +670,22 @@ mod tests {
                 assert_eq!(par.read_shard(s).unwrap(), serial.read_shard(s).unwrap());
             }
         }
+    }
+
+    #[test]
+    fn next_at_walks_the_same_payloads_as_iter() {
+        let t = TempDir::new("next_at");
+        write_rounds(&t.0, 2, 3, 2);
+        let r = LogReader::open(&t.0).unwrap();
+        let stream = r.stream_shard(1).unwrap();
+        let mut offset = 0;
+        let mut walked = Vec::new();
+        while let Some(p) = stream.next_at(&mut offset) {
+            walked.push(p.to_vec());
+        }
+        assert_eq!(walked, r.read_shard(1).unwrap());
+        assert_eq!(offset, r.last_commit().unwrap().offsets[1]);
+        assert!(stream.next_at(&mut offset).is_none(), "stays exhausted");
     }
 
     #[test]

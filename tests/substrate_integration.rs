@@ -51,7 +51,7 @@ fn hijack_kill_chain() {
     let resolver = build_resolver(&platform, &org_zone);
     let snap = Crawler::sample(&victim, &resolver, &platform, None, t0);
     assert_eq!(snap.http_status, Some(200));
-    assert!(snap.title.as_deref().unwrap().contains("MegaCorp"));
+    assert!(snap.page.title.as_deref().unwrap().contains("MegaCorp"));
 
     // 3. Victim decommissions but forgets the record.
     platform.release(rid, SimTime(30));
@@ -106,6 +106,7 @@ fn hijack_kill_chain() {
     let snap2 = Crawler::sample(&victim, &resolver, &platform, Some(&snap), SimTime(47));
     assert_eq!(snap2.http_status, Some(200));
     assert!(snap2
+        .page
         .keywords
         .iter()
         .any(|k| k == "slot" || k == "gacor" || k == "judi"));
