@@ -1,6 +1,6 @@
 //! Shard-parallel stage scaling: the same workload run with 1/2/4/8 worker
-//! threads, for the weekly crawl and for the retrospective pass (benign
-//! clustering, signature validation, signature matching). The determinism
+//! threads, for the weekly crawl and for the retrospective pass's signature
+//! validation. The determinism
 //! contract says the *output* is identical for every row here — only
 //! wall-clock should move. The scaling target is ≥2× on the 4-thread rows
 //! over the serial rows; note this needs ≥4 real cores (on a single-CPU
@@ -19,14 +19,11 @@
 
 use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use dangling_core::benign::cluster_changes_sharded;
 use dangling_core::diff::{ChangeKind, ChangeRecord};
 use dangling_core::exec_metric_names;
 use dangling_core::pipeline::{CrawlExecutor, ShardedExecutor};
-use dangling_core::signature::{
-    derive_signatures, match_all, validate_signatures_sharded, SignatureFold,
-};
-use dangling_core::snapshot::{fqdn_shard, Snapshot, SnapshotStore, DEFAULT_SHARDS};
+use dangling_core::signature::{derive_signatures, validate_signatures_sharded, SignatureFold};
+use dangling_core::snapshot::{Snapshot, SnapshotStore};
 use dns::{Authority, Name, Rcode, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,10 +138,10 @@ fn synth_changes(n: usize) -> Vec<ChangeRecord> {
         .collect()
 }
 
-/// The three shard-parallel retro stages over a 2 000-change history:
-/// benign clustering, signature validation against a benign corpus, and
-/// signature matching. Same keyed-shard partition as the live pipeline, so
-/// every thread count produces identical results.
+/// Signature validation against a 400-document benign corpus, for the
+/// signatures derived from a 2 000-change history. Same keyed-shard
+/// partition as the live pipeline, so every thread count produces identical
+/// results.
 fn bench_retro_scaling(c: &mut Criterion) {
     let changes = synth_changes(2_000);
     let signatures = derive_signatures(&changes, 2);
@@ -167,18 +164,6 @@ fn bench_retro_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("retro_parallel");
     g.throughput(Throughput::Elements(changes.len() as u64));
     for threads in [1usize, 2, 4, 8] {
-        let exec = ShardedExecutor::new(threads, exec_metric_names!("bench.retro.cluster"));
-        g.bench_function(format!("cluster_2000_changes_t{threads}"), |b| {
-            b.iter(|| {
-                black_box(cluster_changes_sharded(
-                    &changes,
-                    |fqdn| Some((fqdn.to_string().len() % 7) as u16),
-                    &exec,
-                ))
-            })
-        });
-    }
-    for threads in [1usize, 2, 4, 8] {
         let exec = ShardedExecutor::new(threads, exec_metric_names!("bench.retro.validate"));
         g.bench_function(format!("validate_sigs_t{threads}"), |b| {
             b.iter(|| {
@@ -190,29 +175,15 @@ fn bench_retro_scaling(c: &mut Criterion) {
             })
         });
     }
-    for threads in [1usize, 2, 4, 8] {
-        let exec = ShardedExecutor::new(threads, exec_metric_names!("bench.retro.match"));
-        g.bench_function(format!("match_2000_changes_t{threads}"), |b| {
-            b.iter(|| {
-                black_box(exec.map(
-                    &changes,
-                    DEFAULT_SHARDS,
-                    |rec| fqdn_shard(&rec.fqdn, DEFAULT_SHARDS),
-                    || (),
-                    |_, _, rec| match_all(&signatures, &rec.after).len(),
-                ))
-            })
-        });
-    }
     g.finish();
 }
 
-/// The streaming signature fold against the one-shot batch derivation over
-/// the same 2 000-change history. `derive_batch` is what the batch retro
-/// pass pays once at the horizon; `fold_stream` is the incremental pass's
-/// total push cost plus one final emission; `fold_per_round_emit` adds a
-/// signature emission at every round boundary — the real per-round overhead
-/// `repro --incremental` trades for streaming visibility.
+/// The signature fold over a 2 000-change history at its two cadences, next
+/// to `derive_signatures` (sort + fold). `fold_stream` is the push cost plus
+/// one emission at the horizon — what every run pays;
+/// `fold_per_round_emit` adds a signature emission at every round boundary —
+/// the per-round overhead `repro --incremental` trades for streaming
+/// visibility.
 fn bench_incremental_retro(c: &mut Criterion) {
     let mut changes = synth_changes(2_000);
     // Arrival order: rounds by strictly increasing day, FQDN-sorted within.

@@ -180,8 +180,8 @@ fn main() {
                 );
                 println!("  off = legacy blocking crawl; zero/datacenter/wan only move virtual");
                 println!("  time (results byte-identical); lossy drops queries deterministically.");
-                println!("--incremental streams the retrospective pass round by round instead");
-                println!("  of one batch at the horizon (same results, byte for byte; emits");
+                println!("--incremental runs the retrospective fold every round, not only at");
+                println!("  the horizon (same results, byte for byte; emits per-round");
                 println!("  retro.incr.* metrics). With --resume, recorded rounds replay");
                 println!("  straight into it without re-crawling.");
                 println!("--persist records observations to ./repro_state (--state-dir names it);");
@@ -295,8 +295,8 @@ fn main() {
         expanded.push("critical-path".into());
     }
 
-    // Serve mode publishes the streaming pass's advisory state, so it
-    // implies the incremental retro pass.
+    // Serve mode publishes the retro fold's advisory per-round state, so it
+    // implies the per-round cadence.
     if serve_mode {
         incremental = true;
     }

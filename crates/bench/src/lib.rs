@@ -73,11 +73,12 @@ pub fn run_study_rounds(
     run_study_rounds_incremental(scale_denominator, seed, threads, max_rounds, false)
 }
 
-/// [`run_study_rounds`] with the retro-pass mode explicit: `incremental`
-/// streams the §3.2 signature pass round by round instead of running it once
-/// at the horizon. Results are byte-identical either way (the
-/// `incremental_equivalence` suite pins this); `repro --incremental` maps
-/// here.
+/// [`run_study_rounds`] with the retro fold's cadence explicit: with
+/// `incremental` the §3.2 signature fold also runs every round and emits
+/// advisory per-round state; without it the fold ingests the whole change
+/// log at the horizon. It emits once at the horizon either way, so results
+/// are byte-identical (the golden digest in `intern_equivalence` pins
+/// both); `repro --incremental` maps here.
 pub fn run_study_rounds_incremental(
     scale_denominator: u32,
     seed: u64,
@@ -105,9 +106,9 @@ pub fn run_study_persisted(
     run_study_persisted_incremental(scale_denominator, seed, threads, opts, false)
 }
 
-/// [`run_study_persisted`] with the retro-pass mode explicit. With
+/// [`run_study_persisted`] with the retro fold's cadence explicit. With
 /// `opts.resume` and `incremental`, replayed rounds stream straight from the
-/// storelog segments into the incremental retro pass — no re-crawl.
+/// storelog segments into the retro fold every round — no re-crawl.
 pub fn run_study_persisted_incremental(
     scale_denominator: u32,
     seed: u64,

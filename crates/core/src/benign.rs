@@ -43,10 +43,10 @@ pub(crate) fn fingerprint(rec: &ChangeRecord) -> Option<String> {
     Some(cluster_key(&fp))
 }
 
-/// Fold records into a fingerprint → member-set map. Set insertion is
-/// commutative and idempotent, so the map's *contents* are the same for any
-/// feed order or partitioning — this is the merge step both the sharded
-/// batch pass and the round-by-round incremental retro pass build on.
+/// Fold records into a fingerprint → member-set map: the paper's "group
+/// identical changes". Set insertion is commutative and idempotent, so the
+/// map's *contents* are the same for any feed order or split into rounds —
+/// which is what lets the retro fold cluster round by round or all at once.
 pub fn fold_cluster_map<'a, I>(groups: &mut HashMap<String, BTreeSet<Name>>, changes: I)
 where
     I: IntoIterator<Item = &'a ChangeRecord>,
@@ -59,11 +59,11 @@ where
     }
 }
 
-/// Shared tail of serial, sharded, and incremental clustering: sorted-key
-/// emission plus registrar annotation. The groups map already carries member
-/// sets, so the output depends only on its *contents*, never on insertion
-/// order. Borrows the map — the incremental pass keeps folding into it
-/// across rounds.
+/// Emit the clusters of a [`fold_cluster_map`] map in sorted-key order,
+/// annotated with registrar diversity. `registrar_of` maps an SLD to its
+/// registrar (WHOIS in the paper; the population table here). The output
+/// depends only on the map's *contents*, never on insertion order. Borrows
+/// the map — the retro fold keeps folding into it across rounds.
 pub fn clusters_from_map<F>(
     groups: &HashMap<String, BTreeSet<Name>>,
     registrar_of: F,
@@ -88,56 +88,6 @@ where
             }
         })
         .collect()
-}
-
-/// Group change records by identical keyword fingerprints and annotate each
-/// cluster with its registrar diversity. `registrar_of` maps an SLD to its
-/// registrar (WHOIS in the paper; the population table here).
-pub fn cluster_changes<F>(changes: &[ChangeRecord], registrar_of: F) -> Vec<ChangeCluster>
-where
-    F: Fn(&Name) -> Option<u16>,
-{
-    let mut groups: HashMap<String, BTreeSet<Name>> = HashMap::new();
-    fold_cluster_map(&mut groups, changes);
-    clusters_from_map(&groups, registrar_of)
-}
-
-/// [`cluster_changes`], shard-parallel: records are bucketed by the
-/// pipeline's fixed FQDN hash, each bucket builds a partial fingerprint →
-/// member-set map, and the partials are merged by set union — a commutative,
-/// associative merge, so the merged map (and the sorted-key emission that
-/// follows) is byte-identical to the serial pass for any thread count.
-pub fn cluster_changes_sharded<F>(
-    changes: &[ChangeRecord],
-    registrar_of: F,
-    exec: &crate::pipeline::ShardedExecutor,
-) -> Vec<ChangeCluster>
-where
-    F: Fn(&Name) -> Option<u16> + Sync,
-{
-    let buckets = crate::snapshot::DEFAULT_SHARDS;
-    let partials: Vec<HashMap<String, BTreeSet<Name>>> = exec.fold_buckets(
-        changes,
-        buckets,
-        |rec| crate::snapshot::fqdn_shard(&rec.fqdn, buckets),
-        |_b, members| {
-            let mut groups: HashMap<String, BTreeSet<Name>> = HashMap::new();
-            for (_, rec) in members {
-                let Some(key) = fingerprint(rec) else {
-                    continue;
-                };
-                groups.entry(key).or_default().insert(rec.fqdn.clone());
-            }
-            groups
-        },
-    );
-    let mut groups: HashMap<String, BTreeSet<Name>> = HashMap::new();
-    for partial in partials {
-        for (key, members) in partial {
-            groups.entry(key).or_default().extend(members);
-        }
-    }
-    clusters_from_map(&groups, registrar_of)
 }
 
 /// Figure 10's series: of clusters with ≥2 member domains, what fraction
@@ -186,6 +136,23 @@ mod tests {
         sld.labels()[0].bytes().next().map(|b| b as u16)
     }
 
+    /// Fold `changes` in the given order and emit the clusters.
+    fn cluster<'a>(
+        changes: impl IntoIterator<Item = &'a ChangeRecord>,
+        registrar_of: impl Fn(&Name) -> Option<u16>,
+    ) -> Vec<ChangeCluster> {
+        let mut groups = HashMap::new();
+        fold_cluster_map(&mut groups, changes);
+        clusters_from_map(&groups, registrar_of)
+    }
+
+    fn summary(clusters: &[ChangeCluster]) -> Vec<(String, Vec<Name>, usize)> {
+        clusters
+            .iter()
+            .map(|c| (c.key.clone(), c.fqdns.clone(), c.registrar_count))
+            .collect()
+    }
+
     #[test]
     fn clusters_by_fingerprint() {
         let changes = vec![
@@ -193,7 +160,7 @@ mod tests {
             change("b.beta.com", &["judi", "slot"]), // same set, different order
             change("c.gamma.com", &["premium", "sale"]),
         ];
-        let clusters = cluster_changes(&changes, reg);
+        let clusters = cluster(&changes, reg);
         assert_eq!(clusters.len(), 2);
         let abuse = clusters.iter().find(|c| c.fqdns.len() == 2).unwrap();
         assert_eq!(abuse.registrar_count, 2);
@@ -207,7 +174,7 @@ mod tests {
             change("x.aaa.com", &["premium", "domains"]),
             change("y.anotherof-a.com", &["premium", "domains"]),
         ];
-        let clusters = cluster_changes(&changes, |_| Some(7)); // same registrar
+        let clusters = cluster(&changes, |_| Some(7)); // same registrar
         assert_eq!(clusters.len(), 1);
         assert!(clusters[0].registrar_driven());
     }
@@ -246,12 +213,12 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(cluster_changes(&[], reg).is_empty());
+        assert!(cluster(&[], reg).is_empty());
         assert!(registrar_diversity_series(&[]).is_empty());
     }
 
     #[test]
-    fn sharded_clustering_matches_serial() {
+    fn clusters_are_independent_of_fold_order_and_rounds() {
         let changes: Vec<ChangeRecord> = (0..60)
             .map(|i| {
                 let fqdn = format!("h{i}.apex{}.com", i % 7);
@@ -259,20 +226,19 @@ mod tests {
                 change(&fqdn, &[&kw, "judi"])
             })
             .collect();
-        let serial = cluster_changes(&changes, reg);
-        assert!(serial.len() > 1);
-        for threads in [1, 2, 8] {
-            let exec = crate::pipeline::ShardedExecutor::new(
-                threads,
-                crate::exec_metric_names!("test.benign"),
-            );
-            let sharded = cluster_changes_sharded(&changes, reg, &exec);
-            assert_eq!(serial.len(), sharded.len(), "threads={threads}");
-            for (a, b) in serial.iter().zip(&sharded) {
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.fqdns, b.fqdns);
-                assert_eq!(a.registrar_count, b.registrar_count);
-            }
+        let reference = summary(&cluster(&changes, reg));
+        assert!(reference.len() > 1);
+        assert!(reference.iter().any(|(_, fqdns, _)| fqdns.len() > 1));
+        // Reversed, strided (a fixed shuffle), and split into uneven
+        // rounds folded one after another into the same map.
+        let reversed = summary(&cluster(changes.iter().rev(), reg));
+        assert_eq!(reversed, reference);
+        let strided = summary(&cluster((0..60).map(|i| &changes[(i * 7) % 60]), reg));
+        assert_eq!(strided, reference);
+        let mut groups = HashMap::new();
+        for round in [&changes[41..], &changes[..9], &changes[9..41]] {
+            fold_cluster_map(&mut groups, round);
         }
+        assert_eq!(summary(&clusters_from_map(&groups, reg)), reference);
     }
 }

@@ -23,7 +23,7 @@
 //! sequential RNG.
 //!
 //! Telemetry is out-of-band and prefix-named per executor (e.g. `crawl.*`,
-//! `retro.match.*`) so per-phase shard/worker imbalance is observable without
+//! `retro.incr.*`) so per-phase shard/worker imbalance is observable without
 //! perturbing results. A panicking worker propagates its panic out of
 //! [`ShardedExecutor::map`] after the scope joins — it never deadlocks the
 //! remaining workers.

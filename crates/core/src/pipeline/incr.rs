@@ -1,30 +1,42 @@
-//! Incremental retrospective pass: the §3.2 signature machinery as a
-//! streaming stage.
+//! The retrospective pass (§3.2) as one fold with two emission cadences.
 //!
-//! [`RetroStage`](super::RetroStage) runs once at the horizon as one
-//! O(all-changes) batch. `IncrementalRetro` consumes the same
-//! [`ChangeRecord`]s as the diff stage emits them each round, so detection
-//! keeps pace with collection — the ROADMAP's prerequisite for a
-//! long-running service mode. Its contract is exact: the final
-//! [`StudyResults`](crate::report::StudyResults) is **byte-identical** to
-//! batch mode for any thread count, fresh or resumed mid-run (the
-//! `incremental_equivalence` differential suite pins all three axes).
+//! `IncrementalRetro` consumes the [`ChangeRecord`]s the diff stage appends
+//! to `RunState::changes`. It clusters identical changes, derives keyword
+//! signatures, and caches which signatures match which suspicious changes.
+//! [`IncrementalRetro::finalize`] catches up on anything not yet ingested,
+//! validates the signatures against the final benign corpus, and emits
+//! [`StudyResults`](crate::report::StudyResults) through
+//! [`super::retro::assemble_results`]. That is the only way results are made.
 //!
-//! ## Why streaming can be exact
+//! The two cadences differ only in how often the fold runs:
 //!
-//! Each batch computation decomposes differently:
+//! - **At the horizon** (the default, and
+//!   [`RetroStage`](super::RetroStage)): nothing is ingested until
+//!   `finalize`, which folds the whole change log in one go.
+//! - **Every round** (`Scenario::incremental(true)`, `repro --incremental`):
+//!   [`Stage::weekly`] ingests each round's changes right behind the diff
+//!   stage and emits an advisory [`ProvisionalRound`] plus the
+//!   `retro.incr.*` round gauges, which service mode publishes.
 //!
-//! - **Benign clustering** is a fingerprint → member-set union — commutative
-//!   and idempotent, so folding each round's suspicious records into one
-//!   growing map ([`crate::benign::fold_cluster_map`]) reaches the same map
-//!   contents as the one-shot pass, and the sorted-key emission on top is
+//! Both cadences serialize `StudyResults` to the same bytes at any thread
+//! count, fresh or resumed; the committed golden digest
+//! (`intern_equivalence`) pins all of them.
+//!
+//! ## Why the cadence cannot change the result
+//!
+//! Each step of the pass decomposes differently:
+//!
+//! - **Benign clustering** is a fingerprint → member-set union, commutative
+//!   and idempotent. Folding rounds into one growing map
+//!   ([`crate::benign::fold_cluster_map`]) reaches the same map contents as
+//!   folding the whole log at once, and the sorted-key emission on top is
 //!   order-blind.
-//! - **Signature derivation** is greedy and order-defined — but the batch
-//!   pass canonicalizes its input to `(day, fqdn)` order, and rounds arrive
-//!   in strictly increasing day order. Feeding each round's suspicious
-//!   records (fqdn-sorted within the round) into a
-//!   [`SignatureFold`] therefore *is* the batch sort, replayed live: the
-//!   fold is prefix-consistent, and no record ever needs re-placing.
+//! - **Signature derivation** is greedy and order-defined, so its order is
+//!   fixed to `(day, fqdn)`. Rounds arrive in strictly increasing day order
+//!   and each ingest sorts its batch by `(day, fqdn)`, so any split of the
+//!   log into ingests pushes records into the [`SignatureFold`] in the same
+//!   order: the fold is prefix-consistent, and no record ever needs
+//!   re-placing.
 //! - **Registrar rule-out is not monotone**: a cluster that gains a second
 //!   fqdn becomes rule-out-capable, and one that gains a second registrar
 //!   stops being registrar-driven — membership can both grow and shrink.
@@ -35,26 +47,23 @@
 //!   change's after-snapshot never mutates. Verdicts are therefore cached
 //!   per signature *content key* — a derived signature that reappears next
 //!   round (same keywords/features, new id) reuses its verdict column, and
-//!   each round only evaluates new signatures × all records plus all
+//!   each ingest only evaluates new signatures × all records plus all
 //!   signatures × new records.
 //! - **Benign-corpus validation is advisory per round**: the corpus
 //!   ("monitored fqdns that never produced a suspicious change") *shrinks*
 //!   as fqdns turn suspicious, so a mid-run verdict can be invalidated
-//!   later. Per-round validation feeds the `retro.incr.*` gauges;
-//!   [`IncrementalRetro::finalize`] revalidates against the final corpus
-//!   exactly as the batch pass does. This is the one stage that cannot be
-//!   folded exactly, and the docs say so rather than pretend.
-//!
-//! Everything downstream of the matched set is shared verbatim with batch
-//! mode ([`super::retro::assemble_results`]).
+//!   later. Per-round validation feeds the `retro.incr.*` gauges and the
+//!   [`ProvisionalRound`]; `finalize` always revalidates against the final
+//!   corpus. This is the one step that cannot be folded exactly, and the
+//!   docs say so rather than pretend.
 //!
 //! ## Determinism under parallelism
 //!
-//! Per-round fan-out (verdict extension, new-signature matching, advisory
-//! validation) goes through one [`ShardedExecutor`] under the pipeline's
-//! keyed-shard contract — bucketed by [`fqdn_shard`] (or the signature's
-//! derivation id), re-assembled in canonical input order — so `--threads`
-//! drives the incremental pass too.
+//! Fan-out (verdict extension, new-signature matching, validation, content
+//! classification) goes through one [`ShardedExecutor`] under the
+//! pipeline's keyed-shard contract — bucketed by [`fqdn_shard`] (or the
+//! signature's derivation id), re-assembled in canonical input order — so
+//! `--threads` drives the retro pass too.
 
 use super::retro::{assemble_results, MatchOutcome};
 use super::{RunState, ShardedExecutor, Stage};
@@ -176,9 +185,9 @@ struct CachedSig {
     provisional_valid: bool,
 }
 
-/// The streaming retro stage. Feed it every round via [`Stage::weekly`]
-/// (after the diff stage), then consume it with
-/// [`IncrementalRetro::finalize`] at the horizon.
+/// The retro fold. Optionally feed it every round via [`Stage::weekly`]
+/// (after the diff stage); consume it with [`IncrementalRetro::finalize`] at
+/// the horizon.
 pub struct IncrementalRetro {
     exec: ShardedExecutor,
     /// Cursor into `RunState::changes`: everything before it is ingested.
@@ -197,12 +206,12 @@ pub struct IncrementalRetro {
     fold: SignatureFold,
     /// Verdict columns per signature content key.
     match_cache: BTreeMap<SigKey, CachedSig>,
-    /// apex → registrar, built from the population on first ingest (same
-    /// first-match semantics as the batch pass's linear scan).
+    /// apex → registrar, built from the population on first ingest (the
+    /// first org listing an apex wins).
     registrars: Option<HashMap<Name, u16>>,
     min_signature_slds: usize,
-    /// Advisory state of the last round, rebuilt by each advisory ingest;
-    /// `None` until the first round (and never refreshed by the finalize
+    /// Advisory state of the last round, rebuilt by each per-round ingest;
+    /// `None` until the first one (and never refreshed by the finalize
     /// catch-up, whose validation is authoritative instead).
     provisional: Option<ProvisionalRound>,
 }
@@ -233,6 +242,18 @@ impl IncrementalRetro {
 
     fn registrar_of(&self, sld: &Name) -> Option<u16> {
         self.registrars.as_ref().and_then(|m| m.get(sld)).copied()
+    }
+
+    /// The benign validation corpus: latest snapshots of serving monitored
+    /// fqdns that have not produced a suspicious change. `store.iter()` is
+    /// in canonical order, so the `take` samples the same corpus on every
+    /// run and thread count.
+    fn benign_corpus<'a>(&self, rs: &'a RunState) -> Vec<&'a crate::snapshot::Snapshot> {
+        rs.store
+            .iter()
+            .filter(|s| !self.suspicious_fqdns.contains(&s.fqdn) && s.is_serving())
+            .take(4000)
+            .collect()
     }
 
     /// Recompute the rule-out set from the cluster map: members of any
@@ -430,12 +451,7 @@ impl IncrementalRetro {
     /// final result.
     fn advisory_validation(&mut self, rs: &RunState, sigs_all: Vec<Signature>, day: SimTime) {
         let _s = obs::span("retro.incr.validate", "retro").record_into("retro.incr.validate_ns");
-        let corpus: Vec<&crate::snapshot::Snapshot> = rs
-            .store
-            .iter()
-            .filter(|s| !self.suspicious_fqdns.contains(&s.fqdn) && s.is_serving())
-            .take(4000)
-            .collect();
+        let corpus = self.benign_corpus(rs);
         let discarded_keys: BTreeSet<SigKey> = {
             let (kept, _) = validate_signatures_sharded(sigs_all.clone(), &corpus, &self.exec);
             let kept_keys: BTreeSet<SigKey> = kept.iter().map(sig_key).collect();
@@ -541,12 +557,11 @@ impl IncrementalRetro {
         });
     }
 
-    /// Consume the run state: catch up on any tail, run the *final*
-    /// validation against the final benign corpus (exactly as batch mode
-    /// does — per-round advisory verdicts are deliberately not reused), read
-    /// the matched set out of the verdict cache, and assemble
-    /// [`StudyResults`] through the tail shared with
-    /// [`RetroStage`](super::RetroStage).
+    /// Consume the run state and emit: catch up on any tail (the whole log
+    /// when no round was ingested), validate against the final benign
+    /// corpus (per-round advisory verdicts are deliberately not reused),
+    /// read the matched set out of the verdict cache, and assemble
+    /// [`StudyResults`].
     pub fn finalize(mut self, rs: RunState) -> StudyResults {
         let _s = obs::span("retro.incr.finalize", "retro").record_into("retro.incr.finalize_ns");
         self.ingest(&rs, None);
@@ -554,12 +569,7 @@ impl IncrementalRetro {
         let change_clusters =
             crate::benign::clusters_from_map(&self.cluster_map, |sld| self.registrar_of(sld));
         let sigs_all = self.fold.signatures(self.min_signature_slds);
-        let corpus: Vec<&crate::snapshot::Snapshot> = rs
-            .store
-            .iter()
-            .filter(|s| !self.suspicious_fqdns.contains(&s.fqdn) && s.is_serving())
-            .take(4000)
-            .collect();
+        let corpus = self.benign_corpus(&rs);
         let (signatures, signatures_discarded) =
             validate_signatures_sharded(sigs_all, &corpus, &self.exec);
         obs::gauge("retro.incr.signatures").set(signatures.len() as f64);
@@ -567,7 +577,7 @@ impl IncrementalRetro {
         obs::gauge("retro.incr.clusters").set(change_clusters.len() as f64);
 
         // Matched kinds per retained entry, read from the verdict columns in
-        // kept-signature order — the order `match_all` would return.
+        // kept-signature order.
         let kept_columns: Vec<Option<&CachedSig>> = signatures
             .iter()
             .map(|sig| self.match_cache.get(&sig_key(sig)))
@@ -600,8 +610,8 @@ impl IncrementalRetro {
         // diff stage emits in monitored order), so re-sort by index.
         matched_idx.sort_unstable_by_key(|(idx, _)| *idx);
 
-        // Content classification of the matched records, shard-parallel as
-        // in batch mode (pure per-record reads).
+        // Content classification of the matched records, shard-parallel
+        // (pure per-record reads).
         let matched_recs: Vec<&ChangeRecord> = matched_idx
             .iter()
             .map(|(idx, _)| &rs.changes[*idx])

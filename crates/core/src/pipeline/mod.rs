@@ -13,19 +13,20 @@
 //!   [`CrawlExecutor`],
 //! - [`DiffStage`] — merges crawl outcomes in canonical FQDN order into the
 //!   change log and the sharded snapshot store,
-//! - [`RetroStage`] — the retrospective §3.2 signature pass that consumes
-//!   the final [`RunState`] and assembles a
-//!   [`crate::report::StudyResults`].
+//! - [`IncrementalRetro`] — the retrospective §3.2 signature pass: one fold
+//!   over the change log that emits a [`crate::report::StudyResults`] at
+//!   the horizon.
 //!
-//! Opt-in, [`IncrementalRetro`] replaces the one-shot retro pass with a
-//! streaming stage that runs after the diff stage every round and is
-//! finalized at the horizon — same `StudyResults`, byte for byte (see its
-//! module docs for why that equivalence holds).
+//! The retro fold has two cadences. By default it ingests the whole change
+//! log once, at the horizon ([`RetroStage`] is that one-shot call). With
+//! `--incremental` it also runs after the diff stage every round and emits
+//! advisory per-round state for service mode. The results are the same
+//! bytes either way (see its module docs for why).
 //!
 //! ## Determinism under parallelism
 //!
 //! The crawl, Algorithm-1 classification, and the retrospective pass
-//! (clustering, signature validation, signature matching) all fan out
+//! (signature matching, validation, content classification) all fan out
 //! through the shared [`ShardedExecutor`]. Three invariants make every
 //! parallel stage's output independent of the thread count: work is
 //! partitioned by the stable [`crate::snapshot::fqdn_shard`] hash (never by
@@ -34,7 +35,8 @@
 //! comes from a [`simcore::RngTree`] stream keyed by the FQDN and day — not
 //! from a shared sequential RNG that thread scheduling could reorder.
 //! `StudyResults` is therefore byte-identical for any `K`, which the
-//! `retro_parallel_equivalence` suite verifies end to end.
+//! `intern_equivalence` suite verifies end to end against a committed
+//! golden digest.
 
 mod collect_stage;
 mod crawl;
@@ -116,9 +118,9 @@ pub struct RoundView<'a> {
     pub now: SimTime,
     /// Monitoring rounds completed so far (1-based: 1 after the first).
     pub rounds_done: u64,
-    /// The incremental retro pass's advisory per-round state, when the run
-    /// is streaming (`None` in batch mode, where no mid-run verdicts
-    /// exist).
+    /// The retro fold's advisory per-round state when it runs every round
+    /// (`None` otherwise: a fold emitted only at the horizon has no mid-run
+    /// verdicts).
     pub provisional: Option<&'a ProvisionalRound>,
 }
 

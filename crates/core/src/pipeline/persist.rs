@@ -31,10 +31,10 @@
 //! [`PersistError::Diverged`].
 //!
 //! Because replayed rounds flow through the diff stage like live ones, they
-//! also feed the streaming retro pass when `--incremental` is on: recorded
-//! segments stream straight into signature derivation without re-running
-//! the crawl (the `incremental_equivalence` suite asserts the crawl stage
-//! stays idle during a full-history replay).
+//! also feed the retro fold every round when `--incremental` is on:
+//! recorded segments stream straight into signature derivation without
+//! re-running the crawl (the `intern_equivalence` suite asserts a
+//! full-history replay records no crawl telemetry).
 //!
 //! ## Compaction
 //!

@@ -15,7 +15,7 @@
 
 use crate::pipeline::{
     CollectStage, CrawlStage, DiffStage, Ev, IncrementalRetro, PersistError, PersistOptions,
-    PersistStage, RetroStage, RoundSink, RoundView, RunState, Stage, WorldStage,
+    PersistStage, RoundSink, RoundView, RunState, Stage, WorldStage,
 };
 use crate::report::StudyResults;
 use cloudsim::PlatformConfig;
@@ -142,18 +142,18 @@ impl Scenario {
         self
     }
 
-    /// Run the retrospective pass incrementally: the streaming
-    /// [`IncrementalRetro`] stage consumes each round's changes as the diff
-    /// stage emits them, and the horizon pass shrinks to a finalize step.
-    /// `StudyResults` is byte-identical either way (the
-    /// `incremental_equivalence` suite pins this).
+    /// Set the retro pass's cadence. The pass is always one fold,
+    /// [`IncrementalRetro`], emitted once at the horizon. With `on` the fold
+    /// also ingests each round's changes right behind the diff stage and
+    /// emits the advisory per-round state
+    /// ([`crate::pipeline::ProvisionalRound`], the `retro.incr.*` gauges)
+    /// that service mode publishes; off, it ingests the whole change log at
+    /// the horizon in one go. `StudyResults` is byte-identical either way.
     ///
     /// A builder flag rather than a [`ScenarioConfig`] field on purpose:
     /// like `crawl_threads`, it cannot affect results, so it must not fork
-    /// the persistence config fingerprint — a run recorded in batch mode can
-    /// be resumed incrementally and vice versa, which is also how storelog
-    /// replay feeds recorded rounds straight into the streaming retro pass
-    /// without re-crawling.
+    /// the persistence config fingerprint — a run recorded at one cadence
+    /// can be resumed at the other.
     pub fn incremental(mut self, on: bool) -> Self {
         self.incremental = on;
         self
@@ -174,8 +174,9 @@ impl Scenario {
     ///
     /// Pure orchestration: builds the [`RunState`], instantiates the stages,
     /// dispatches events in scheduled order (for `MonitorWeek` the monitoring
-    /// stages run in pipeline order: collect → crawl → diff), then hands the
-    /// final state to the retrospective stage.
+    /// stages run in pipeline order: collect → crawl → diff, then the retro
+    /// fold when [`Self::incremental`] is on), then hands the final state to
+    /// the retro fold to emit.
     pub fn run(self) -> StudyResults {
         self.run_inner(None)
             .expect("a run without persistence cannot fail")
@@ -218,7 +219,7 @@ impl Scenario {
             Some(opts) => Some(PersistStage::open(opts, &rs.cfg, rs.store.shard_count())?),
             None => None,
         };
-        let mut incr = incremental.then(|| IncrementalRetro::new(threads));
+        let mut retro = IncrementalRetro::new(threads);
 
         while let Some((now, ev)) = rs.q.pop() {
             if now > rs.horizon {
@@ -270,15 +271,15 @@ impl Scenario {
                             .record_into("pipeline.diff_ns");
                         diff.weekly(&mut rs, now);
                     }
-                    // Streaming retro: consume this round's changes right
+                    // Per-round cadence: fold this round's changes right
                     // behind the diff stage. Replayed rounds flow through
                     // here too — resume feeds recorded segments straight
-                    // into the retro pass without re-crawling.
-                    if let Some(incr) = incr.as_mut() {
+                    // into the retro fold without re-crawling.
+                    if incremental {
                         let _s = obs::span("incr.weekly", "retro")
                             .arg_i64("day", now.0 as i64)
                             .record_into("pipeline.incr_ns");
-                        incr.weekly(&mut rs, now);
+                        retro.weekly(&mut rs, now);
                     }
                     rounds += 1;
                     m_rounds.inc();
@@ -306,7 +307,7 @@ impl Scenario {
                             rs: &rs,
                             now,
                             rounds_done: rounds,
-                            provisional: incr.as_ref().and_then(|i| i.provisional_round()),
+                            provisional: retro.provisional_round(),
                         });
                         stop = stop || sink.stop_requested();
                     }
@@ -323,10 +324,7 @@ impl Scenario {
         }
 
         let _retro = obs::span("retro.assemble", "retro").record_into("pipeline.retro_ns");
-        Ok(match incr {
-            Some(incr) => incr.finalize(rs),
-            None => RetroStage::new(threads).assemble(rs),
-        })
+        Ok(retro.finalize(rs))
     }
 }
 

@@ -181,8 +181,8 @@ impl GroupMember {
 /// fingerprint overlaps its own by ≥ 0.5 (overlap coefficient), otherwise it
 /// seeds a new group. Greedy placement is order-defined, which is precisely
 /// why it streams: the pipeline feeds rounds in day order (fqdn-sorted
-/// within a round), reproducing the batch pass's canonical sort, so no
-/// record ever has to be re-placed. The incremental retro stage
+/// within a round), reproducing the canonical `(day, fqdn)` sort, so no
+/// record ever has to be re-placed. The retro fold
 /// (`core::pipeline::IncrementalRetro`) leans on two further properties:
 /// the fold is `Clone` (a resume snapshot continues identically) and
 /// rebuilding it from the same record sequence is state-identical (replay).
@@ -201,7 +201,7 @@ impl SignatureFold {
     /// Fold one suspicious record into the running groups. The caller is
     /// responsible for ordering (`(day, fqdn)` ascending) and for the
     /// [`is_suspicious`] filter; records with an empty fingerprint are
-    /// ignored, exactly as the batch pass skips them.
+    /// ignored.
     pub fn push(&mut self, rec: &ChangeRecord) {
         let fingerprint = member_keywords(rec);
         if fingerprint.is_empty() {
@@ -325,10 +325,10 @@ impl SignatureFold {
 /// Group suspicious changes by *keyword overlap* and derive one signature
 /// per group that spans at least `min_slds` distinct SLDs.
 ///
-/// This is the batch entry point: it canonicalizes the processing order by
-/// sorting suspicious records on the unique `(day, fqdn)` key and folds them
-/// through [`SignatureFold`] — the same fold the incremental retro pass
-/// feeds round by round, which is what makes the two modes provably agree.
+/// The one-shot form of [`SignatureFold`]: it fixes the canonical processing
+/// order by sorting suspicious records on the unique `(day, fqdn)` key, then
+/// folds them. The pipeline's retro fold reaches the same order round by
+/// round; the property tests use this function as the definition of it.
 pub fn derive_signatures(changes: &[ChangeRecord], min_slds: usize) -> Vec<Signature> {
     // Deterministic processing order.
     let mut suspicious: Vec<&ChangeRecord> = changes.iter().filter(|r| is_suspicious(r)).collect();
@@ -350,25 +350,14 @@ fn member_keywords(rec: &ChangeRecord) -> Vec<String> {
 }
 
 /// Validate signatures against a benign corpus: any signature that fires on
-/// a benign snapshot is discarded (§3.2). Returns `(kept, discarded_count)`.
-pub fn validate_signatures(
-    signatures: Vec<Signature>,
-    benign: &[&Snapshot],
-) -> (Vec<Signature>, usize) {
-    let before = signatures.len();
-    let kept: Vec<Signature> = signatures
-        .into_iter()
-        .filter(|sig| !benign.iter().any(|b| sig.matches(b)))
-        .collect();
-    let discarded = before - kept.len();
-    (kept, discarded)
-}
-
-/// [`validate_signatures`], shard-parallel: each signature is checked against
-/// the whole benign corpus independently (sharded by its derivation id — a
-/// content-keyed value, assigned in the deterministic derivation order), and
-/// the keep/discard verdicts are re-assembled in input order, so the kept
-/// list is byte-identical to the serial pass for any thread count.
+/// a benign snapshot is discarded (§3.2). Returns `(kept, discarded_count)`,
+/// the kept signatures in input order.
+///
+/// Shard-parallel: each signature is checked against the whole corpus
+/// independently (sharded by its derivation id — a content-keyed value,
+/// assigned in the deterministic derivation order), and the keep/discard
+/// verdicts are re-assembled in input order, so the result is the same for
+/// any thread count.
 pub fn validate_signatures_sharded(
     signatures: Vec<Signature>,
     benign: &[&Snapshot],
@@ -390,12 +379,6 @@ pub fn validate_signatures_sharded(
         .collect();
     let discarded = before - kept.len();
     (kept, discarded)
-}
-
-/// Match a snapshot against all signatures; returns the matching signature
-/// ids (empty = not abused).
-pub fn match_all<'a>(signatures: &'a [Signature], snap: &Snapshot) -> Vec<&'a Signature> {
-    signatures.iter().filter(|s| s.matches(snap)).collect()
 }
 
 #[cfg(test)]
@@ -517,7 +500,9 @@ mod tests {
             None,
             &[],
         );
-        let (kept, discarded) = validate_signatures(sigs, &[&benign]);
+        let exec =
+            crate::pipeline::ShardedExecutor::new(1, crate::exec_metric_names!("test.signature"));
+        let (kept, discarded) = validate_signatures_sharded(sigs, &[&benign], &exec);
         assert!(kept.is_empty());
         assert_eq!(discarded, 1);
     }

@@ -1,25 +1,25 @@
-//! The FQDN-interning differential harness: the interned pipeline must be
-//! **byte-identical to the pre-interning string pipeline** in every mode and
-//! at every thread count.
+//! The golden-digest suite: one study config, every run mode, one
+//! committed oracle.
 //!
-//! Interning rewrote the identity type flowing through every stage
-//! (`dns::Name` labels are dense `u32` ids now, not `Arc<[String]>`), so no
-//! in-process A/B comparison is possible — the string pipeline no longer
-//! exists in this tree. The oracle is a *committed golden fixture* generated
-//! from the last pre-interning commit by
-//! `examples/gen_intern_fixture.rs`:
+//! The oracle is a *committed golden fixture*, generated by
+//! `examples/gen_intern_fixture.rs` from the last commit before FQDN labels
+//! were interned:
 //!
 //! - `tests/fixtures/intern_eq/results.digest` — byte length + FNV-1a 64 of
 //!   the full serialized `StudyResults` (the byte-exact pin),
 //! - `tests/fixtures/intern_eq/results.head.json` — the same document minus
 //!   the bulky `changes` array, committed so a divergence is diffable.
 //!
-//! Every test here runs the same differential config (the
-//! `parallel_equivalence` scenario with the transient-failure model on) and
-//! asserts the digest across {1, 2, 4, 8} crawl threads in fresh,
-//! `--resume`-replay and `--incremental` modes. If any of these fail,
-//! interning leaked into results — ids escaped into an output, an ordering
-//! switched from strings to ids, or a shard hash changed.
+//! Every test runs the same config (scale 2000, 30/15 orgs, seed 11, with
+//! the transient-failure model on so the RNG-keyed crawl path is exercised)
+//! and asserts the digest across crawl thread counts in fresh,
+//! `--incremental`, `--resume`-replay and interrupted runs, untraced and
+//! traced. It runs the *full* study window: the attacker campaigns only
+//! start in 2020, so a round-bounded run would leave the retro pass with no
+//! abuse to find. A failure means something leaked into results — thread
+//! scheduling, the retro fold's cadence, the storelog round-trip,
+//! telemetry, interned ids escaping into an output, an ordering switched
+//! from strings to ids, or a changed shard hash.
 
 use dangling_core::scenario::{Scenario, ScenarioConfig};
 use dangling_core::PersistOptions;
@@ -168,4 +168,104 @@ fn interrupted_resume_matches_pre_interning_bytes() {
             .expect("resumed run"),
     );
     assert_matches_golden(&resumed, "interrupted at round 20, resumed");
+}
+
+/// Spans recorded on the calling thread since `marker` was dropped there.
+/// The orchestrator's spans are recorded on the thread that runs the
+/// scenario, so sibling tests running concurrently in this binary (traced
+/// while tracing is on) cannot satisfy the span checks.
+fn spans_of_this_thread(marker: &str) -> Vec<obs::SpanRecord> {
+    let spans = obs::take_spans();
+    let tid = spans
+        .iter()
+        .find(|s| s.name == marker)
+        .expect("marker span recorded")
+        .tid;
+    spans.into_iter().filter(|s| s.tid == tid).collect()
+}
+
+/// Tracing on, one run per mode: fresh at 1 and N threads, `--incremental`
+/// at N, and a `--resume` replay at N. Telemetry must stay out of the bytes,
+/// and each mode must leave its own spans.
+///
+/// The history is recorded at the horizon-only retro cadence and resumed at
+/// the per-round one on purpose: the cadence is a builder flag, not part of
+/// the persisted config fingerprint, so recorded histories are portable
+/// between the two. The replay must not re-crawl: `resolution_latency` is
+/// written only by the crawl stage (and never serialized), so it is empty
+/// after a full-history replay and non-empty after a fresh run.
+#[test]
+fn traced_runs_match_golden_bytes_in_every_mode() {
+    const N: usize = 4;
+    const MARKER: &str = "intern_eq.traced_test";
+    obs::set_tracing(true);
+    drop(obs::span(MARKER, "test"));
+
+    // Meaningfulness gates: every retro step must have real work or the
+    // byte comparisons are vacuous.
+    let fresh = Scenario::new(fixture_config(1)).run();
+    assert!(
+        !fresh.world.truth.is_empty(),
+        "scenario must contain hijacks for the retro pass to chase"
+    );
+    assert!(!fresh.abuse.is_empty(), "retro matching must detect abuse");
+    assert!(
+        !fresh.signatures.is_empty(),
+        "retro derivation must produce signatures"
+    );
+    assert!(
+        !fresh.change_clusters.is_empty(),
+        "retro clustering must produce clusters"
+    );
+    assert!(
+        !fresh.resolution_latency.is_empty(),
+        "a fresh run crawls every round"
+    );
+    assert_matches_golden(&serialize(&fresh), "traced fresh, 1 thread");
+
+    let dir = TempDir::new("traced");
+    let recorded = Scenario::new(fixture_config(N))
+        .run_persisted(&PersistOptions::new(&dir.0))
+        .expect("recording run");
+    assert!(!recorded.resolution_latency.is_empty());
+    assert_matches_golden(
+        &serialize(&recorded),
+        &format!("traced fresh --persist, {N} threads"),
+    );
+
+    let incremental = Scenario::new(fixture_config(N)).incremental(true).run();
+    assert_matches_golden(
+        &serialize(&incremental),
+        &format!("traced --incremental, {N} threads"),
+    );
+
+    let mut opts = PersistOptions::new(&dir.0);
+    opts.resume = true;
+    let replayed = Scenario::new(fixture_config(N))
+        .incremental(true)
+        .run_persisted(&opts)
+        .expect("replay run");
+    assert!(
+        replayed.resolution_latency.is_empty(),
+        "a full-history replay must not re-run the crawl"
+    );
+    assert_matches_golden(
+        &serialize(&replayed),
+        &format!("traced --resume --incremental replay, {N} threads"),
+    );
+
+    obs::set_tracing(false);
+    let spans = spans_of_this_thread(MARKER);
+    for name in [
+        "crawl.weekly",
+        "incr.weekly",
+        "retro.incr.round",
+        "retro.incr.finalize",
+        "persist.replay_round",
+    ] {
+        assert!(
+            spans.iter().any(|s| s.name == name),
+            "traced runs must collect the {name} span"
+        );
+    }
 }

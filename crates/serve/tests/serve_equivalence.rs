@@ -10,9 +10,10 @@ use serve::{daemon, Query};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Same full-window config as `incremental_equivalence`: campaigns only
-/// start in 2020, so anything shorter leaves the streaming pass with no
-/// abuse to publish and the comparison vacuous.
+/// Same full-window config as the golden-digest suite
+/// (`intern_equivalence`): campaigns only start in 2020, so anything
+/// shorter leaves the streaming pass with no abuse to publish and the
+/// comparison vacuous.
 fn study_cfg(threads: usize) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::at_scale(2000);
     cfg.world.n_fortune1000 = 30;
@@ -97,9 +98,9 @@ fn serving_under_query_load_is_byte_identical() {
     );
 
     // The interned-path pin for serve mode: this config serializes the same
-    // bytes as the committed pre-interning fixture (incremental and batch
-    // runs agree per incremental_equivalence), so serve mode is held to the
-    // string pipeline's exact output too.
+    // bytes as the committed pre-interning fixture (at either retro cadence,
+    // per intern_equivalence), so serve mode is held to the string
+    // pipeline's exact output too.
     let digest = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../core/tests/fixtures/intern_eq/results.digest"
