@@ -3,10 +3,9 @@
 //! One worker drives a single shard's completion queue over 1,200 sites —
 //! proving a lone event loop sustains ≥1,000 concurrent in-flight crawls
 //! (the `crawl.inflight` gauge is asserted, not just reported). The rows
-//! compare the legacy blocking path (`off`), the degenerate evented clock
-//! (`zero` — the overhead of the submit/poll machinery itself), and the
-//! `wan` profile (full latency sampling: keyed RNG draw per network event,
-//! queue reordering by completion time).
+//! compare the degenerate clock (`zero` — the cost of the submit/poll
+//! machinery itself) with the `wan` profile (full latency sampling: keyed
+//! RNG draw per network event, queue reordering by completion time).
 
 use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -15,7 +14,7 @@ use dangling_core::snapshot::SnapshotStore;
 use dns::{Authority, Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simcore::{LatencyModel, LatencyProfile, RngTree, SimTime};
+use simcore::{LatencyProfile, RngTree, SimTime};
 
 const SITES: usize = 1_200;
 
@@ -93,13 +92,9 @@ fn bench_crawl_latency(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("crawl_latency");
     g.throughput(Throughput::Elements(SITES as u64));
-    for (label, model) in [
-        ("blocking_off", LatencyModel::off()),
-        ("evented_zero", LatencyProfile::by_name("zero").unwrap()),
-        ("evented_wan", LatencyProfile::by_name("wan").unwrap()),
-    ] {
+    for (label, profile) in [("evented_zero", "zero"), ("evented_wan", "wan")] {
         let exec = CrawlExecutor::new(1, 0.0)
-            .with_latency(model)
+            .with_latency(LatencyProfile::by_name(profile).unwrap())
             .with_max_inflight(4 * SITES);
         g.bench_function(format!("{label}_{SITES}_sites_t1"), |b| {
             b.iter(|| {

@@ -1,7 +1,6 @@
 //! Criterion benches: the storelog persistence substrate under the
-//! monitoring pipeline's write pattern, measured for both payload formats —
-//! v1 (JSON) and v2 (interned/delta binary) — so the format migration's
-//! claimed wins stay measured, not asserted.
+//! monitoring pipeline's write pattern, in the v2 (interned/delta binary)
+//! payload format the pipeline records, resumes and compacts.
 //!
 //! The record stream is a realistic monitoring mix: a ~10k-FQDN pool
 //! (subdomains clustered under shared parent domains, shared keyword and
@@ -15,7 +14,9 @@
 //! collisions raw `10000`/`100000` would cause.
 //!
 //! Besides the timed rows, an untimed contract line reports the on-disk
-//! size ratio for drift-checking by `scripts/bench_drift.py`:
+//! size against what the retired v1 (JSON) format would have written for
+//! the same record stream — every record's framed `serde_json` encoding —
+//! for drift-checking by `scripts/bench_drift.py`:
 //!
 //! ```text
 //! snapshot_log contract: v1_bytes_n100k=... v2_bytes_n100k=... v2_size_pct_of_v1=NN
@@ -29,7 +30,7 @@ use dangling_core::snapshot::{fqdn_shard, Snapshot};
 use dns::Rcode;
 use simcore::SimTime;
 use std::path::{Path, PathBuf};
-use storelog::{LogReader, LogWriter};
+use storelog::{frame, LogReader, LogWriter};
 
 const SHARDS: usize = 16;
 /// FQDN pool size — one monitoring round at production scale.
@@ -128,11 +129,10 @@ fn advance_round(pool: &mut [ObsRecord], r: u64) {
     }
 }
 
-/// Write `rounds` pool passes in payload format `version`, one fsynced
-/// commit per round — the pipeline's exact cadence. Returns total appended
-/// payload bytes.
-fn write_log(dir: &Path, version: u32, rounds: u64) -> u64 {
-    let mut w = LogWriter::create_versioned(dir, SHARDS, b"bench-config", version).unwrap();
+/// Write `rounds` pool passes, one fsynced commit per round — the
+/// pipeline's exact cadence. Returns total appended payload bytes.
+fn write_log(dir: &Path, rounds: u64) -> u64 {
+    let mut w = LogWriter::create(dir, SHARDS, b"bench-config").unwrap();
     let mut pool: Vec<ObsRecord> = (0..POOL).map(base_record).collect();
     let mut codecs: Vec<ShardCodec> = (0..SHARDS).map(|_| ShardCodec::new()).collect();
     let mut buf = Vec::new();
@@ -141,12 +141,7 @@ fn write_log(dir: &Path, version: u32, rounds: u64) -> u64 {
         advance_round(&mut pool, r);
         for rec in &pool {
             let shard = fqdn_shard(&rec.snap.fqdn, SHARDS);
-            buf.clear();
-            if version >= 2 {
-                codecs[shard].encode_into(rec, &mut buf);
-            } else {
-                serde_json::to_writer(&mut buf, rec).unwrap();
-            }
+            codecs[shard].encode_into(rec, &mut buf);
             bytes += buf.len() as u64;
             w.append(shard, &buf);
         }
@@ -155,23 +150,31 @@ fn write_log(dir: &Path, version: u32, rounds: u64) -> u64 {
     bytes
 }
 
+/// Segment bytes the retired v1 format wrote for the same `rounds` pool
+/// passes: every record's JSON in a frame.
+fn json_segment_bytes(rounds: u64) -> u64 {
+    let mut pool: Vec<ObsRecord> = (0..POOL).map(base_record).collect();
+    let mut bytes = 0u64;
+    for r in 0..rounds {
+        advance_round(&mut pool, r);
+        for rec in &pool {
+            bytes += frame::frame_len(serde_json::to_vec(rec).unwrap().len());
+        }
+    }
+    bytes
+}
+
 /// Recovery-scan + decode of every record, exactly like resume replay:
 /// checksum-validate all frames, then decode each payload back to an
-/// [`ObsRecord`] (JSON for v1, streaming codec for v2).
+/// [`ObsRecord`] with the shard's streaming codec.
 fn replay_log(dir: &Path) -> usize {
     let reader = LogReader::open(dir).unwrap();
-    let v2 = reader.format_version() >= 2;
     let mut records = 0usize;
     for shard in 0..reader.shard_count() {
         let stream = reader.stream_shard(shard).unwrap();
         let mut codec = ShardCodec::new();
         for payload in stream.iter() {
-            let rec = if v2 {
-                codec.decode(payload).unwrap()
-            } else {
-                serde_json::from_slice::<ObsRecord>(payload).unwrap()
-            };
-            black_box(rec.seq);
+            black_box(codec.decode(payload).unwrap().seq);
             records += 1;
         }
     }
@@ -195,15 +198,17 @@ fn bench_append(c: &mut Criterion) {
     let mut g = c.benchmark_group("snapshot_log_append");
     for (label, rounds) in SIZES {
         g.throughput(Throughput::Elements(rounds * POOL as u64));
-        for (fmt, version) in [("v1_json", 1u32), ("v2_binary", 2)] {
-            g.bench_with_input(BenchmarkId::new(fmt, label), &rounds, |b, &rounds| {
+        g.bench_with_input(
+            BenchmarkId::new("v2_binary", label),
+            &rounds,
+            |b, &rounds| {
                 b.iter(|| {
                     let t = TempDir::new("append");
-                    black_box(write_log(&t.0, version, rounds));
+                    black_box(write_log(&t.0, rounds));
                     t
                 })
-            });
-        }
+            },
+        );
     }
     g.finish();
 }
@@ -213,29 +218,27 @@ fn bench_replay(c: &mut Criterion) {
     for (label, rounds) in SIZES {
         let n = rounds as usize * POOL;
         g.throughput(Throughput::Elements(n as u64));
-        for (fmt, version) in [("v1_json", 1u32), ("v2_binary", 2)] {
-            let t = TempDir::new("replay");
-            write_log(&t.0, version, rounds);
-            g.bench_with_input(BenchmarkId::new(fmt, label), &n, |b, &n| {
-                b.iter(|| {
-                    let records = replay_log(&t.0);
-                    assert_eq!(records, n);
-                    black_box(records)
-                })
-            });
-        }
+        let t = TempDir::new("replay");
+        write_log(&t.0, rounds);
+        g.bench_with_input(BenchmarkId::new("v2_binary", label), &n, |b, &n| {
+            b.iter(|| {
+                let records = replay_log(&t.0);
+                assert_eq!(records, n);
+                black_box(records)
+            })
+        });
     }
     g.finish();
 }
 
-/// Untimed size contract: on-disk segment bytes for a ten-round (n100k)
-/// recording in each format. Always printed (even under CI smoke filters)
-/// so `bench_drift.py` can hold the ratio to its budget.
+/// Untimed size contract: on-disk segment bytes of a ten-round (n100k)
+/// recording against the framed v1 JSON size of the same record stream.
+/// Always printed (even under CI smoke filters) so `bench_drift.py` can
+/// hold the ratio to its budget.
 fn size_contract(_c: &mut Criterion) {
-    let (v1, v2) = (TempDir::new("size_v1"), TempDir::new("size_v2"));
-    write_log(&v1.0, 1, 10);
-    write_log(&v2.0, 2, 10);
-    let (b1, b2) = (segment_bytes(&v1.0), segment_bytes(&v2.0));
+    let t = TempDir::new("size");
+    write_log(&t.0, 10);
+    let (b1, b2) = (json_segment_bytes(10), segment_bytes(&t.0));
     println!(
         "snapshot_log contract: v1_bytes_n100k={b1} v2_bytes_n100k={b2} \
          v2_size_pct_of_v1={}",

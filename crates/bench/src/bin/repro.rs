@@ -10,7 +10,7 @@ use bench::{
     render_target, run_study_cfg, run_study_cfg_persisted, run_study_cfg_persisted_sink,
     run_study_cfg_sink, study_config_with_profile, ABLATIONS, TARGETS,
 };
-use dangling_core::{compact_state_dir, migrate_state_dir, PersistOptions, OBS_FORMAT};
+use dangling_core::{compact_state_dir, migrate_state_dir, PersistOptions};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -46,7 +46,6 @@ fn main() {
     let mut max_rounds: Option<u64> = None;
     let mut compact = false;
     let mut migrate = false;
-    let mut format: Option<u32> = None;
     let mut trace_path: Option<String> = None;
     let mut trace_sample: u64 = 1;
     let mut critical_path_flag = false;
@@ -113,22 +112,6 @@ fn main() {
             }
             "--compact" => compact = true,
             "--migrate-state" => migrate = true,
-            "--format" => {
-                let v: u32 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--format takes a storelog payload format version");
-                if !(storelog::MIN_FORMAT_VERSION..=storelog::FORMAT_VERSION).contains(&v) {
-                    eprintln!(
-                        "unsupported --format {v}; this build writes \
-                         v{}..v{}",
-                        storelog::MIN_FORMAT_VERSION,
-                        storelog::FORMAT_VERSION
-                    );
-                    std::process::exit(2);
-                }
-                format = Some(v);
-            }
             "--trace" => {
                 trace_path = Some(args.next().expect("--trace takes an output path"));
             }
@@ -156,7 +139,7 @@ fn main() {
                     "usage: repro [--scale N | --profile paper-scale] [--seed N] [--threads N] \
                      [--latency-profile NAME] [--json OUT] \
                      [--persist | --state-dir DIR] [--resume] [--incremental] [--rounds N] \
-                     [--format V] [--migrate-state] \
+                     [--migrate-state] \
                      [--serve] [--serve-queries FILE] [--serve-out FILE] \
                      [--compact] [--trace OUT] [--trace-sample N] [--critical-path] \
                      [--metrics OUT] [--progress] [-q] <targets...>"
@@ -178,8 +161,8 @@ fn main() {
                      ({}; default zero).",
                     simcore::LatencyProfile::NAMES.join(" | ")
                 );
-                println!("  off = legacy blocking crawl; zero/datacenter/wan only move virtual");
-                println!("  time (results byte-identical); lossy drops queries deterministically.");
+                println!("  zero/datacenter/wan only move virtual time (results byte-identical);");
+                println!("  lossy drops queries deterministically.");
                 println!("--incremental runs the retrospective fold every round, not only at");
                 println!("  the horizon (same results, byte for byte; emits per-round");
                 println!("  retro.incr.* metrics). With --resume, recorded rounds replay");
@@ -187,15 +170,10 @@ fn main() {
                 println!("--persist records observations to ./repro_state (--state-dir names it);");
                 println!("--resume continues a recorded run, --rounds N stops after N rounds,");
                 println!("--compact drops superseded records from the state dir and exits.");
-                println!(
-                    "--format V records a fresh state dir with storelog payload format V \
-                     (default v{OBS_FORMAT}:"
-                );
-                println!(
-                    "  binary interned/delta records; v1 = legacy JSON). Ignored on --resume."
-                );
-                println!("--migrate-state rewrites a v1 state dir to v2 in place and exits");
-                println!("  (original kept as DIR.v1.bak; replayed results are byte-identical).");
+                println!("--migrate-state rewrites a v1 (JSON-payload) state dir to v2 in place");
+                println!("  and exits (original kept as DIR.v1.bak; replayed results are");
+                println!("  byte-identical). State dirs record, resume and compact only in v2:");
+                println!("  a v1 dir must be migrated before --resume or --compact.");
                 println!("--trace OUT writes a Chrome trace_event JSON of pipeline spans");
                 println!("  (load it at ui.perfetto.dev); --metrics OUT dumps every counter,");
                 println!("  gauge and histogram as JSON. Telemetry never changes results.");
@@ -358,7 +336,6 @@ fn main() {
             let mut opts = PersistOptions::new(dir);
             opts.resume = resume;
             opts.max_rounds = max_rounds;
-            opts.format = format;
             obs::info!(
                 "persisting to {dir}{}{}",
                 if resume { " (resuming)" } else { "" },

@@ -731,7 +731,7 @@ pub fn detection(r: &StudyResults) -> String {
 pub fn latency(r: &StudyResults) -> String {
     let mut out = String::from("== Crawl timing telemetry (modeled network clock) ==\n");
     match r.resolution_latency_summary() {
-        None => out.push_str("no rounds recorded latency telemetry (blocking path?)\n"),
+        None => out.push_str("no rounds recorded latency telemetry (every round replayed?)\n"),
         Some(s) => {
             out.push_str(&format!(
                 "rounds: {}   crawls sampled: {}\nworst per-round DNS resolution latency: p50 {}  p95 {}  p99 {}  p99.9 {}\n",

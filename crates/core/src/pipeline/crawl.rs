@@ -17,7 +17,7 @@
 
 use super::{RunState, ShardedExecutor, Stage};
 use crate::diff::{record as diff_record, ChangeRecord};
-use crate::monitor::{CrawlInFlight, CrawlWait, Crawler};
+use crate::monitor::{CrawlInFlight, CrawlWait};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use dns::resolver::Transport;
 use dns::{Name, Resolver};
@@ -33,7 +33,7 @@ use simcore::{CompletionQueue, LatencyModel, QueryClass, QueryFate, RngTree, Sim
 pub struct CrawlOutcome {
     pub snap: Snapshot,
     pub change: Option<ChangeRecord>,
-    /// Total simulated time this crawl consumed (0 when the model is off).
+    /// Total simulated time this crawl consumed (0 under the zero profile).
     pub sim_elapsed_ns: u64,
     /// Simulated time the DNS resolution consumed.
     pub dns_elapsed_ns: u64,
@@ -46,9 +46,8 @@ pub struct CrawlExecutor {
     /// Per-fetch probability of a transient failure (network flake). Zero
     /// disables the model entirely — no RNG stream is even derived.
     failure_rate: f64,
-    /// Per-query latency oracle. When disabled (`off`), crawls take the
-    /// legacy blocking path; otherwise each shard drains a completion queue
-    /// of interleaved in-flight crawls.
+    /// Per-query latency oracle pricing every wait in the shards'
+    /// completion queues of interleaved in-flight crawls.
     latency: LatencyModel,
     /// Cap on concurrently in-flight crawls per shard event loop.
     max_inflight: usize,
@@ -64,8 +63,6 @@ impl CrawlExecutor {
         CrawlExecutor {
             exec: ShardedExecutor::new(threads, crate::exec_metric_names!("crawl")),
             failure_rate,
-            // The default is the zero profile: event-driven with a
-            // degenerate clock, byte-identical to the blocking path.
             latency: LatencyModel::default(),
             max_inflight: 1024,
             m_failures: obs::counter("crawl.transient_failures"),
@@ -111,26 +108,13 @@ impl CrawlExecutor {
         FR: Fn() -> Resolver<T> + Sync,
         FW: Fn() -> E + Sync,
     {
-        if !self.latency.enabled() {
-            // Legacy blocking path: one task = one blocking crawl. Work is
-            // partitioned into the store's shards — a stable, FQDN-keyed
-            // split, so the same name always lands in the same bucket no
-            // matter how many workers run.
-            return self.exec.map(
-                monitored,
-                store.shard_count(),
-                |fqdn| store.shard_of(fqdn),
-                || (make_resolver(), make_web()),
-                |(resolver, web), _i, fqdn| self.crawl_one(fqdn, resolver, web, store, tree, now),
-            );
-        }
-
-        // Event-driven path: each shard drains its own completion queue,
-        // interleaving up to `max_inflight` crawls. Bucket composition is
-        // the same FQDN-keyed split as the blocking path, every latency
-        // draw is keyed by (fqdn, day, event ordinal), and per-bucket
-        // outcome lists are merged back in canonical input order — so the
-        // result stays byte-identical for any thread count.
+        // Each shard drains its own completion queue, interleaving up to
+        // `max_inflight` crawls. Work is partitioned by the store's shards —
+        // a stable, FQDN-keyed split, so the same name always lands in the
+        // same bucket no matter how many workers run — every latency draw
+        // is keyed by (fqdn, day, event ordinal), and per-bucket outcome
+        // lists are merged back in canonical input order, so the result
+        // stays byte-identical for any thread count.
         let per_bucket = self.exec.fold_buckets(
             monitored,
             store.shard_count(),
@@ -351,42 +335,6 @@ impl CrawlExecutor {
             outcomes,
             peak_inflight: peak_inflight as u64,
             makespan_ns: q.now().as_nanos(),
-        }
-    }
-
-    fn crawl_one<T: Transport, E: Endpoint + ?Sized>(
-        &self,
-        fqdn: &Name,
-        resolver: &Resolver<T>,
-        web: &E,
-        store: &SnapshotStore,
-        tree: &RngTree,
-        now: SimTime,
-    ) -> CrawlOutcome {
-        let prev = store.latest(fqdn);
-        let snap = if self.failure_rate > 0.0
-            && tree
-                .rng(&format!("crawl/{fqdn}/{}", now.0))
-                .gen_bool(self.failure_rate)
-        {
-            // Transient fetch failure: DNS still resolves, the HTTP fetch is
-            // dropped. Keyed by (fqdn, day) so the flake pattern is identical
-            // under any partition of the work.
-            self.m_failures.inc();
-            let outcome = resolver.resolve_a(fqdn, now);
-            let cname = outcome.final_cname().cloned();
-            let mut s = Snapshot::unreachable(fqdn.clone(), now, outcome.rcode, cname);
-            s.ip = outcome.addresses.first().copied();
-            s
-        } else {
-            Crawler::sample(fqdn, resolver, web, prev, now)
-        };
-        let change = prev.and_then(|p| diff_record(p, snap.clone()));
-        CrawlOutcome {
-            snap,
-            change,
-            sim_elapsed_ns: 0,
-            dns_elapsed_ns: 0,
         }
     }
 }

@@ -1,4 +1,7 @@
-//! Binary `ObsRecord` codec for storelog format v2.
+//! Binary `ObsRecord` codec for storelog format v2 — the only record
+//! payload encoding the pipeline writes, replays, appends to or compacts.
+//! (The v1 JSON payloads it replaced are decoded in exactly one place,
+//! [`super::persist::migrate_state_dir`].)
 //!
 //! One [`ShardCodec`] per segment shard, shared shape between encoder and
 //! decoder: the codec context (interned labels/strings, the name table, and

@@ -44,6 +44,15 @@
 //! because nothing downstream reads intermediate store states during
 //! replayed rounds: the change log replays from the kept change records and
 //! the final store state from the kept last-per-FQDN records.
+//!
+//! ## One payload format
+//!
+//! Records are written, replayed, appended to and compacted only in the
+//! current binary format ([`OBS_FORMAT`], [`super::obs_codec`]). A state dir
+//! recorded with v1 JSON payloads is refused by [`PersistStage::open`] and
+//! [`compact_state_dir`] untouched, with a pointer at
+//! `repro --migrate-state`; [`migrate_state_dir`] is the one place that
+//! still decodes v1.
 
 use super::obs_codec::ShardCodec;
 use super::{CrawlOutcome, RunState};
@@ -54,17 +63,19 @@ use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use storelog::{CompactStats, LogReader, LogWriter, Retention, ShardStream};
+use storelog::{CompactStats, LogReader, LogWriter, ShardStream};
 
 /// Version of the record/checkpoint payloads inside the storelog frames,
-/// tracking [`storelog::FORMAT_VERSION`]: v1 = JSON `ObsRecord`s, v2 =
-/// binary interned/delta records ([`super::obs_codec`]). Checkpoints are
-/// JSON in both. Bump only with a migration note in
-/// `crates/storelog/MIGRATIONS.md`. This build reads both and writes v2 by
-/// default ([`PersistOptions::format`] selects).
+/// tracking [`storelog::FORMAT_VERSION`]: v2 = binary interned/delta
+/// records ([`super::obs_codec`]); the retired v1 was JSON `ObsRecord`s.
+/// Checkpoints are JSON in both. Bump only with a migration note in
+/// `crates/storelog/MIGRATIONS.md`. This build writes, resumes and compacts
+/// only this format; v1 dirs are input to [`migrate_state_dir`].
 pub const OBS_FORMAT: u32 = storelog::FORMAT_VERSION;
 
-/// One logged observation: what one crawl task produced in one round.
+/// One logged observation: what one crawl task produced in one round. The
+/// serde derives are the v1 JSON payload schema [`migrate_state_dir`]
+/// decodes.
 ///
 /// `seq` is the FQDN's index in the canonical monitored order of its round,
 /// so replay can reassemble the batch in exactly the order the diff stage
@@ -134,9 +145,9 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    fn capture(rs: &RunState, now: SimTime, rounds_done: u64, format: u32) -> Self {
+    fn capture(rs: &RunState, now: SimTime, rounds_done: u64) -> Self {
         Checkpoint {
-            format,
+            format: OBS_FORMAT,
             round: now,
             rounds_done,
             monitored_total: rs.monitored.len() as u64,
@@ -162,12 +173,6 @@ pub struct PersistOptions {
     /// kill-at-a-round-boundary knob the resume tests (and incremental
     /// long-run operation) are built on.
     pub max_rounds: Option<u64>,
-    /// Payload format for a **freshly created** state dir: `None` = the
-    /// current default ([`OBS_FORMAT`]). Recording v1 from a v2-native
-    /// build is how the differential format tests and the bench compare
-    /// the codecs. Ignored on resume — an existing dir already knows its
-    /// format.
-    pub format: Option<u32>,
 }
 
 impl PersistOptions {
@@ -176,7 +181,6 @@ impl PersistOptions {
             state_dir: state_dir.into(),
             resume: false,
             max_rounds: None,
-            format: None,
         }
     }
 }
@@ -253,26 +257,21 @@ struct ShardCursor {
     stream: ShardStream,
     /// Byte offset of the next undecoded frame in `stream`.
     offset: u64,
-    /// v2 decoder context (`None` for v1 JSON dirs). At the frontier it is
-    /// the exact encoder context live appends continue from.
-    codec: Option<ShardCodec>,
+    /// Decoder context. At the frontier it is the exact encoder context
+    /// live appends continue from.
+    codec: ShardCodec,
     /// The next record replay has not handed out yet.
     ahead: Option<ObsRecord>,
 }
 
 impl ShardCursor {
-    fn open(
-        shard: usize,
-        shards: usize,
-        stream: ShardStream,
-        v2: bool,
-    ) -> Result<Self, PersistError> {
+    fn open(shard: usize, shards: usize, stream: ShardStream) -> Result<Self, PersistError> {
         let mut cursor = ShardCursor {
             shard,
             shards,
             stream,
             offset: 0,
-            codec: v2.then(ShardCodec::new),
+            codec: ShardCodec::new(),
             ahead: None,
         };
         cursor.advance()?;
@@ -287,12 +286,10 @@ impl ShardCursor {
         let Some(payload) = self.stream.next_at(&mut self.offset) else {
             return Ok(self.ahead.take());
         };
-        let rec = match &mut self.codec {
-            Some(c) => c
-                .decode(payload)
-                .map_err(|e| PersistError::Decode(format!("shard {shard}: {e}")))?,
-            None => serde_json::from_slice::<ObsRecord>(payload)?,
-        };
+        let rec = self
+            .codec
+            .decode(payload)
+            .map_err(|e| PersistError::Decode(format!("shard {shard}: {e}")))?;
         // A checksum-valid frame spliced in from another shard's segment
         // would decode fine; membership in the shard's FQDN partition is the
         // structural check against it.
@@ -347,9 +344,7 @@ impl ReplayData {
             )));
         }
         let cursors = (0..shards)
-            .map(|shard| {
-                ShardCursor::open(shard, shards, reader.stream_shard(shard)?, version >= 2)
-            })
+            .map(|shard| ShardCursor::open(shard, shards, reader.stream_shard(shard)?))
             .collect::<Result<_, PersistError>>()?;
         Ok(Some(ReplayData {
             frontier: checkpoint.round,
@@ -408,23 +403,33 @@ pub struct PersistStage {
     replay: Option<ReplayData>,
     rounds_done: u64,
     max_rounds: Option<u64>,
-    /// The dir's payload format (1 = JSON, 2 = binary; see [`OBS_FORMAT`]).
-    payload_format: u32,
-    /// v2 only: one streaming codec context per shard. On resume these are
-    /// the replay cursors' decoder states at the frontier, so live appends
+    /// One streaming codec context per shard. On resume these are the
+    /// replay cursors' decoder states at the frontier, so live appends
     /// continue the intern tables and delta chains exactly where the
-    /// recording stopped. Empty for v1 dirs.
+    /// recording stopped.
     codecs: Vec<ShardCodec>,
     /// Scratch encode buffer, reused across records.
     scratch: Vec<u8>,
 }
 
-fn fresh_codecs(format: u32, shards: usize) -> Vec<ShardCodec> {
-    if format >= 2 {
-        (0..shards).map(|_| ShardCodec::new()).collect()
-    } else {
-        Vec::new()
+fn fresh_codecs(shards: usize) -> Vec<ShardCodec> {
+    (0..shards).map(|_| ShardCodec::new()).collect()
+}
+
+/// Refuse a state dir whose payloads are not [`OBS_FORMAT`], naming the
+/// migration that upgrades it. Checked before anything else about the dir,
+/// which it leaves untouched.
+fn require_current_format(dir: &Path, version: u32) -> Result<(), PersistError> {
+    if version == OBS_FORMAT {
+        return Ok(());
     }
+    Err(PersistError::Store(storelog::Error::Format(format!(
+        "state dir {} holds payload format v{version}; this build resumes and \
+         compacts only v{OBS_FORMAT}. Migrate it first: \
+         repro --migrate-state --state-dir {}",
+        dir.display(),
+        dir.display()
+    ))))
 }
 
 /// The serialized config a state dir is stamped with. The crawl thread
@@ -441,7 +446,8 @@ fn config_fingerprint(cfg: &ScenarioConfig) -> Result<Vec<u8>, PersistError> {
 impl PersistStage {
     /// Open or create the state directory. With `opts.resume` and existing
     /// state, loads the recorded history for replay; a fresh or empty dir
-    /// starts a new recording either way.
+    /// starts a new recording either way. A dir in an older payload format
+    /// is refused (see [`migrate_state_dir`]).
     pub fn open(
         opts: &PersistOptions,
         cfg: &ScenarioConfig,
@@ -455,20 +461,19 @@ impl PersistStage {
             Ok(reader) => reader,
             Err(storelog::Error::NoState(_)) => {
                 std::fs::create_dir_all(dir).map_err(storelog::Error::Io)?;
-                let version = opts.format.unwrap_or(OBS_FORMAT);
-                let writer = LogWriter::create_versioned(dir, shards, &fingerprint, version)?;
+                let writer = LogWriter::create(dir, shards, &fingerprint)?;
                 return Ok(PersistStage {
                     writer: Some(writer),
                     replay: None,
                     rounds_done: 0,
                     max_rounds: opts.max_rounds,
-                    payload_format: version,
-                    codecs: fresh_codecs(version, shards),
+                    codecs: fresh_codecs(shards),
                     scratch: Vec::new(),
                 });
             }
             Err(e) => return Err(e.into()),
         };
+        require_current_format(dir, reader.format_version())?;
         if !opts.resume {
             return Err(PersistError::AlreadyExists(dir.clone()));
         }
@@ -483,9 +488,6 @@ impl PersistStage {
                 reader.shard_count()
             )));
         }
-        // The dir dictates the payload format on resume; `opts.format` only
-        // applies to fresh creations.
-        let payload_format = reader.format_version();
         let replay = ReplayData::open(&reader, dir)?;
         let writer = match &replay {
             Some(rep) => {
@@ -505,8 +507,7 @@ impl PersistStage {
             replay,
             rounds_done: 0,
             max_rounds: opts.max_rounds,
-            payload_format,
-            codecs: fresh_codecs(payload_format, shards),
+            codecs: fresh_codecs(shards),
             scratch: Vec::new(),
         })
     }
@@ -566,13 +567,8 @@ impl PersistStage {
                 change: out.change.as_ref().map(ChangeMeta::from_record),
             };
             let shard = rs.store.shard_of(&out.snap.fqdn);
-            if self.payload_format >= 2 {
-                self.codecs[shard].encode_into(&rec, &mut self.scratch);
-                writer.append(shard, &self.scratch);
-            } else {
-                let payload = serde_json::to_vec(&rec)?;
-                writer.append(shard, &payload);
-            }
+            self.codecs[shard].encode_into(&rec, &mut self.scratch);
+            writer.append(shard, &self.scratch);
         }
         obs::counter("persist.records").add(rs.crawl_batch.len() as u64);
         Ok(())
@@ -590,8 +586,7 @@ impl PersistStage {
                 std::cmp::Ordering::Equal => {
                     // At the frontier: prove the replay landed exactly where
                     // the original run stood before accepting live appends.
-                    let rebuilt =
-                        Checkpoint::capture(rs, now, self.rounds_done, self.payload_format);
+                    let rebuilt = Checkpoint::capture(rs, now, self.rounds_done);
                     if rebuilt != rep.checkpoint {
                         return Err(PersistError::Diverged(format!(
                             "at round {}: rebuilt {rebuilt:?} != recorded {:?}",
@@ -600,14 +595,14 @@ impl PersistStage {
                     }
                     let writer = LogWriter::open_append(&rep.state_dir)?;
                     let rep = self.replay.take().expect("replay checked above");
-                    self.codecs = rep.cursors.into_iter().filter_map(|c| c.codec).collect();
+                    self.codecs = rep.cursors.into_iter().map(|c| c.codec).collect();
                     self.writer = Some(writer);
                     return Ok(());
                 }
                 std::cmp::Ordering::Greater => return Err(passed_frontier(now, rep.frontier)),
             }
         }
-        let cp = Checkpoint::capture(rs, now, self.rounds_done, self.payload_format);
+        let cp = Checkpoint::capture(rs, now, self.rounds_done);
         let writer = self
             .writer
             .as_mut()
@@ -641,23 +636,13 @@ fn passed_frontier(now: SimTime, frontier: SimTime) -> PersistError {
 /// kept. Safe at any point between runs; resume works identically on the
 /// compacted log.
 ///
-/// v1 dirs drop frames in place (payloads are self-contained JSON); v2 dirs
-/// must *transcode* — intern ids and delta bases are positional in the
-/// stream, so the surviving records are re-encoded with a fresh
-/// [`ShardCodec`] per shard ([`storelog::compact_with`]).
+/// Intern ids and delta bases are positional in the stream, so the
+/// surviving records are *transcoded* with a fresh [`ShardCodec`] per shard
+/// ([`storelog::compact_with`]). A v1 dir is refused untouched: migrate it
+/// first.
 pub fn compact_state_dir(dir: &Path) -> Result<CompactStats, PersistError> {
     let (version, _) = storelog::read_format(dir)?;
-    if version < 2 {
-        let stats = storelog::compact(dir, |payload| {
-            match serde_json::from_slice::<ObsRecord>(payload) {
-                // A change record is study signal — never dropped.
-                Ok(rec) if rec.change.is_none() => Retention::Supersede(rec.snap.fqdn.to_string()),
-                // Unparseable records are kept, not silently destroyed.
-                _ => Retention::Keep,
-            }
-        })?;
-        return Ok(stats);
-    }
+    require_current_format(dir, version)?;
     let stats = storelog::compact_with(dir, |shard, payloads| {
         let mut dec = ShardCodec::new();
         let recs: Vec<ObsRecord> = payloads
@@ -665,8 +650,8 @@ pub fn compact_state_dir(dir: &Path) -> Result<CompactStats, PersistError> {
             .map(|p| dec.decode(p))
             .collect::<Result<_, _>>()
             .map_err(|e| format!("shard {shard}: {e}"))?;
-        // Same retention rule as v1: keep every change record, plus the
-        // last record per FQDN among the unchanged-snapshot ones.
+        // Keep every change record, plus the last record per FQDN among the
+        // unchanged-snapshot ones.
         let mut last_of: HashMap<String, usize> = HashMap::new();
         for (i, rec) in recs.iter().enumerate() {
             if rec.change.is_none() {
@@ -737,7 +722,7 @@ pub fn migrate_state_dir(dir: &Path) -> Result<MigrateStats, PersistError> {
         std::fs::remove_dir_all(&tmp).map_err(storelog::Error::Io)?;
     }
     std::fs::create_dir_all(&tmp).map_err(storelog::Error::Io)?;
-    let mut writer = LogWriter::create_versioned(&tmp, shards, reader.config(), 2)?;
+    let mut writer = LogWriter::create(&tmp, shards, reader.config())?;
 
     // Walk the committed history oldest-first, consuming each shard's
     // payload stream up to every commit's recorded offset — the transcoded
@@ -748,7 +733,7 @@ pub fn migrate_state_dir(dir: &Path) -> Result<MigrateStats, PersistError> {
         bytes_before: 0,
         bytes_after: 0,
     };
-    let mut codecs = fresh_codecs(2, shards);
+    let mut codecs = fresh_codecs(shards);
     let mut streams = Vec::with_capacity(shards);
     for shard in 0..shards {
         streams.push(reader.stream_shard(shard)?);
@@ -913,8 +898,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("persist_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let shards = 4;
-        let mut writer = LogWriter::create_versioned(&dir, shards, b"cfg", 2).unwrap();
-        let mut codecs = fresh_codecs(2, shards);
+        let mut writer = LogWriter::create(&dir, shards, b"cfg").unwrap();
+        let mut codecs = fresh_codecs(shards);
         let mut buf = Vec::new();
         for &(round, seq, fqdn) in records {
             let rec = ObsRecord {
@@ -981,6 +966,20 @@ mod tests {
         rep.take_round(SimTime(0)).unwrap();
         match rep.take_round(SimTime(7)) {
             Err(PersistError::Decode(m)) => assert!(m.contains("never reached"), "{m}"),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_frame_moved_ahead_of_an_earlier_round_is_a_decode_error() {
+        // A shard's rounds never go backwards in append order: the round-7
+        // frame written first means the round-0 one behind it was moved.
+        let dir = write_dir("moved", &[(7, 0, NAMES[0]), (0, 0, NAMES[0])], 7);
+        let mut rep = replay_of(&dir);
+        rep.take_round(SimTime(0)).unwrap();
+        match rep.take_round(SimTime(7)) {
+            Err(PersistError::Decode(m)) => assert!(m.contains("follows round"), "{m}"),
             other => panic!("expected a decode error, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);

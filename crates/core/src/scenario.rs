@@ -56,9 +56,8 @@ pub struct ScenarioConfig {
     pub crawl_failure_rate: f64,
     /// Network latency profile for the event-driven crawl (one of
     /// [`simcore::LatencyProfile::NAMES`]; empty means the default `zero`
-    /// profile). `off` restores the legacy blocking path; `zero`,
-    /// `datacenter` and `wan` only move virtual time and cannot change
-    /// results; `lossy` injects deterministic, thread-count-invariant query
+    /// profile). `zero`, `datacenter` and `wan` only move virtual time and
+    /// cannot change results; `lossy` injects deterministic, thread-count-invariant query
     /// drops and is the one profile that does.
     #[serde(default)]
     pub latency_profile: String,

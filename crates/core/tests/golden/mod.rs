@@ -1,0 +1,63 @@
+//! The committed golden `StudyResults` digest and the study config it pins,
+//! shared by the suites that hold a run mode to it (`intern_equivalence`,
+//! `latency_equivalence`).
+//!
+//! `tests/fixtures/intern_eq/results.digest` holds the byte length and
+//! FNV-1a 64 of the full serialized `StudyResults`, generated by
+//! `examples/gen_intern_fixture.rs`; `results.head.json` next to it is the
+//! same document minus the bulky `changes` array, committed so a divergence
+//! is diffable.
+
+use dangling_core::scenario::ScenarioConfig;
+
+/// The fixture study: scale 2000, 30/15 orgs, seed 11, with the
+/// transient-failure model on so the RNG-keyed crawl path is exercised.
+pub fn fixture_config(threads: usize) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::at_scale(2000);
+    cfg.world.n_fortune1000 = 30;
+    cfg.world.n_global500 = 15;
+    cfg.seed = 11;
+    cfg.crawl_threads = threads;
+    cfg.crawl_failure_rate = 0.02;
+    cfg.latency_profile = "zero".into();
+    cfg
+}
+
+/// FNV-1a 64 — the same hash `gen_intern_fixture` wrote the digest with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+/// The committed digest: (byte length, FNV-1a 64).
+fn golden() -> (usize, u64) {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/intern_eq/results.digest"
+    );
+    let text = std::fs::read_to_string(path).expect("committed fixture digest");
+    let mut parts = text.split_whitespace();
+    let len = parts.next().and_then(|s| s.parse().ok()).expect("length");
+    let hash = parts
+        .next()
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .expect("hash");
+    (len, hash)
+}
+
+/// Assert that `json` (a serialized `StudyResults`) is the golden document.
+pub fn assert_matches_golden(json: &str, context: &str) {
+    let (want_len, want_hash) = golden();
+    assert_eq!(
+        (json.len(), fnv1a(json.as_bytes())),
+        (want_len, want_hash),
+        "{context}: StudyResults diverged from the committed golden digest \
+         (diff against tests/fixtures/intern_eq/results.head.json; \
+         regenerate via the gen_intern_fixture example ONLY for intentional \
+         semantic changes)"
+    );
+}

@@ -9,6 +9,7 @@
 //! kill switch: it stops the simulation right after a commit, exactly the
 //! state a crash at a round boundary leaves behind.
 
+use dangling_core::pipeline::obs_codec::ShardCodec;
 use dangling_core::pipeline::persist::compact_state_dir;
 use dangling_core::scenario::{Scenario, ScenarioConfig};
 use dangling_core::{PersistError, PersistOptions};
@@ -103,8 +104,33 @@ fn uninterrupted_persisted_run_matches_plain_run() {
     let dir = TempDir::new("full");
     let recorded = run_persisted(&dir, 1, false, None).expect("recorded run");
     assert_eq!(&recorded, baseline(), "persistence changed the results");
+    assert_v2_is_5x_smaller_than_json(&dir);
     let replayed = run_persisted(&dir, 4, true, None).expect("pure replay");
     assert_eq!(&replayed, baseline(), "full replay diverged");
+}
+
+/// The binary payload format's size gate: the committed segments of a
+/// full-horizon recording take at most a fifth of what the retired v1
+/// format wrote for the same history — each record's JSON in a frame.
+fn assert_v2_is_5x_smaller_than_json(dir: &TempDir) {
+    let reader = storelog::LogReader::open(&dir.0).expect("recorded dir opens");
+    let offsets = &reader.last_commit().expect("a committed round").offsets;
+    let v2_bytes: u64 = offsets.iter().sum();
+    let mut json_bytes = 0u64;
+    for shard in 0..reader.shard_count() {
+        let mut codec = ShardCodec::new();
+        for payload in reader.stream_shard(shard).unwrap().iter() {
+            let rec = codec.decode(payload).expect("recorded payload decodes");
+            let json = serde_json::to_vec(&rec).expect("record serializes");
+            json_bytes += storelog::frame::frame_len(json.len());
+        }
+    }
+    assert!(v2_bytes > 0);
+    assert!(
+        v2_bytes * 5 <= json_bytes,
+        "v2 segments {v2_bytes} B vs {json_bytes} B as framed JSON — ratio {:.1}x < 5x",
+        json_bytes as f64 / v2_bytes as f64
+    );
 }
 
 #[test]

@@ -66,8 +66,8 @@ pub struct ResolutionOutcome {
     pub addresses: Vec<Ipv4Addr>,
     /// Simulated time the resolution consumed, summed over every query of
     /// the chain (retries and timeout budgets included). Zero under the
-    /// legacy blocking path, on cache hits, and under the zero-latency
-    /// profile — timing telemetry, never an input to any result.
+    /// blocking wrapper, on cache hits, and under the zero-latency profile
+    /// — timing telemetry, never an input to any result.
     pub sim_elapsed_ns: u64,
 }
 

@@ -133,10 +133,9 @@ pub struct LatencyProfile {
 const MS: u64 = 1_000_000;
 
 impl LatencyProfile {
-    /// The zero-latency compatibility profile (the default): every operation
-    /// completes instantly and nothing is ever dropped, so the event-driven
-    /// crawl's completion order degenerates to submission order and results
-    /// are byte-identical to the synchronous path.
+    /// The zero-latency profile (the default): every operation completes
+    /// instantly and nothing is ever dropped, so the event-driven crawl's
+    /// completion order degenerates to submission order.
     pub fn zero() -> Self {
         LatencyProfile {
             name: "zero".into(),
@@ -205,11 +204,9 @@ impl LatencyProfile {
         }
     }
 
-    /// Look up a built-in profile by name; `off` maps to the disabled model
-    /// (no event machinery at all, the legacy blocking path).
+    /// Look up a built-in profile by name.
     pub fn by_name(name: &str) -> Option<LatencyModel> {
         match name {
-            "off" => Some(LatencyModel::off()),
             "zero" => Some(LatencyModel::new(Self::zero())),
             "datacenter" => Some(LatencyModel::new(Self::datacenter())),
             "wan" => Some(LatencyModel::new(Self::wan())),
@@ -219,20 +216,17 @@ impl LatencyProfile {
     }
 
     /// The built-in profile names, for CLI help and validation messages.
-    pub const NAMES: &'static [&'static str] = &["off", "zero", "datacenter", "wan", "lossy"];
+    pub const NAMES: &'static [&'static str] = &["zero", "datacenter", "wan", "lossy"];
 }
 
-/// Per-query latency oracle. `None` profile = model off: callers take the
-/// legacy synchronous path and no virtual clock exists at all.
+/// Per-query latency oracle: prices network waits from its profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
-    profile: Option<LatencyProfile>,
+    profile: LatencyProfile,
 }
 
 impl Default for LatencyModel {
-    /// The default is the **zero** profile — event-driven with a degenerate
-    /// clock — not `off`, so the completion-queue machinery is exercised on
-    /// every default-config run.
+    /// The **zero** profile: the event-driven crawl on a degenerate clock.
     fn default() -> Self {
         LatencyModel::new(LatencyProfile::zero())
     }
@@ -240,47 +234,29 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     pub fn new(profile: LatencyProfile) -> Self {
-        LatencyModel {
-            profile: Some(profile),
-        }
+        LatencyModel { profile }
     }
 
-    /// The disabled model: the legacy blocking call-and-return path.
-    pub fn off() -> Self {
-        LatencyModel { profile: None }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.profile.is_some()
-    }
-
-    pub fn profile(&self) -> Option<&LatencyProfile> {
-        self.profile.as_ref()
+    pub fn profile(&self) -> &LatencyProfile {
+        &self.profile
     }
 
     pub fn name(&self) -> &str {
-        self.profile
-            .as_ref()
-            .map(|p| p.name.as_str())
-            .unwrap_or("off")
+        &self.profile.name
     }
 
     /// True when every sample is trivially `{0, not dropped}` — the zero
-    /// profile (or the model being off). Callers can skip RNG stream-key
-    /// construction entirely on this path.
+    /// profile. Callers can skip RNG stream-key construction entirely on
+    /// this path.
     pub fn is_free(&self) -> bool {
-        match &self.profile {
-            None => true,
-            Some(p) => {
-                p.dns_base_ns == 0
-                    && p.dns_jitter_ns == 0
-                    && p.connect_base_ns == 0
-                    && p.connect_jitter_ns == 0
-                    && p.http_base_ns == 0
-                    && p.http_jitter_ns == 0
-                    && p.dns_loss == 0.0
-            }
-        }
+        let p = &self.profile;
+        p.dns_base_ns == 0
+            && p.dns_jitter_ns == 0
+            && p.connect_base_ns == 0
+            && p.connect_jitter_ns == 0
+            && p.http_base_ns == 0
+            && p.http_jitter_ns == 0
+            && p.dns_loss == 0.0
     }
 
     /// Price one attempt. `stream_key` must identify the *logical* attempt —
@@ -297,12 +273,7 @@ impl LatencyModel {
         target: &str,
         class: QueryClass,
     ) -> QueryFate {
-        let Some(p) = &self.profile else {
-            return QueryFate {
-                cost_ns: 0,
-                dropped: false,
-            };
-        };
+        let p = &self.profile;
         let (base, jitter) = match class {
             QueryClass::Dns => (p.dns_base_ns, p.dns_jitter_ns),
             QueryClass::Connect => (p.connect_base_ns, p.connect_jitter_ns),
@@ -358,18 +329,7 @@ mod tests {
             }
         );
         assert_eq!(m.name(), "zero");
-        assert!(m.enabled());
-    }
-
-    #[test]
-    fn off_model_is_disabled() {
-        let m = LatencyModel::off();
-        assert!(!m.enabled());
-        assert_eq!(m.name(), "off");
-        let tree = RngTree::new(1);
-        let f = m.sample(&tree, "k", "t", QueryClass::Http);
-        assert_eq!(f.cost_ns, 0);
-        assert!(!f.dropped);
+        assert!(m.is_free());
     }
 
     #[test]

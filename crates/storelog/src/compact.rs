@@ -4,17 +4,11 @@
 //! overwhelming majority are "nothing changed" records whose only long-term
 //! job is to be the latest-known state of their FQDN. Once a newer
 //! observation of the same FQDN is durable, the older unchanged record is
-//! dead weight. Compaction rewrites each segment keeping
-//!
-//! - every record the application classifies [`Retention::Keep`] (change
-//!   records — the study's actual signal — are never dropped), and
-//! - the **last** record per [`Retention::Supersede`] key, so replay still
-//!   reconstructs the exact latest snapshot of every key.
-//!
-//! Surviving records keep their original shard, order and payload bytes, so
-//! a replay of a compacted log is byte-equivalent to a replay of the full
-//! log for every consumer that only needs (all changes + latest state) —
-//! which is precisely the resume contract upstream.
+//! dead weight. [`compact_with`] hands each shard's committed payloads to
+//! the application, which decides what survives (upstream: every change
+//! record plus the last record per FQDN) and re-encodes the survivors —
+//! v2 payloads are interned/delta-coded against their stream, so they
+//! cannot be dropped byte-verbatim.
 //!
 //! The pass is crash-safe: new segments and a fresh single-entry commit log
 //! (carrying the previous head checkpoint) are written to `*.tmp` files,
@@ -23,17 +17,8 @@
 
 use crate::log::{CommitRecord, LogReader};
 use crate::{frame, Error, Layout, Result};
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
-
-/// Application verdict on one record (see [`compact`]).
-pub enum Retention {
-    /// Never dropped.
-    Keep,
-    /// Dropped iff a later record in the same shard carries the same key.
-    Supersede(String),
-}
 
 /// What a compaction pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,55 +29,22 @@ pub struct CompactStats {
     pub bytes_after: u64,
 }
 
-/// Rewrite the committed region of `dir`, classifying every record payload
-/// with `classify`. Uncommitted tails are discarded (they were already
-/// invisible). No-op on a log that never committed.
+/// Shard-batch rewrite of the committed region of `dir`: `plan` receives
+/// every committed payload of one shard in append order and returns the
+/// replacement payload list (also in append order), or a format-error
+/// message. A v2 interned/delta stream is decoded, filtered, and re-encoded
+/// against a fresh table by the application-side `plan`. Uncommitted tails
+/// are discarded (they were already invisible); a log that never committed
+/// is a no-op, and a dir in an older format is refused untouched.
 ///
-/// Surviving payload bytes are copied verbatim, so this is only correct for
-/// payload encodings where records decode independently (format v1). For
-/// context-dependent encodings (v2 interned/delta streams) use
-/// [`compact_with`] and re-encode the survivors.
-pub fn compact(dir: &Path, mut classify: impl FnMut(&[u8]) -> Retention) -> Result<CompactStats> {
-    compact_with(dir, |_shard, records| {
-        // Pass 1: last occurrence of each supersede key in this shard.
-        // (Shards partition the keyspace, so per-shard lastness is global
-        // lastness for any consistent classifier.)
-        let mut last_of: HashMap<String, usize> = HashMap::new();
-        let mut verdicts = Vec::with_capacity(records.len());
-        for (i, rec) in records.iter().enumerate() {
-            let v = classify(rec);
-            if let Retention::Supersede(key) = &v {
-                last_of.insert(key.clone(), i);
-            }
-            verdicts.push(v);
-        }
-        // Pass 2: survivors in order.
-        Ok(records
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| match &verdicts[*i] {
-                Retention::Keep => true,
-                Retention::Supersede(key) => last_of[key] == *i,
-            })
-            .map(|(_, rec)| rec)
-            .collect())
-    })
-}
-
-/// Shard-batch rewrite: `plan` receives every committed payload of one
-/// shard in append order and returns the replacement payload list (also in
-/// append order), or a format-error message. This is the compaction
-/// primitive for payload encodings that cannot drop records byte-verbatim —
-/// a v2 interned/delta stream is decoded, filtered, and re-encoded against
-/// a fresh table by the application-side `plan`.
-///
-/// The crash-safety protocol is identical to [`compact`]: tmp files,
-/// fsync, segments-then-commit renames, directory sync.
+/// Crash safety: tmp files, fsync, segments-then-commit renames, directory
+/// sync (see the module docs).
 pub fn compact_with(
     dir: &Path,
     mut plan: impl FnMut(usize, Vec<Vec<u8>>) -> std::result::Result<Vec<Vec<u8>>, String>,
 ) -> Result<CompactStats> {
     let reader = LogReader::open(dir)?;
+    reader.require_current_format()?;
     let layout = Layout::new(dir);
     let shards = reader.shard_count();
     let Some(head) = reader.last_commit().cloned() else {
@@ -181,16 +133,32 @@ mod tests {
     use crate::log::LogWriter;
     use crate::testutil::TempDir;
 
-    /// Payload convention for these tests: `key:kind` where kind `c` = a
-    /// change record (Keep) and `u` = unchanged (Supersede by key).
-    fn classify(p: &[u8]) -> Retention {
-        let s = std::str::from_utf8(p).unwrap();
-        let (key, kind) = s.split_once(':').unwrap();
-        if kind == "c" {
-            Retention::Keep
-        } else {
-            Retention::Supersede(key.to_string())
+    /// The pipeline's retention rule in miniature, over payloads `key:kind`:
+    /// kind `c` (a change record) is always kept, kind `u` (unchanged) only
+    /// as the last record of its key.
+    fn supersede(
+        _shard: usize,
+        records: Vec<Vec<u8>>,
+    ) -> std::result::Result<Vec<Vec<u8>>, String> {
+        let split = |p: &[u8]| {
+            let (key, kind) = std::str::from_utf8(p).unwrap().split_once(':').unwrap();
+            (key.to_string(), kind == "c")
+        };
+        let mut last_of = std::collections::HashMap::new();
+        for (i, rec) in records.iter().enumerate() {
+            if let (key, false) = split(rec) {
+                last_of.insert(key, i);
+            }
         }
+        Ok(records
+            .iter()
+            .enumerate()
+            .filter(|&(i, rec)| {
+                let (key, change) = split(rec);
+                change || last_of[&key] == i
+            })
+            .map(|(_, rec)| rec.clone())
+            .collect())
     }
 
     #[test]
@@ -206,7 +174,7 @@ mod tests {
         }
         drop(w);
 
-        let stats = compact(&t.0, classify).unwrap();
+        let stats = compact_with(&t.0, supersede).unwrap();
         assert_eq!(stats.records_before, 8);
         assert_eq!(stats.records_after, 3);
         assert!(stats.bytes_after < stats.bytes_before);
@@ -235,7 +203,7 @@ mod tests {
             w.commit(format!("r{r}").as_bytes()).unwrap();
         }
         drop(w);
-        compact(&t.0, classify).unwrap();
+        compact_with(&t.0, supersede).unwrap();
 
         let mut w = LogWriter::open_append(&t.0).unwrap();
         w.append(0, b"x:c");
@@ -262,7 +230,7 @@ mod tests {
         drop(w);
 
         // Drop the first record of each shard and rewrite the rest —
-        // payload bytes change, which plain `compact` can never do.
+        // payload bytes change, as a re-encoding plan's do.
         let stats = compact_with(&t.0, |shard, records| {
             Ok(records
                 .into_iter()
@@ -292,10 +260,30 @@ mod tests {
     }
 
     #[test]
+    fn v1_dir_is_refused_untouched() {
+        let t = TempDir::new("compact_v1");
+        let mut w = LogWriter::create(&t.0, 1, b"cfg").unwrap();
+        for r in 0..2 {
+            w.append(0, b"x:u");
+            w.commit(format!("r{r}").as_bytes()).unwrap();
+        }
+        drop(w);
+        let layout = Layout::new(&t.0);
+        std::fs::write(layout.format_file(), "storelog 1\nshards 1\n").unwrap();
+        let seg = std::fs::read(layout.segment_file(0)).unwrap();
+        assert!(matches!(
+            compact_with(&t.0, supersede),
+            Err(Error::Format(_))
+        ));
+        assert_eq!(std::fs::read(layout.segment_file(0)).unwrap(), seg);
+        assert_eq!(LogReader::open(&t.0).unwrap().commits().len(), 2);
+    }
+
+    #[test]
     fn empty_log_compacts_to_noop() {
         let t = TempDir::new("compact_empty");
         LogWriter::create(&t.0, 2, b"cfg").unwrap();
-        let stats = compact(&t.0, classify).unwrap();
+        let stats = compact_with(&t.0, supersede).unwrap();
         assert_eq!(stats.records_before, 0);
         assert!(LogReader::open(&t.0).unwrap().last_commit().is_none());
     }

@@ -47,10 +47,10 @@
 //! ## Compaction
 //!
 //! Most weekly observations are "no change" records that only matter until a
-//! newer observation of the same key exists. [`compact`] rewrites each
-//! segment keeping every record the application classifies as
-//! [`Retention::Keep`] plus the *last* record per supersede-key, then writes
-//! a fresh single-entry commit log. See [`compact`] for the contract.
+//! newer observation of the same key exists. [`compact_with`] hands each
+//! shard's committed payloads to the application, which returns the
+//! survivors re-encoded; the segments and a fresh single-entry commit log
+//! are then swapped in crash-safely. See [`compact_with`] for the contract.
 //!
 //! The application-facing record payloads are opaque bytes; the crate that
 //! owns the schema (`dangling-core`) decides what goes inside them. This
@@ -64,22 +64,22 @@ pub mod frame;
 pub mod intern;
 mod log;
 
-pub use compact::{compact, compact_with, CompactStats, Retention};
+pub use compact::{compact_with, CompactStats};
 pub use log::{CommitRecord, LogReader, LogWriter, ShardStream};
 
 use std::path::{Path, PathBuf};
 
-/// On-disk format version written by default. Bump ONLY with a migration
-/// note in `crates/storelog/MIGRATIONS.md` — CI fails the build otherwise.
+/// The on-disk format version, the only one this build creates, appends to
+/// or compacts. Bump ONLY with a migration note in
+/// `crates/storelog/MIGRATIONS.md` — CI fails the build otherwise.
 ///
 /// v2 changed the *record payload* encoding (binary interned/delta records,
 /// see MIGRATIONS.md); the frame, commit and recovery machinery is identical
-/// in v1 and v2, so this crate reads and writes both. The version in a
-/// dir's FORMAT file tells the application which payload codec its records
-/// use.
+/// in v1 and v2, so [`LogReader`] still opens v1 dirs — as the input of the
+/// application's v1→v2 migration, never to append to them.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Oldest format version this build still reads.
+/// Oldest format version this build still reads (to migrate it).
 pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Everything that can go wrong opening, reading or writing a state dir.
@@ -147,12 +147,11 @@ impl Layout {
         self.root.join(format!("shard-{shard:03}.seg"))
     }
 
-    /// Write the FORMAT marker (version + shard count).
-    pub fn write_format(&self, version: u32, shards: usize) -> Result<()> {
-        debug_assert!((MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version));
+    /// Write the FORMAT marker (current version + shard count).
+    pub fn write_format(&self, shards: usize) -> Result<()> {
         std::fs::write(
             self.format_file(),
-            format!("storelog {version}\nshards {shards}\n"),
+            format!("storelog {FORMAT_VERSION}\nshards {shards}\n"),
         )?;
         Ok(())
     }
@@ -229,12 +228,12 @@ mod tests {
     fn format_roundtrip_and_version_gate() {
         let t = TempDir::new("format");
         let layout = Layout::new(&t.0);
-        layout.write_format(FORMAT_VERSION, 16).unwrap();
+        layout.write_format(16).unwrap();
         assert_eq!(layout.read_format().unwrap(), (FORMAT_VERSION, 16));
 
-        // v1 dirs stay readable; unknown future versions are refused with a
-        // pointer at MIGRATIONS.md.
-        layout.write_format(1, 8).unwrap();
+        // v1 dirs stay readable (migration input); unknown future versions
+        // are refused with a pointer at MIGRATIONS.md.
+        std::fs::write(layout.format_file(), "storelog 1\nshards 8\n").unwrap();
         assert_eq!(layout.read_format().unwrap(), (1, 8));
         std::fs::write(layout.format_file(), "storelog 999\nshards 4\n").unwrap();
         let err = layout.read_format().unwrap_err();

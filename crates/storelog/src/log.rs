@@ -26,7 +26,7 @@
 //! and never a record from the middle.
 
 use crate::frame;
-use crate::{Error, Layout, Result, FORMAT_VERSION, MIN_FORMAT_VERSION};
+use crate::{Error, Layout, Result, FORMAT_VERSION};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
@@ -73,7 +73,6 @@ impl CommitRecord {
 
 /// Append side of the log (see module docs for the durability protocol).
 pub struct LogWriter {
-    format_version: u32,
     segments: Vec<File>,
     seg_lens: Vec<u64>,
     commits: File,
@@ -104,25 +103,7 @@ impl LogWriter {
     /// (refuses to clobber an existing one — recovery and resumption go
     /// through [`LogWriter::open_append`]).
     pub fn create(dir: &Path, shards: usize, config: &[u8]) -> Result<LogWriter> {
-        Self::create_versioned(dir, shards, config, FORMAT_VERSION)
-    }
-
-    /// [`LogWriter::create`] with an explicit format version. Writing the
-    /// older v1 payload format is how the differential tests and the bench
-    /// produce v1 state dirs from a v2-native build.
-    pub fn create_versioned(
-        dir: &Path,
-        shards: usize,
-        config: &[u8],
-        version: u32,
-    ) -> Result<LogWriter> {
         assert!(shards >= 1, "at least one shard");
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(Error::Format(format!(
-                "cannot create a v{version} state dir \
-                 (this build writes v{MIN_FORMAT_VERSION}..v{FORMAT_VERSION})"
-            )));
-        }
         std::fs::create_dir_all(dir)?;
         let layout = Layout::new(dir);
         if layout.format_file().exists() {
@@ -131,7 +112,7 @@ impl LogWriter {
                 dir.display()
             )));
         }
-        layout.write_format(version, shards)?;
+        layout.write_format(shards)?;
         std::fs::write(layout.config_file(), config)?;
         let segments = (0..shards)
             .map(|i| {
@@ -149,7 +130,6 @@ impl LogWriter {
             .open(layout.commits_file())?;
         let (m_append_bytes, m_appends, m_commits) = writer_metrics();
         Ok(LogWriter {
-            format_version: version,
             seg_lens: vec![0; shards],
             buffers: vec![Vec::new(); shards],
             segments,
@@ -163,9 +143,11 @@ impl LogWriter {
 
     /// Open an existing state directory for appending, recovering from any
     /// torn tail first: files are truncated back to the newest consistent
-    /// commit (see [`LogReader`] for the selection rule).
+    /// commit (see [`LogReader`] for the selection rule). A dir in an older
+    /// format is refused untouched: it is input to a migration only.
     pub fn open_append(dir: &Path) -> Result<LogWriter> {
         let reader = LogReader::open(dir)?;
+        reader.require_current_format()?;
         let layout = Layout::new(dir);
         let shards = reader.shard_count();
         let offsets = match reader.last_commit() {
@@ -193,7 +175,6 @@ impl LogWriter {
 
         let (m_append_bytes, m_appends, m_commits) = writer_metrics();
         Ok(LogWriter {
-            format_version: reader.format_version(),
             seg_lens: offsets,
             buffers: vec![Vec::new(); shards],
             segments,
@@ -207,12 +188,6 @@ impl LogWriter {
 
     pub fn shard_count(&self) -> usize {
         self.segments.len()
-    }
-
-    /// The format version of the state dir this writer appends to (set at
-    /// creation; `open_append` preserves whatever the dir already is).
-    pub fn format_version(&self) -> u32 {
-        self.format_version
     }
 
     /// Records buffered since the last commit.
@@ -412,6 +387,20 @@ impl LogReader {
     /// the application which payload codec the record bytes use.
     pub fn format_version(&self) -> u32 {
         self.format_version
+    }
+
+    /// Refuse a dir older than [`FORMAT_VERSION`]: this build reads older
+    /// dirs so they can be migrated, but writes only the current format.
+    pub(crate) fn require_current_format(&self) -> Result<()> {
+        if self.format_version == FORMAT_VERSION {
+            return Ok(());
+        }
+        Err(Error::Format(format!(
+            "{} is format v{}; this build writes only v{FORMAT_VERSION} \
+             (migrate it first, see crates/storelog/MIGRATIONS.md)",
+            self.layout.root.display(),
+            self.format_version
+        )))
     }
 
     /// The opaque application config written at creation.
@@ -624,28 +613,33 @@ mod tests {
     }
 
     #[test]
-    fn versioned_create_roundtrips_and_open_append_preserves() {
-        let t = TempDir::new("versioned");
-        let w = LogWriter::create_versioned(&t.0, 2, b"cfg", 1).unwrap();
-        assert_eq!(w.format_version(), 1);
-        drop(w);
-        assert_eq!(LogReader::open(&t.0).unwrap().format_version(), 1);
-        assert_eq!(LogWriter::open_append(&t.0).unwrap().format_version(), 1);
-
-        let t2 = TempDir::new("versioned2");
-        let w = LogWriter::create(&t2.0, 2, b"cfg").unwrap();
-        assert_eq!(w.format_version(), FORMAT_VERSION);
-        drop(w);
+    fn create_writes_the_current_format() {
+        let t = TempDir::new("current");
+        LogWriter::create(&t.0, 2, b"cfg").unwrap();
         assert_eq!(
-            LogReader::open(&t2.0).unwrap().format_version(),
+            LogReader::open(&t.0).unwrap().format_version(),
             FORMAT_VERSION
         );
+    }
 
-        let t3 = TempDir::new("versioned3");
-        assert!(matches!(
-            LogWriter::create_versioned(&t3.0, 2, b"cfg", 99),
-            Err(Error::Format(_))
-        ));
+    #[test]
+    fn open_append_refuses_a_v1_dir_untouched() {
+        let t = TempDir::new("v1_append");
+        write_rounds(&t.0, 2, 2, 1);
+        let layout = Layout::new(&t.0);
+        std::fs::write(layout.format_file(), "storelog 1\nshards 2\n").unwrap();
+        let seg = std::fs::read(layout.segment_file(0)).unwrap();
+        let commits = std::fs::read(layout.commits_file()).unwrap();
+        // Still readable (the migration's input)...
+        assert_eq!(LogReader::open(&t.0).unwrap().format_version(), 1);
+        // ...but never appended to, and not truncated by the attempt.
+        match LogWriter::open_append(&t.0) {
+            Err(Error::Format(m)) => assert!(m.contains("migrate"), "{m}"),
+            Err(e) => panic!("expected a format error, got {e}"),
+            Ok(_) => panic!("open_append on a v1 dir must be refused"),
+        }
+        assert_eq!(std::fs::read(layout.segment_file(0)).unwrap(), seg);
+        assert_eq!(std::fs::read(layout.commits_file()).unwrap(), commits);
     }
 
     #[test]
