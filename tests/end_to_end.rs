@@ -118,6 +118,13 @@ fn certificates_and_ct() {
 fn infrastructure_clustering_recovers_campaigns() {
     let r = Scenario::new(small_cfg(19)).run();
     let infra = dangling_core::infra::cluster_infrastructure(&r.infra_inputs());
+    // The whole §6 report of this world is pinned byte-for-byte: clusters,
+    // graph stats and the Figure 21/26 aggregations.
+    assert_eq!(
+        serde_json::to_string_pretty(&infra).unwrap() + "\n",
+        include_str!("fixtures/infra_eq/report.json"),
+        "InfraReport drifted from tests/fixtures/infra_eq/report.json"
+    );
     // Identifiers cover a subset of abused domains (paper: ~1/3).
     assert!(infra.covered_domains <= r.abuse.len());
     if infra.clusters.len() >= 2 {
