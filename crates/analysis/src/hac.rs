@@ -57,77 +57,7 @@ impl Dendrogram {
                 d[tri(n, i, j)] = dist(i, j);
             }
         }
-        Self::nn_chain(n, d)
-    }
 
-    /// [`Dendrogram::build`] with the O(n²) distance-matrix fill fanned out
-    /// over `threads` workers. The fill dominates HAC wall time whenever the
-    /// metric is non-trivial (the §6 Jaccard-over-domain-sets case), and it
-    /// is embarrassingly parallel: the condensed upper triangle is split at
-    /// row boundaries into contiguous blocks of roughly equal cell count,
-    /// each worker fills its own disjoint slice, and the merge phase then
-    /// runs on exactly the matrix the serial fill would have produced — the
-    /// result is identical (same `f64` cells, same NN-chain walk) for any
-    /// thread count.
-    pub fn build_par<F>(n: usize, threads: usize, dist: F) -> Dendrogram
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        let threads = threads.max(1);
-        if n == 0 {
-            return Dendrogram {
-                n,
-                merges: Vec::new(),
-            };
-        }
-        let mut d = vec![0.0f64; n * (n - 1) / 2];
-        if threads == 1 || n < 3 {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    d[tri(n, i, j)] = dist(i, j);
-                }
-            }
-            return Self::nn_chain(n, d);
-        }
-        // Row i owns the contiguous condensed range of length n-1-i, so a
-        // split at row boundaries yields disjoint &mut slices. Rows shrink
-        // linearly, so blocks are balanced by *cell* count, not row count.
-        let target = d.len().div_ceil(threads).max(1);
-        let mut blocks: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(threads);
-        let mut rest = d.as_mut_slice();
-        let mut row = 0;
-        while row + 1 < n {
-            let start = row;
-            let mut cells = 0;
-            while row + 1 < n && cells < target {
-                cells += n - 1 - row;
-                row += 1;
-            }
-            let (block, tail) = rest.split_at_mut(cells);
-            rest = tail;
-            blocks.push((start, row, block));
-        }
-        let dist = &dist;
-        std::thread::scope(|s| {
-            for (start, end, block) in blocks {
-                s.spawn(move || {
-                    let mut off = 0;
-                    for i in start..end {
-                        for j in (i + 1)..n {
-                            block[off] = dist(i, j);
-                            off += 1;
-                        }
-                    }
-                });
-            }
-        });
-        Self::nn_chain(n, d)
-    }
-
-    /// The merge phase: NN-chain over a pre-filled condensed distance matrix,
-    /// then the scipy-style sort/relabel. Serial and deterministic — shared
-    /// by [`Dendrogram::build`] and [`Dendrogram::build_par`].
-    fn nn_chain(n: usize, mut d: Vec<f64>) -> Dendrogram {
         let mut size = vec![1usize; n]; // by slot
         let mut active = vec![true; n];
         // Raw merges recorded as (slot_i, slot_j, distance); NN-chain emits
@@ -320,30 +250,6 @@ mod tests {
         let dend = Dendrogram::build(4, dist_from(&pts));
         let last = dend.merges().last().unwrap();
         assert_eq!(last.size, 4);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        // Pseudorandom but content-keyed distances: every pair gets a
-        // distinct value, so the dendrogram is unique and any divergence in
-        // the parallel fill shows up as a merge mismatch.
-        let n = 37;
-        let dist = |i: usize, j: usize| {
-            let (a, b) = (i.min(j) as u64, i.max(j) as u64);
-            let h = (a * 1_000_003 + b).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (h >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let serial = Dendrogram::build(n, dist);
-        for threads in [1, 2, 3, 8, 64] {
-            let par = Dendrogram::build_par(n, threads, dist);
-            assert_eq!(par.merges(), serial.merges(), "threads={threads}");
-        }
-        // Degenerate sizes through the parallel path.
-        for n in [0, 1, 2, 3] {
-            let par = Dendrogram::build_par(n, 4, dist);
-            let ser = Dendrogram::build(n, dist);
-            assert_eq!(par.merges(), ser.merges(), "n={n}");
-        }
     }
 
     #[test]

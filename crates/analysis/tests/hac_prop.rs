@@ -1,7 +1,6 @@
 //! Property tests for the HAC determinism contract: the clustering a cut
-//! produces is invariant under input permutation and thread count, and merge
-//! distances are monotonically non-decreasing (UPGMA reducibility) through
-//! both the serial and the parallel build.
+//! produces is invariant under input permutation, and merge distances are
+//! monotonically non-decreasing (UPGMA reducibility).
 //!
 //! Permutation invariance needs care: UPGMA with *tied* distances is not
 //! permutation-invariant in general (which reciprocal pair the NN-chain
@@ -64,11 +63,10 @@ fn arb_sets() -> impl Strategy<Value = Vec<Vec<u32>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Cluster assignment is invariant under input permutation *and* thread
-    /// count: shuffling the leaves and fanning the distance fill over any
-    /// number of workers yields the same partition of the same keys.
+    /// Cluster assignment is invariant under input permutation: shuffling
+    /// the leaves yields the same partition of the same keys.
     #[test]
-    fn cut_invariant_under_permutation_and_threads(
+    fn cut_invariant_under_permutation(
         keys in arb_keys(),
         perm_seed in any::<u64>(),
         cut in 0.0f64..=1.0,
@@ -77,34 +75,19 @@ proptest! {
         let reference = Dendrogram::build(n, |i, j| pair_dist(keys[i], keys[j]));
         let expected = clusters_by_key(&reference, &keys, cut);
         let shuffled_keys = shuffled(keys, perm_seed);
-        for threads in [1usize, 2, 3, 8] {
-            let dend = Dendrogram::build_par(n, threads, |i, j| {
-                pair_dist(shuffled_keys[i], shuffled_keys[j])
-            });
-            prop_assert_eq!(
-                &clusters_by_key(&dend, &shuffled_keys, cut),
-                &expected,
-                "partition diverged (threads={})", threads
-            );
-        }
+        let dend = Dendrogram::build(n, |i, j| pair_dist(shuffled_keys[i], shuffled_keys[j]));
+        prop_assert_eq!(clusters_by_key(&dend, &shuffled_keys, cut), expected);
     }
 
-    /// Merge distances are monotonically non-decreasing through both builds,
-    /// and the parallel build reproduces the serial merge list *exactly* —
-    /// even on Jaccard inputs, where tied distances are common (same matrix
-    /// in, same NN-chain walk out).
+    /// Merge distances are monotonically non-decreasing, even on Jaccard
+    /// inputs, where tied distances are common.
     #[test]
-    fn merges_monotone_and_thread_invariant(sets in arb_sets(), threads in 1usize..9) {
+    fn merges_monotone(sets in arb_sets()) {
         let n = sets.len();
-        let serial = Dendrogram::build(n, |i, j| jaccard_distance(&sets[i], &sets[j]));
-        prop_assert!(serial.is_monotone(), "serial merge distances must be non-decreasing");
-        for w in serial.merges().windows(2) {
+        let dend = Dendrogram::build(n, |i, j| jaccard_distance(&sets[i], &sets[j]));
+        prop_assert!(dend.is_monotone(), "merge distances must be non-decreasing");
+        for w in dend.merges().windows(2) {
             prop_assert!(w[1].distance >= w[0].distance - 1e-9);
         }
-        let par = Dendrogram::build_par(n, threads, |i, j| {
-            jaccard_distance(&sets[i], &sets[j])
-        });
-        prop_assert!(par.is_monotone());
-        prop_assert_eq!(par.merges(), serial.merges());
     }
 }

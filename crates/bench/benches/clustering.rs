@@ -1,6 +1,5 @@
-//! Criterion benches: the §6 infrastructure clustering (NN-chain HAC, serial
-//! and with the parallel distance-matrix fill) and the co-occurrence graph
-//! at increasing identifier counts.
+//! Criterion benches: the §6 infrastructure clustering (NN-chain HAC) and
+//! the co-occurrence graph at increasing identifier counts.
 
 use analysis::{jaccard_distance, CoOccurrenceGraph, Dendrogram};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,6 +19,10 @@ fn synth_sets(n_idents: usize, n_domains: u32, seed: u64) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// NN-chain UPGMA at increasing identifier counts, plus one row of 1,200
+/// identifiers over a 10 000-domain universe. The condensed matrix is O(n²)
+/// in identifiers, not domains; DESIGN.md §8 gives the identifier counts
+/// `repro` measures per scale.
 fn bench_hac(c: &mut Criterion) {
     let mut g = c.benchmark_group("hac");
     for n in [100usize, 400, 1000] {
@@ -31,35 +34,10 @@ fn bench_hac(c: &mut Criterion) {
             })
         });
     }
-    g.finish();
-}
-
-/// The parallel distance-matrix fill ([`Dendrogram::build_par`]) at a fixed
-/// identifier count, scaled over worker threads, plus one large row with a
-/// 10 000-domain universe (the paper-scale victim population; identifier
-/// count stays in the low thousands because the condensed matrix is O(n²)
-/// in identifiers, not domains).
-fn bench_hac_par(c: &mut Criterion) {
-    let mut g = c.benchmark_group("hac_par");
-    let sets = synth_sets(1000, 500, 7);
-    for threads in [1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("nn_chain_upgma_1000", format!("t{threads}")),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    let d = Dendrogram::build_par(sets.len(), t, |i, j| {
-                        jaccard_distance(&sets[i], &sets[j])
-                    });
-                    black_box(d.cut(0.95))
-                })
-            },
-        );
-    }
     let big = synth_sets(1200, 10_000, 11);
-    g.bench_function("nn_chain_upgma_10k_domains_t4", |b| {
+    g.bench_function("nn_chain_upgma_10k_domains", |b| {
         b.iter(|| {
-            let d = Dendrogram::build_par(big.len(), 4, |i, j| jaccard_distance(&big[i], &big[j]));
+            let d = Dendrogram::build(big.len(), |i, j| jaccard_distance(&big[i], &big[j]));
             black_box(d.cut(0.95))
         })
     });
@@ -82,5 +60,5 @@ fn bench_graph(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_hac, bench_hac_par, bench_graph);
+criterion_group!(benches, bench_hac, bench_graph);
 criterion_main!(benches);

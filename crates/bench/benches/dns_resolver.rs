@@ -1,29 +1,10 @@
-//! Criterion benches: DNS wire codec and resolver throughput — the
-//! substrate cost under the collection pipeline (1.5M+ weekly resolutions
-//! in the real study).
+//! Criterion bench: resolver throughput over CNAME chains — the substrate
+//! cost under the collection pipeline (1.5M+ weekly resolutions in the real
+//! study).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use dns::wire::{decode, encode};
-use dns::{
-    Authority, Message, Name, RecordData, RecordType, Resolver, ResourceRecord, Zone, ZoneSet,
-};
+use dns::{Authority, Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
 use simcore::SimTime;
-
-fn sample_message() -> Message {
-    let q = Message::query(7, "shop.example.com".parse().unwrap(), RecordType::A);
-    let mut r = Message::response(&q, dns::Rcode::NoError);
-    r.answers.push(ResourceRecord::new(
-        "shop.example.com".parse().unwrap(),
-        300,
-        RecordData::Cname("shop-prod.azurewebsites.net".parse().unwrap()),
-    ));
-    r.answers.push(ResourceRecord::new(
-        "shop-prod.azurewebsites.net".parse().unwrap(),
-        60,
-        RecordData::A("20.40.60.80".parse().unwrap()),
-    ));
-    r
-}
 
 fn build_world(n_subdomains: usize) -> Resolver<Authority> {
     let mut zs = ZoneSet::new();
@@ -52,19 +33,6 @@ fn build_world(n_subdomains: usize) -> Resolver<Authority> {
     Resolver::new(Authority::new(zs))
 }
 
-fn bench_wire(c: &mut Criterion) {
-    let msg = sample_message();
-    let wire = encode(&msg);
-    let mut g = c.benchmark_group("dns_wire");
-    g.throughput(Throughput::Bytes(wire.len() as u64));
-    g.bench_function("encode", |b| b.iter(|| encode(black_box(&msg))));
-    g.bench_function("decode", |b| b.iter(|| decode(black_box(&wire)).unwrap()));
-    g.bench_function("roundtrip", |b| {
-        b.iter(|| decode(&encode(black_box(&msg))).unwrap())
-    });
-    g.finish();
-}
-
 fn bench_resolver(c: &mut Criterion) {
     let resolver = build_world(1000);
     let names: Vec<Name> = (0..1000)
@@ -84,5 +52,5 @@ fn bench_resolver(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_wire, bench_resolver);
+criterion_group!(benches, bench_resolver);
 criterion_main!(benches);

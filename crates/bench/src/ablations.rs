@@ -2,6 +2,7 @@
 //! as a controlled comparison.
 
 use dangling_core::diff::ChangeKind;
+use dangling_core::infra;
 use dangling_core::{Scenario, ScenarioConfig, StudyResults};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
@@ -104,10 +105,8 @@ pub fn cutoff_sweep(r: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Ablation — HAC cutoff sweep (§6 uses 0.95) ==");
     let _ = writeln!(out, "cutoff  clusters  pairwise-precision  pairwise-recall");
-    // Build identifier sets once via the module, then re-cut at thresholds by
-    // re-running (the clustering is cheap at this scale).
-    for cutoff in [0.5, 0.7, 0.9, 0.95, 0.99] {
-        let report = cluster_infrastructure_with_cutoff(&inputs, cutoff);
+    for cutoff in [0.5, 0.7, 0.9, infra::CUTOFF, 0.99] {
+        let report = infra::cluster(&inputs, cutoff);
         // Pairwise same-cluster agreement over domains with identifiers.
         let mut tp = 0usize;
         let mut fp = 0usize;
@@ -159,65 +158,6 @@ pub fn cutoff_sweep(r: &StudyResults) -> String {
         "(0.95 maximizes grouping without merging unrelated campaigns — the paper's choice)"
     );
     out
-}
-
-/// Re-cluster with a custom cutoff (mirrors infra::cluster_infrastructure).
-fn cluster_infrastructure_with_cutoff(
-    inputs: &[dangling_core::infra::DomainIdentifiers],
-    cutoff: f64,
-) -> dangling_core::infra::InfraReport {
-    // Cheap approach: reuse the module then re-cut would need internals;
-    // instead rebuild with the library primitives.
-    use analysis::{jaccard_distance, Dendrogram};
-    use std::collections::BTreeSet;
-    let mut domain_ids: BTreeMap<dns::Name, u32> = BTreeMap::new();
-    for d in inputs {
-        let next = domain_ids.len() as u32;
-        domain_ids.entry(d.fqdn.clone()).or_insert(next);
-    }
-    let mut ident_domains: BTreeMap<String, BTreeSet<u32>> = BTreeMap::new();
-    for d in inputs {
-        let did = domain_ids[&d.fqdn];
-        for i in &d.identifiers {
-            ident_domains.entry(i.clone()).or_default().insert(did);
-        }
-    }
-    let idents: Vec<String> = ident_domains.keys().cloned().collect();
-    let sets: Vec<Vec<u32>> = idents
-        .iter()
-        .map(|i| ident_domains[i].iter().copied().collect())
-        .collect();
-    let clusters_idx = if idents.is_empty() {
-        Vec::new()
-    } else {
-        Dendrogram::build(idents.len(), |a, b| jaccard_distance(&sets[a], &sets[b])).cut(cutoff)
-    };
-    let id_by_index: BTreeMap<u32, &dns::Name> = domain_ids.iter().map(|(n, i)| (*i, n)).collect();
-    let clusters = clusters_idx
-        .into_iter()
-        .map(|members| {
-            let identifiers: Vec<String> = members.iter().map(|&i| idents[i].clone()).collect();
-            let mut dset: BTreeSet<u32> = BTreeSet::new();
-            for &i in &members {
-                dset.extend(sets[i].iter().copied());
-            }
-            dangling_core::infra::InfraCluster {
-                identifiers,
-                domains: dset.iter().map(|d| id_by_index[d].clone()).collect(),
-            }
-        })
-        .collect();
-    dangling_core::infra::InfraReport {
-        clusters,
-        covered_domains: 0,
-        identifier_count: idents.len(),
-        graph_nodes: 0,
-        graph_edges: 0,
-        graph_components: 0,
-        phone_countries: Vec::new(),
-        ip_orgs: Vec::new(),
-        ip_geos: Vec::new(),
-    }
 }
 
 /// §2's probe-method ablation: what would an ICMP- or TCP-based scanner have

@@ -10,9 +10,11 @@ use bench::{
     render_target, run_study_cfg, run_study_cfg_persisted, run_study_cfg_persisted_sink,
     run_study_cfg_sink, study_config_with_profile, ABLATIONS, TARGETS,
 };
-use dangling_core::{compact_state_dir, migrate_state_dir, PersistOptions};
+use dangling_core::{compact_state_dir, infra, migrate_state_dir, PersistOptions};
+use std::cell::LazyCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Load a `--serve-queries` script: one JSON-encoded [`serve::Query`] per
 /// line (`"Status"`, `{"Verdict":{"fqdn":"a.b.example"}}`, ...). Without a
@@ -326,7 +328,7 @@ fn main() {
         (handle, script, stop, querier)
     });
 
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let results = match &state_dir {
         None => match sink_box {
             None => run_study_cfg(cfg, max_rounds, incremental),
@@ -364,6 +366,19 @@ fn main() {
         results.world.truth.len(),
         results.abuse.len()
     );
+    // §6 clustering runs at most once, on first use: fig21/22/26/27 and the
+    // JSON summary share it; runs that print none of them never cluster.
+    let infra = LazyCell::new(|| {
+        let t = Instant::now();
+        let report = infra::cluster(&results.infra_inputs(), infra::CUTOFF);
+        obs::info!(
+            "§6 clustering: {} identifiers -> {} clusters in {:.1} ms",
+            report.identifier_count,
+            report.clusters.len(),
+            t.elapsed().as_secs_f64() * 1e3
+        );
+        report
+    });
 
     if budget_profile {
         // Growth curve: cumulative monitored FQDNs by month — at scale 1
@@ -444,7 +459,7 @@ fn main() {
     }
 
     if let Some(path) = &json_path {
-        let summary = bench::json_summary(&results);
+        let summary = bench::json_summary(&results, &infra);
         std::fs::write(path, serde_json::to_string_pretty(&summary).unwrap())
             .expect("write json summary");
         obs::info!("wrote machine-readable summary to {path}");
@@ -468,7 +483,7 @@ fn main() {
             "ablation-cutoff" => bench::ablations::cutoff_sweep(&results),
             "ablation-probe" => bench::ablations::probe_methods(&results),
             "extension-wordpress" => bench::ablations::wordpress_extension(scale.max(400), seed),
-            other => render_target(&results, other),
+            other => render_target(&results, &infra, other),
         };
         println!("{out}");
     }

@@ -9,9 +9,11 @@
 pub mod ablations;
 pub mod render;
 
+use dangling_core::infra::InfraReport;
 use dangling_core::{
     PersistError, PersistOptions, RoundSink, Scenario, ScenarioConfig, StudyResults,
 };
+use std::cell::LazyCell;
 
 /// Run the default study at the given scale/seed.
 pub fn run_study(scale_denominator: u32, seed: u64) -> StudyResults {
@@ -219,8 +221,15 @@ pub const ABLATIONS: &[&str] = &[
     "extension-wordpress",
 ];
 
-/// Render a single target against precomputed results.
-pub fn render_target(results: &StudyResults, target: &str) -> String {
+/// Render a single target against precomputed results and their §6 report
+/// (`infra::cluster(&results.infra_inputs(), infra::CUTOFF)`). The report is
+/// forced only by the targets that print it (fig21/22/26/27), so a run that
+/// never shows §6 never clusters, and one that does clusters once.
+pub fn render_target(
+    results: &StudyResults,
+    infra: &LazyCell<InfraReport, impl FnOnce() -> InfraReport>,
+    target: &str,
+) -> String {
     use render::*;
     match target {
         "summary" => summary(results),
@@ -241,10 +250,10 @@ pub fn render_target(results: &StudyResults, target: &str) -> String {
         "fig18" => fig18(results),
         "fig19" => fig19(results),
         "fig20" => fig20(results),
-        "fig21" => fig21(results),
-        "fig22" => fig22(results),
-        "fig26" => fig26(results),
-        "fig27" => fig27(results),
+        "fig21" => fig21(infra),
+        "fig22" => fig22(results, infra),
+        "fig26" => fig26(infra),
+        "fig27" => fig27(results, infra),
         "table1" => table1(results),
         "table2" => table2(results),
         "table3" => table3(results),
@@ -267,12 +276,11 @@ pub fn render_target(results: &StudyResults, target: &str) -> String {
 
 /// Machine-readable summary of a run (for EXPERIMENTS.md tooling and
 /// regression tracking across seeds/scales).
-pub fn json_summary(r: &StudyResults) -> serde_json::Value {
+pub fn json_summary(r: &StudyResults, infra: &InfraReport) -> serde_json::Value {
     let (f500, g500) = r.enterprise_victim_rates();
     let (seo_frac, _) = r.seo_shares();
     let liveness = r.liveness_rates();
     let (fqdns, slds, apex) = r.fig5_sld_stats();
-    let infra = dangling_core::infra::cluster_infrastructure(&r.infra_inputs());
     let (_, total_files, mean_files) = r.fig6_upload_histogram();
     let freetext_hijacks = r
         .world

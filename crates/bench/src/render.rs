@@ -5,7 +5,7 @@
 use analysis::table::{pct, thousands};
 use analysis::Table;
 use dangling_core::certs::{caa_census, cert_timeline};
-use dangling_core::infra::cluster_infrastructure;
+use dangling_core::infra::InfraReport;
 use dangling_core::lifespan::{lifespan_stats, timeframes};
 use dangling_core::StudyResults;
 use simcore::SimTime;
@@ -345,8 +345,7 @@ pub fn fig20(r: &StudyResults) -> String {
     out
 }
 
-pub fn fig21(r: &StudyResults) -> String {
-    let infra = cluster_infrastructure(&r.infra_inputs());
+pub fn fig21(infra: &InfraReport) -> String {
     let mut t = Table::new("Figure 21 — phone-number geography (WhatsApp links)")
         .headers(["country", "numbers", "paper"]);
     for (c, n) in &infra.phone_countries {
@@ -363,8 +362,7 @@ pub fn fig21(r: &StudyResults) -> String {
     )
 }
 
-pub fn fig22(r: &StudyResults) -> String {
-    let infra = cluster_infrastructure(&r.infra_inputs());
+pub fn fig22(r: &StudyResults, infra: &InfraReport) -> String {
     let mut t = Table::new("Figure 22 — top clusters by hijacked domains").headers([
         "#",
         "identifiers",
@@ -387,8 +385,7 @@ pub fn fig22(r: &StudyResults) -> String {
     )
 }
 
-pub fn fig26(r: &StudyResults) -> String {
-    let infra = cluster_infrastructure(&r.infra_inputs());
+pub fn fig26(infra: &InfraReport) -> String {
     let mut t = Table::new("Figure 26a — backend-IP hosting organizations").headers(["org", "IPs"]);
     for (o, n) in &infra.ip_orgs {
         t.row([o.clone(), n.to_string()]);
@@ -404,8 +401,7 @@ pub fn fig26(r: &StudyResults) -> String {
     )
 }
 
-pub fn fig27(r: &StudyResults) -> String {
-    let infra = cluster_infrastructure(&r.infra_inputs());
+pub fn fig27(r: &StudyResults, infra: &InfraReport) -> String {
     format!(
         "== Figures 27/28 — identifier graph & dendrogram ==\nnodes {} | edges {} | connected components {}\nHAC cutoff 0.95 → {} clusters (paper: 1,798)\nWordPress share of abused pages: {:.0}% (paper: ~22%)\n",
         infra.graph_nodes,

@@ -50,18 +50,11 @@ pub struct InfraReport {
     pub ip_geos: Vec<(String, usize)>,
 }
 
-/// Run the full clustering, serial. Equivalent to
-/// [`cluster_infrastructure_par`] with one thread.
-pub fn cluster_infrastructure(domains: &[DomainIdentifiers]) -> InfraReport {
-    cluster_infrastructure_par(domains, 1)
-}
-
-/// Run the full clustering with the HAC distance-matrix fill fanned out over
-/// `threads` workers ([`Dendrogram::build_par`]). The fill is the O(n²)
-/// hot spot at study scale; everything else (graph, aggregations) is cheap
-/// and already iterates `BTreeMap`s, so the report is byte-identical for any
-/// thread count.
-pub fn cluster_infrastructure_par(domains: &[DomainIdentifiers], threads: usize) -> InfraReport {
+/// Run the full §6 clustering, with the dendrogram cut at `cutoff`. The
+/// figures use [`CUTOFF`]; the cutoff ablation sweeps its own values. Every
+/// aggregation iterates `BTreeMap`s, so the report is a pure function of the
+/// inputs.
+pub fn cluster(domains: &[DomainIdentifiers], cutoff: f64) -> InfraReport {
     // Identifier -> set of domain indices.
     let mut domain_ids: BTreeMap<Name, u32> = BTreeMap::new();
     for d in domains {
@@ -101,15 +94,9 @@ pub fn cluster_infrastructure_par(domains: &[DomainIdentifiers], threads: usize)
     let graph = CoOccurrenceGraph::from_items(idents.len(), &items);
     let components = graph.components();
 
-    // Hierarchical clustering at the 0.95 cutoff (Figure 28 → Figure 22).
-    let clusters_idx: Vec<Vec<usize>> = if idents.is_empty() {
-        Vec::new()
-    } else {
-        let dend = Dendrogram::build_par(idents.len(), threads, |a, b| {
-            jaccard_distance(&sets[a], &sets[b])
-        });
-        dend.cut(CUTOFF)
-    };
+    // Hierarchical clustering cut at `cutoff` (Figure 28 → Figure 22).
+    let clusters_idx =
+        Dendrogram::build(idents.len(), |a, b| jaccard_distance(&sets[a], &sets[b])).cut(cutoff);
     let id_by_index: BTreeMap<u32, &Name> = domain_ids.iter().map(|(n, i)| (*i, n)).collect();
     let mut clusters: Vec<InfraCluster> = clusters_idx
         .into_iter()
@@ -184,18 +171,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recovers_two_campaigns() {
-        // Campaign A identifiers co-occur on domains 1-3; campaign B on 4-5.
-        let domains = vec![
+    /// Campaign A identifiers co-occur on domains 1-3, pairwise at Jaccard
+    /// distance 2/3; campaign B's two identifiers share domains 4-5 exactly.
+    fn two_campaigns() -> Vec<DomainIdentifiers> {
+        vec![
             d("a.v1.com", &["phone:62111", "social:t.me/aaa"]),
             d("b.v2.com", &["phone:62111", "short:bit.ly/x"]),
             d("c.v3.com", &["social:t.me/aaa", "short:bit.ly/x"]),
             d("e.v4.com", &["phone:855222", "ip:198.51.100.9"]),
             d("f.v5.com", &["phone:855222", "ip:198.51.100.9"]),
             d("g.v6.com", &[]), // uncovered
-        ];
-        let r = cluster_infrastructure(&domains);
+        ]
+    }
+
+    #[test]
+    fn recovers_two_campaigns() {
+        let r = cluster(&two_campaigns(), CUTOFF);
         assert_eq!(r.identifier_count, 5);
         assert_eq!(r.covered_domains, 5);
         assert_eq!(r.graph_components, 2);
@@ -207,12 +198,22 @@ mod tests {
     }
 
     #[test]
+    fn cutoff_below_the_linkage_splits_a_campaign() {
+        // A's identifiers are 2/3 apart, so a 0.5 cut leaves them single;
+        // B's merge at distance 0 survives any cut.
+        let r = cluster(&two_campaigns(), 0.5);
+        assert_eq!(r.clusters.len(), 4);
+        assert_eq!(r.clusters[0].identifiers.len(), 2);
+        assert_eq!(r.identifier_count, 5);
+    }
+
+    #[test]
     fn loner_identifiers_stay_single() {
         let domains = vec![
             d("a.v1.com", &["phone:62111"]),
             d("b.v2.com", &["phone:62999"]),
         ];
-        let r = cluster_infrastructure(&domains);
+        let r = cluster(&domains, CUTOFF);
         assert_eq!(r.clusters.len(), 2);
         assert!(r.clusters.iter().all(|c| c.identifiers.len() == 1));
     }
@@ -226,7 +227,7 @@ mod tests {
             ),
             d("b.v2.com", &["phone:62333", "ip:192.0.2.77"]),
         ];
-        let r = cluster_infrastructure(&domains);
+        let r = cluster(&domains, CUTOFF);
         let indo = r
             .phone_countries
             .iter()
@@ -240,35 +241,10 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let r = cluster_infrastructure(&[]);
+        let r = cluster(&[], CUTOFF);
         assert_eq!(r.clusters.len(), 0);
         assert_eq!(r.covered_domains, 0);
         assert_eq!(r.graph_components, 0);
-    }
-
-    #[test]
-    fn parallel_report_matches_serial() {
-        let domains: Vec<DomainIdentifiers> = (0..40)
-            .map(|i| {
-                d(
-                    &format!("h{i}.v{}.com", i % 9),
-                    &[
-                        &format!("phone:62{}", i % 6),
-                        &format!("social:t.me/c{}", i % 4),
-                    ],
-                )
-            })
-            .collect();
-        let serial = cluster_infrastructure(&domains);
-        for threads in [2, 8] {
-            let par = cluster_infrastructure_par(&domains, threads);
-            assert_eq!(par.clusters.len(), serial.clusters.len());
-            for (a, b) in par.clusters.iter().zip(&serial.clusters) {
-                assert_eq!(a.identifiers, b.identifiers, "threads={threads}");
-                assert_eq!(a.domains, b.domains, "threads={threads}");
-            }
-            assert_eq!(par.phone_countries, serial.phone_countries);
-        }
     }
 
     #[test]
@@ -277,7 +253,7 @@ mod tests {
             d("a.v1.com", &["phone:1", "phone:2"]),
             d("b.v2.com", &["phone:1", "phone:2"]),
         ];
-        let r = cluster_infrastructure(&domains);
+        let r = cluster(&domains, CUTOFF);
         assert_eq!(r.clusters.len(), 1);
         assert_eq!(r.clusters[0].identifiers.len(), 2);
     }

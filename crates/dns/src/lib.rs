@@ -8,8 +8,6 @@
 //!   recognize cloud-generated CNAME targets,
 //! - [`record`] — A/AAAA/CNAME/NS/SOA/TXT/MX and the CAA record type that
 //!   §5.6.2 evaluates,
-//! - [`wire`] — RFC 1035 wire-format encoding and decoding, including name
-//!   compression, so messages are exercised the way a real stack would,
 //! - [`zone`] — authoritative zone storage with dynamic updates (domain
 //!   owners purging or re-pointing records mid-study),
 //! - [`server`] — authoritative query answering (CNAME inclusion, NXDOMAIN
@@ -27,7 +25,6 @@ pub mod name;
 pub mod record;
 pub mod resolver;
 pub mod server;
-pub mod wire;
 pub mod zone;
 
 pub use intern::{Interner, LabelId};

@@ -49,26 +49,8 @@ pub enum Opcode {
     Status,
 }
 
-impl Opcode {
-    pub fn code(self) -> u8 {
-        match self {
-            Opcode::Query => 0,
-            Opcode::Status => 2,
-        }
-    }
-
-    pub fn from_code(c: u8) -> Option<Self> {
-        Some(match c {
-            0 => Opcode::Query,
-            2 => Opcode::Status,
-            _ => return None,
-        })
-    }
-}
-
-/// Message header flags and counts. Section counts are derived from the
-/// section vectors at encode time; the decoded header keeps them for
-/// validation.
+/// Message header flags. Messages travel as values, so section counts are
+/// the section vectors' lengths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Header {
     pub id: u16,

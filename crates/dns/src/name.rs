@@ -9,8 +9,7 @@
 //! canonical (lexicographic) order every pipeline pass sorts by is exactly
 //! what it was when labels were stored as strings. RFC 1035 length limits
 //! (63 octets per label, 255 octets per name including the root length
-//! byte) are enforced at construction so wire encoding can never fail on a
-//! valid `Name`.
+//! byte) are enforced at construction, so every `Name` is a valid DNS name.
 //!
 //! Names of up to [`INLINE_LABELS`] labels (which covers every name the
 //! synthetic world generates, and all but pathological real-world FQDNs)

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-/// DNS record type codes (RFC 1035 / RFC 3596 / RFC 8659).
+/// DNS record types (RFC 1035 / RFC 3596 / RFC 8659).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum RecordType {
     A,
@@ -21,37 +21,6 @@ pub enum RecordType {
     Txt,
     Aaaa,
     Caa,
-}
-
-impl RecordType {
-    /// Numeric RR TYPE for wire encoding.
-    pub fn code(self) -> u16 {
-        match self {
-            RecordType::A => 1,
-            RecordType::Ns => 2,
-            RecordType::Cname => 5,
-            RecordType::Soa => 6,
-            RecordType::Mx => 15,
-            RecordType::Txt => 16,
-            RecordType::Aaaa => 28,
-            RecordType::Caa => 257,
-        }
-    }
-
-    /// Inverse of [`RecordType::code`].
-    pub fn from_code(code: u16) -> Option<Self> {
-        Some(match code {
-            1 => RecordType::A,
-            2 => RecordType::Ns,
-            5 => RecordType::Cname,
-            6 => RecordType::Soa,
-            15 => RecordType::Mx,
-            16 => RecordType::Txt,
-            28 => RecordType::Aaaa,
-            257 => RecordType::Caa,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for RecordType {
@@ -70,20 +39,10 @@ impl fmt::Display for RecordType {
     }
 }
 
-/// Record class. Only `IN` is used; kept for wire fidelity.
+/// Record class. Only `IN` is used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RecordClass {
     In,
-}
-
-impl RecordClass {
-    pub fn code(self) -> u16 {
-        1
-    }
-
-    pub fn from_code(code: u16) -> Option<Self> {
-        (code == 1).then_some(RecordClass::In)
-    }
 }
 
 /// SOA RDATA.
@@ -227,23 +186,6 @@ impl fmt::Display for ResourceRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn type_codes_roundtrip() {
-        for t in [
-            RecordType::A,
-            RecordType::Ns,
-            RecordType::Cname,
-            RecordType::Soa,
-            RecordType::Mx,
-            RecordType::Txt,
-            RecordType::Aaaa,
-            RecordType::Caa,
-        ] {
-            assert_eq!(RecordType::from_code(t.code()), Some(t));
-        }
-        assert_eq!(RecordType::from_code(999), None);
-    }
 
     #[test]
     fn data_knows_its_type() {

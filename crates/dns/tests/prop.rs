@@ -1,14 +1,8 @@
-//! Property-based tests for the DNS substrate: wire-format roundtrips over
-//! arbitrary messages, name algebra invariants, and decoder robustness
-//! against arbitrary byte soup.
+//! Property-based tests for the DNS substrate: name parse/display
+//! roundtrips and suffix-algebra invariants.
 
-use dns::wire::{decode, encode};
-use dns::{
-    CaaRecord, Header, Message, Name, Opcode, Question, Rcode, RecordData, RecordType,
-    ResourceRecord, Soa,
-};
+use dns::Name;
 use proptest::prelude::*;
-use std::net::{Ipv4Addr, Ipv6Addr};
 
 fn arb_label() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9_][a-z0-9_-]{0,14}").unwrap()
@@ -19,127 +13,8 @@ fn arb_name() -> impl Strategy<Value = Name> {
         .prop_map(|labels| Name::from_labels(labels).unwrap())
 }
 
-fn arb_rdata() -> impl Strategy<Value = RecordData> {
-    prop_oneof![
-        any::<[u8; 4]>().prop_map(|o| RecordData::A(Ipv4Addr::from(o))),
-        any::<[u8; 16]>().prop_map(|o| RecordData::Aaaa(Ipv6Addr::from(o))),
-        arb_name().prop_map(RecordData::Cname),
-        arb_name().prop_map(RecordData::Ns),
-        (arb_name(), arb_name(), any::<u32>(), any::<u32>()).prop_map(
-            |(mname, rname, serial, refresh)| RecordData::Soa(Soa {
-                mname,
-                rname,
-                serial,
-                refresh,
-                retry: 600,
-                expire: 86400,
-                minimum: 300,
-            })
-        ),
-        (any::<u16>(), arb_name()).prop_map(|(preference, exchange)| RecordData::Mx {
-            preference,
-            exchange
-        }),
-        proptest::collection::vec("[ -~]{0,40}", 1..4).prop_map(RecordData::Txt),
-        ("[a-z]{1,10}", "[ -~]{0,30}", any::<bool>()).prop_map(|(tag, value, crit)| {
-            RecordData::Caa(CaaRecord {
-                flags: if crit { 0x80 } else { 0 },
-                tag,
-                value,
-            })
-        }),
-    ]
-}
-
-fn arb_record() -> impl Strategy<Value = ResourceRecord> {
-    (arb_name(), any::<u32>(), arb_rdata())
-        .prop_map(|(name, ttl, data)| ResourceRecord::new(name, ttl, data))
-}
-
-fn arb_message() -> impl Strategy<Value = Message> {
-    (
-        any::<u16>(),
-        any::<bool>(),
-        any::<bool>(),
-        proptest::collection::vec(arb_name(), 1..3),
-        proptest::collection::vec(arb_record(), 0..6),
-        proptest::collection::vec(arb_record(), 0..3),
-        proptest::collection::vec(arb_record(), 0..3),
-    )
-        .prop_map(
-            |(id, qr, rd, qnames, answers, authority, additional)| Message {
-                header: Header {
-                    id,
-                    qr,
-                    opcode: Opcode::Query,
-                    aa: qr,
-                    tc: false,
-                    rd,
-                    ra: qr,
-                    rcode: Rcode::NoError,
-                },
-                questions: qnames
-                    .into_iter()
-                    .map(|n| Question::new(n, RecordType::A))
-                    .collect(),
-                answers,
-                authority,
-                additional,
-            },
-        )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// encode → decode is the identity on arbitrary well-formed messages.
-    #[test]
-    fn wire_roundtrip(msg in arb_message()) {
-        let wire = encode(&msg);
-        let back = decode(&wire).expect("decode of own encoding");
-        prop_assert_eq!(back, msg);
-    }
-
-    /// The decoder never panics and never loops on arbitrary bytes.
-    #[test]
-    fn decoder_total_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode(&bytes);
-    }
-
-    /// Flipping any single byte of a valid message never panics the decoder.
-    #[test]
-    fn decoder_survives_single_byte_corruption(
-        msg in arb_message(),
-        idx in any::<prop::sample::Index>(),
-        xor in 1u8..=255,
-    ) {
-        let wire = encode(&msg).to_vec();
-        let mut corrupted = wire.clone();
-        let i = idx.index(corrupted.len());
-        corrupted[i] ^= xor;
-        let _ = decode(&corrupted);
-    }
-
-    /// Compression never changes semantics: every name decoded from the wire
-    /// matches its source name (spot-checked via questions).
-    #[test]
-    fn names_survive_compression(names in proptest::collection::vec(arb_name(), 1..8)) {
-        let mut msg = Message::query(1, names[0].clone(), RecordType::A);
-        for n in &names {
-            msg.questions.push(Question::new(n.clone(), RecordType::A));
-            // Repeat names so the compressor has targets to point at.
-            msg.answers.push(ResourceRecord::new(
-                n.clone(),
-                60,
-                RecordData::Cname(names[0].clone()),
-            ));
-        }
-        let back = decode(&encode(&msg)).unwrap();
-        prop_assert_eq!(back.questions.len(), msg.questions.len());
-        for (a, b) in back.questions.iter().zip(msg.questions.iter()) {
-            prop_assert_eq!(&a.name, &b.name);
-        }
-    }
 
     /// Name parse/display roundtrip and suffix algebra.
     #[test]

@@ -1,197 +1,4 @@
-//! Offline stand-in for the `bytes` crate.
-//!
-//! `Bytes`/`BytesMut` are plain `Vec<u8>` wrappers (no refcounted slices —
-//! nothing in this workspace shares buffers), and the `Buf`/`BufMut` traits
-//! cover exactly the accessor set the DNS wire codec uses. Big-endian network
-//! byte order throughout, as in the real crate.
-
-use std::ops::{Deref, DerefMut};
-
-/// An immutable byte buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct Bytes(Vec<u8>);
-
-impl Bytes {
-    pub fn new() -> Self {
-        Bytes(Vec::new())
-    }
-
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes(data.to_vec())
-    }
-
-    pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes(data.to_vec())
-    }
-
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.0.clone()
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        Bytes(v)
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(v: &[u8]) -> Self {
-        Bytes(v.to_vec())
-    }
-}
-
-/// A growable byte buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    pub fn new() -> Self {
-        BytesMut(Vec::new())
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut(Vec::with_capacity(cap))
-    }
-
-    pub fn freeze(self) -> Bytes {
-        Bytes(self.0)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.0
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-/// Read-side cursor operations over a byte source.
-pub trait Buf {
-    fn remaining(&self) -> usize;
-    fn chunk(&self) -> &[u8];
-    fn advance(&mut self, cnt: usize);
-
-    fn get_u8(&mut self) -> u8 {
-        let b = self.chunk()[0];
-        self.advance(1);
-        b
-    }
-
-    fn get_u16(&mut self) -> u16 {
-        let c = self.chunk();
-        let v = u16::from_be_bytes([c[0], c[1]]);
-        self.advance(2);
-        v
-    }
-
-    fn get_u32(&mut self) -> u32 {
-        let c = self.chunk();
-        let v = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
-        self.advance(4);
-        v
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        *self = &self[cnt..];
-    }
-}
-
-/// Write-side append operations over a byte sink.
-pub trait BufMut {
-    fn put_slice(&mut self, src: &[u8]);
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.0.extend_from_slice(src);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_be() {
-        let mut b = BytesMut::with_capacity(16);
-        b.put_u8(0xAB);
-        b.put_u16(0x1234);
-        b.put_u32(0xDEADBEEF);
-        b.put_slice(&[1, 2]);
-        let frozen = b.freeze();
-        assert_eq!(frozen.len(), 9);
-        let mut s: &[u8] = &frozen;
-        assert_eq!(s.get_u8(), 0xAB);
-        assert_eq!(s.get_u16(), 0x1234);
-        assert_eq!(s.get_u32(), 0xDEADBEEF);
-        assert_eq!(s.remaining(), 2);
-        s.advance(2);
-        assert_eq!(s.remaining(), 0);
-    }
-
-    #[test]
-    fn bytesmut_indexable() {
-        let mut b = BytesMut::new();
-        b.put_u32(0);
-        b[1..3].copy_from_slice(&[9, 9]);
-        assert_eq!(&b[..], &[0, 9, 9, 0]);
-    }
-}
+//! Offline stand-in for the `bytes` crate, now empty: its only user, the DNS
+//! wire codec, is gone. `dangling-dns` still declares the dependency because
+//! removing it rewrites `studybench/Cargo.lock`; delete this crate together
+//! with that line.

@@ -117,7 +117,7 @@ fn certificates_and_ct() {
 #[test]
 fn infrastructure_clustering_recovers_campaigns() {
     let r = Scenario::new(small_cfg(19)).run();
-    let infra = dangling_core::infra::cluster_infrastructure(&r.infra_inputs());
+    let infra = dangling_core::infra::cluster(&r.infra_inputs(), dangling_core::infra::CUTOFF);
     // The whole §6 report of this world is pinned byte-for-byte: clusters,
     // graph stats and the Figure 21/26 aggregations.
     assert_eq!(
