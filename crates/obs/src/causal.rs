@@ -17,8 +17,11 @@
 //! a pure hash of `(fqdn, day)` — no RNG stream is touched, derived, or
 //! reordered — and the sampling decision ([`sampled`]) is a modulus on that
 //! hash, so it is identical at any thread count and any sample rate.
-//! Collection mirrors [`crate::span`]: per-thread buffers, a global sink,
-//! flush on overflow or thread exit. `StudyResults` stays byte-identical
+//! Collection uses per-thread buffers and a global sink: a buffer flushes
+//! on overflow, at [`flush_thread`] (the shard event loops call it before
+//! returning) or on thread exit. Unlike a wall span, which locks the sink
+//! once per stage, a causal span is emitted per sampled crawl on the worker
+//! threads, so it is buffered. `StudyResults` stays byte-identical
 //! with causal tracing on or off (the `telemetry_equivalence` causal leg
 //! pins it).
 //!
@@ -36,8 +39,8 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Flush threshold for the per-thread buffer (same amortization as wall
-/// spans).
+/// Flush threshold for the per-thread buffer: one sink lock per this many
+/// spans.
 const FLUSH_AT: usize = 256;
 
 static CAUSAL: AtomicBool = AtomicBool::new(false);

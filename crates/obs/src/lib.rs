@@ -15,9 +15,9 @@
 //!   happens only at scrape time, so the parallel crawl pays near-zero
 //!   contention. A process-global registry dumps everything as JSON
 //!   (`repro --metrics out.json`).
-//! - [`span`] — wall-clock spans with sim-time/round correlation, recorded
-//!   into a per-thread buffer (flushed to a global sink on overflow or
-//!   thread exit, never on the hot path) and exported as Chrome
+//! - [`span`] — wall-clock spans with sim-time/round correlation, one per
+//!   pipeline stage, pushed straight into a global sink when they end and
+//!   exported as Chrome
 //!   `trace_event` JSON, directly loadable in Perfetto
 //!   (`repro --trace out.json`).
 //! - [`output`] — verbosity-gated human output ([`info!`], [`warn!`],
@@ -34,7 +34,7 @@
 //! Metric recording is always compiled in and always on: a write is one
 //! relaxed `fetch_add` on a cache-padded stripe, cheap enough to leave
 //! enabled (`obs_overhead` bench asserts <2% on a full crawl round). Span
-//! *collection* is opt-in via [`set_tracing`] because spans allocate buffer
+//! *collection* is opt-in via [`set_tracing`] because spans allocate sink
 //! entries; a [`SpanGuard`] created while tracing is off still measures time
 //! for its optional histogram but records no trace event.
 //!

@@ -1,27 +1,22 @@
 //! Wall-clock spans and Chrome `trace_event` export.
 //!
-//! A [`SpanGuard`] measures from construction to drop. Completed spans go
-//! into a per-thread buffer (no lock, no allocation beyond the `Vec` push);
-//! the buffer drains into a global sink when it overflows or when the
-//! thread exits (the thread-local's destructor), so crawl workers spawned
-//! per round never block each other. [`take_spans`] + [`write_chrome_trace`]
-//! turn the sink into a JSON file Perfetto (ui.perfetto.dev) loads directly.
+//! A [`SpanGuard`] measures from construction to drop and, when tracing is
+//! on, pushes its record straight into one global sink under a mutex. Spans
+//! wrap whole pipeline stages (about ten per round), so the lock is taken a
+//! handful of times per round. A span recorded on any thread is in the sink
+//! as soon as its guard drops. [`take_spans`] + [`write_chrome_trace`] turn
+//! the sink into a JSON file Perfetto (ui.perfetto.dev) loads directly.
 //!
 //! Span *collection* is globally gated by [`set_tracing`] — off by default,
 //! flipped on by `repro --trace`. A guard created while tracing is off still
 //! times itself (for [`SpanGuard::record_into`] histograms) but never
-//! touches the buffers. None of this can perturb simulation results: spans
+//! touches the sink. None of this can perturb simulation results: spans
 //! read the wall clock and write telemetry buffers, nothing else.
 
-use std::cell::RefCell;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
-
-/// Flush threshold for the per-thread buffer: one lock acquisition per this
-/// many spans, amortized to nothing.
-const FLUSH_AT: usize = 256;
 
 static TRACING: AtomicBool = AtomicBool::new(false);
 
@@ -42,21 +37,7 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn sink() -> &'static Mutex<Vec<SpanRecord>> {
-    static SINK: OnceLock<Mutex<Vec<SpanRecord>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn sink_push(spans: &mut Vec<SpanRecord>) {
-    if spans.is_empty() {
-        return;
-    }
-    let mut s = match sink().lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    s.append(spans);
-}
+static SINK: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
 
 /// One span argument value (rendered into the trace event's `args` object).
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +47,7 @@ pub enum ArgValue {
     Str(String),
 }
 
-/// A completed span, as buffered and exported.
+/// A completed span, as collected and exported.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     pub name: &'static str,
@@ -74,29 +55,15 @@ pub struct SpanRecord {
     /// Nanoseconds since the process trace epoch.
     pub start_ns: u64,
     pub dur_ns: u64,
-    /// Small per-thread id (assigned in thread-creation order).
+    /// Small per-thread id (assigned in order of each thread's first span).
     pub tid: u64,
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-struct TlBuf {
-    tid: u64,
-    spans: Vec<SpanRecord>,
-}
-
-impl Drop for TlBuf {
-    fn drop(&mut self) {
-        sink_push(&mut self.spans);
-    }
-}
-
 thread_local! {
-    static BUF: RefCell<TlBuf> = {
+    static TID: u64 = {
         static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-        RefCell::new(TlBuf {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            spans: Vec::new(),
-        })
+        NEXT_TID.fetch_add(1, Ordering::Relaxed)
     };
 }
 
@@ -166,41 +133,23 @@ impl Drop for SpanGuard {
             return;
         }
         let start_ns = self.start.duration_since(epoch()).as_nanos() as u64;
-        let args = std::mem::take(&mut self.args);
-        BUF.with(|b| {
-            let mut b = b.borrow_mut();
-            let tid = b.tid;
-            b.spans.push(SpanRecord {
-                name: self.name,
-                cat: self.cat,
-                start_ns,
-                dur_ns,
-                tid,
-                args,
-            });
-            if b.spans.len() >= FLUSH_AT {
-                let mut spans = std::mem::take(&mut b.spans);
-                sink_push(&mut spans);
-            }
-        });
+        let record = SpanRecord {
+            name: self.name,
+            cat: self.cat,
+            start_ns,
+            dur_ns,
+            tid: TID.with(|t| *t),
+            args: std::mem::take(&mut self.args),
+        };
+        SINK.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(record);
     }
 }
 
-/// Drain every collected span: the calling thread's buffer is flushed first;
-/// buffers of exited threads were flushed by their destructors. (Spans still
-/// buffered on other *live* threads are not included — export after joining
-/// workers, as the pipeline does.)
+/// Drain every collected span.
 pub fn take_spans() -> Vec<SpanRecord> {
-    BUF.with(|b| {
-        let mut b = b.borrow_mut();
-        let mut spans = std::mem::take(&mut b.spans);
-        sink_push(&mut spans);
-    });
-    let mut s = match sink().lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    std::mem::take(&mut *s)
+    std::mem::take(&mut *SINK.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control characters).
@@ -351,7 +300,7 @@ mod tests {
         set_tracing(false);
         let spans = take_spans();
         let workers = spans.iter().filter(|s| s.name == "worker_span").count();
-        assert_eq!(workers, 4, "each exiting thread flushed its buffer");
+        assert_eq!(workers, 4, "every worker's span reached the sink");
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! two sides share only an [`ArcSwap`]`<LiveView>` plus a few counters:
 //!
 //! - **Writer** (pipeline thread): after each committed round, build the
-//!   next [`LiveView`] off to the side, then publish it with one atomic
-//!   pointer swap. Readers still inside round N keep their pinned view;
-//!   epoch-based reclamation frees it when the last guard drops.
-//! - **Readers**: [`ServeHandle::query`] pins the current view, answers
-//!   from it alone, and unpins — wait-free, never blocking the committing
-//!   round and never blocked by it.
+//!   next [`LiveView`] off to the side, then publish it with one swap of
+//!   the shared `Arc`. Readers still answering from round N keep their own
+//!   `Arc` to it; the view is freed when the last of them drops it.
+//! - **Readers**: [`ServeHandle::query`] clones out the current view's
+//!   `Arc` (a read lock held only for the clone) and answers from that
+//!   view alone. No lock is held while a query runs, so a query never
+//!   holds up the committing round.
 //!
 //! Graceful shutdown is cooperative: [`ServeHandle::request_stop`] raises a
 //! flag the pipeline polls at each round boundary (the SIGTERM handler of a
@@ -98,14 +99,14 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Answer one query from the currently published view. Wait-free on
-    /// the read path; the entire reply is read from a single pinned view,
-    /// so it is snapshot-consistent by construction.
+    /// Answer one query from the currently published view. The entire
+    /// reply is read from a single view, so it is snapshot-consistent by
+    /// construction.
     pub fn query(&self, q: &Query) -> Reply {
         self.shared.inflight.fetch_add(1, SeqCst);
         let started = std::time::Instant::now();
         let reply = {
-            let view = self.shared.view.load();
+            let view = self.shared.view.load_full();
             Reply::answer(&view, q)
         };
         let elapsed_ns = started.elapsed().as_nanos() as u64;
@@ -169,7 +170,7 @@ impl ServeHandle {
 
 /// The write side: a [`RoundSink`] that turns each committed round into a
 /// published [`LiveView`]. Exactly one exists per daemon — publication is
-/// single-writer by construction (the `ArcSwap` itself also tolerates
+/// single-writer by construction (the `ArcSwap` itself also serializes
 /// multiple writers, which the consistency suite exercises separately).
 pub struct ServeSink {
     shared: Arc<Shared>,

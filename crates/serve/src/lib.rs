@@ -11,13 +11,14 @@
 //!
 //! - **Snapshot consistency.** A reader sees round N in full or not at all.
 //!   Each [`LiveView`] is built off to the side from the committed round's
-//!   state and published with a single atomic pointer swap
-//!   ([`arc_swap::ArcSwap`], epoch-reclaimed); every value a reply carries
-//!   comes from one pinned view, and a [`ViewStamp`] (counts + checksum
+//!   state and published with a single swap of a shared `Arc`
+//!   ([`arc_swap::ArcSwap`], a `RwLock<Arc<LiveView>>`); every value a reply
+//!   carries comes from one view, and a [`ViewStamp`] (counts + checksum
 //!   frozen at build time) lets readers *prove* the absence of torn reads.
-//! - **Lock-free reads.** Queries never block the committing round and
-//!   round publication never blocks readers; the only writer-side lock
-//!   serializes publications with reclamation bookkeeping.
+//! - **Short reads.** A query holds the read lock only to clone the view's
+//!   `Arc` and answers without any lock, so a query delays the committing
+//!   round by at most one `Arc` clone; publication holds the write lock
+//!   only for the swap.
 //! - **Advisory, and saying so.** The per-round verdicts are the streaming
 //!   pass's advisory state (the benign corpus can still shrink), so every
 //!   payload carries an explicit `provisional: true` flag — clients cannot

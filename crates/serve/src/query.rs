@@ -1,6 +1,6 @@
 //! The typed in-process query API.
 //!
-//! A [`Query`] is answered from exactly one pinned [`LiveView`] — every
+//! A [`Query`] is answered from exactly one loaded [`LiveView`] — every
 //! field of the [`Reply`], including the embedded [`ViewStamp`], is read
 //! from the same snapshot, which is what makes replies single-round by
 //! construction. [`Reply::consistent`] re-derives the body's counts against
@@ -76,7 +76,7 @@ pub struct Reply {
 }
 
 impl Reply {
-    /// Answer `q` from one pinned view. Single-round by construction: no
+    /// Answer `q` from one loaded view. Single-round by construction: no
     /// state outside `view` is consulted.
     pub fn answer(view: &LiveView, q: &Query) -> Reply {
         let body = match q {

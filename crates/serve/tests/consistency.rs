@@ -4,8 +4,9 @@
 //! loaded view passing its build-time stamp. Two legs:
 //!
 //! - a synthetic leg driving the raw [`arc_swap::ArcSwap`] publication
-//!   primitive with {1,2,4,8} writer threads (the daemon itself is
-//!   single-writer; the primitive must not depend on that), and
+//!   primitive (a lock-held `Arc`) with {1,2,4,8} writer threads (the
+//!   daemon itself is single-writer; the primitive must not depend on
+//!   that), and
 //! - a live leg running the real pipeline at {1,2,4,8} crawl threads with
 //!   reader threads querying throughout — which also pins that the served
 //!   run's results stay byte-identical across crawl thread counts.
@@ -43,7 +44,7 @@ fn synthetic_multi_writer_publication_never_tears() {
                     // scheduled, so each reader must observe at least one
                     // view regardless.
                     loop {
-                        let view = swap.load();
+                        let view = swap.load_full();
                         assert!(
                             view.consistent(),
                             "torn view at {writers} writers: seq {}",

@@ -1,257 +1,46 @@
-//! Offline stand-in for the `arc-swap` crate: an atomically swappable
-//! `Arc<T>` whose readers never take a lock.
+//! Offline stand-in for the `arc-swap` crate: a swappable `Arc<T>`.
 //!
-//! The surface matches the subset of upstream `arc-swap` this workspace
-//! uses — [`ArcSwap::new`], [`ArcSwap::load`] (returning a cheap [`Guard`]),
-//! [`ArcSwap::load_full`], and [`ArcSwap::store`] — but the implementation
-//! is epoch-based reclamation over `std` atomics rather than upstream's
-//! hybrid debt lists:
-//!
-//! - A global epoch counter only ever increments. Every publishing `store`
-//!   swaps the raw pointer first, then bumps the epoch, and retires the old
-//!   `Arc` tagged with the pre-bump epoch.
-//! - A reader *pins* its thread's slot to the current epoch before loading
-//!   the pointer (store-then-recheck closes the race with a concurrent
-//!   bump), and unpins when the [`Guard`] drops. The pin/unpin pair is two
-//!   uncontended atomic stores — no CAS loop in the common case, no lock.
-//! - A retired `Arc` is dropped once its retirement epoch is below every
-//!   pinned epoch: any reader that could still dereference the old pointer
-//!   pinned at or before the swap, so it holds the reclamation back until
-//!   its guard drops.
-//!
-//! Writers serialize through a per-`ArcSwap` mutex (publication is rare and
-//! building the next value dominates anyway); reads stay wait-free under
-//! any number of concurrent writers. Long-lived guards delay reclamation,
-//! never correctness — drop guards promptly on hot paths.
+//! The surface is the subset of upstream `arc-swap` this workspace uses
+//! ([`ArcSwap::new`], [`ArcSwap::load_full`], [`ArcSwap::store`], with
+//! upstream's signatures), over a `RwLock<Arc<T>>`. `load_full` holds the
+//! read lock only to clone the `Arc`; `store` swaps under the write lock and
+//! drops the old `Arc` after unlocking. A value lives exactly as long as its
+//! last `Arc`: a held value pins nothing else, and swaps share no state.
 
-use std::marker::PhantomData;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, PoisonError, RwLock};
 
-/// The global publication epoch. Starts at 1 so a pinned slot can use 0 as
-/// its "idle" marker.
-static EPOCH: AtomicU64 = AtomicU64::new(1);
-
-/// One reader thread's pin state. Slots are registered once per thread and
-/// recycled when the thread exits (`claimed` flips back to false); the
-/// registry only ever grows to the peak number of live reader threads.
-struct Slot {
-    /// Epoch this thread is pinned at; 0 = not currently reading.
-    pinned: AtomicU64,
-    /// Claimed by a live thread.
-    claimed: AtomicBool,
-}
-
-static SLOTS: Mutex<Vec<Arc<Slot>>> = Mutex::new(Vec::new());
-
-/// The smallest epoch any reader is pinned at (`u64::MAX` when nobody
-/// reads). Retired values tagged with a smaller epoch are unreachable.
-fn min_pinned_epoch() -> u64 {
-    let slots = SLOTS.lock().unwrap_or_else(|e| e.into_inner());
-    slots
-        .iter()
-        .map(|s| {
-            let p = s.pinned.load(SeqCst);
-            if p == 0 {
-                u64::MAX
-            } else {
-                p
-            }
-        })
-        .min()
-        .unwrap_or(u64::MAX)
-}
-
-/// Per-thread handle to a registry slot, with a reentrancy depth so nested
-/// guards pin once. Dropped on thread exit: unpins and releases the slot.
-struct SlotHandle {
-    slot: Arc<Slot>,
-    depth: std::cell::Cell<u64>,
-}
-
-impl SlotHandle {
-    fn acquire() -> SlotHandle {
-        let mut slots = SLOTS.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = slots
-            .iter()
-            .find(|s| {
-                s.claimed
-                    .compare_exchange(false, true, SeqCst, SeqCst)
-                    .is_ok()
-            })
-            .cloned()
-            .unwrap_or_else(|| {
-                let s = Arc::new(Slot {
-                    pinned: AtomicU64::new(0),
-                    claimed: AtomicBool::new(true),
-                });
-                slots.push(s.clone());
-                s
-            });
-        SlotHandle {
-            slot,
-            depth: std::cell::Cell::new(0),
-        }
-    }
-}
-
-impl Drop for SlotHandle {
-    fn drop(&mut self) {
-        self.slot.pinned.store(0, SeqCst);
-        self.slot.claimed.store(false, SeqCst);
-    }
-}
-
-thread_local! {
-    static HANDLE: SlotHandle = SlotHandle::acquire();
-}
-
-/// Pin the calling thread at the current epoch. The store-then-recheck loop
-/// guarantees that once we return, every writer either sees our pin or has
-/// a retirement epoch at or above it.
-fn pin() {
-    HANDLE.with(|h| {
-        if h.depth.get() == 0 {
-            loop {
-                let e = EPOCH.load(SeqCst);
-                h.slot.pinned.store(e, SeqCst);
-                if EPOCH.load(SeqCst) == e {
-                    break;
-                }
-            }
-        }
-        h.depth.set(h.depth.get() + 1);
-    });
-}
-
-fn unpin() {
-    // `try_with`: during thread teardown the TLS value may already be gone,
-    // in which case SlotHandle::drop has unpinned the slot for us.
-    let _ = HANDLE.try_with(|h| {
-        let d = h.depth.get() - 1;
-        h.depth.set(d);
-        if d == 0 {
-            h.slot.pinned.store(0, SeqCst);
-        }
-    });
-}
-
-/// An `Arc` retired by a store, droppable once `epoch < min_pinned_epoch()`.
-struct Retired<T> {
-    epoch: u64,
-    /// Held solely so the old value drops here, not under a reader.
-    #[allow(dead_code)]
-    value: Arc<T>,
-}
-
-/// An atomically swappable `Arc<T>` with lock-free, wait-free readers.
+/// A swappable `Arc<T>`: readers clone the current value out, writers
+/// replace it.
 pub struct ArcSwap<T> {
-    ptr: AtomicPtr<T>,
-    /// Serializes writers and guards the retire list.
-    retired: Mutex<Vec<Retired<T>>>,
+    current: RwLock<Arc<T>>,
 }
-
-// The raw pointer always originates from `Arc<T>`, so the usual Arc bounds
-// make cross-thread sharing sound.
-unsafe impl<T: Send + Sync> Send for ArcSwap<T> {}
-unsafe impl<T: Send + Sync> Sync for ArcSwap<T> {}
 
 impl<T> ArcSwap<T> {
     pub fn new(value: Arc<T>) -> Self {
         ArcSwap {
-            ptr: AtomicPtr::new(Arc::into_raw(value) as *mut T),
-            retired: Mutex::new(Vec::new()),
+            current: RwLock::new(value),
         }
     }
 
-    pub fn from_pointee(value: T) -> Self {
-        Self::new(Arc::new(value))
-    }
-
-    /// Borrow the current value without cloning the `Arc`. The guard pins
-    /// this thread's epoch slot; reclamation of superseded values waits for
-    /// it, so keep guards short-lived on hot paths.
-    pub fn load(&self) -> Guard<'_, T> {
-        pin();
-        let ptr = self.ptr.load(SeqCst);
-        Guard {
-            ptr,
-            _swap: PhantomData,
-        }
-    }
-
-    /// Clone out the current `Arc`. Pins only for the duration of the call.
+    /// Clone out the current `Arc`.
     pub fn load_full(&self) -> Arc<T> {
-        pin();
-        let ptr = self.ptr.load(SeqCst);
-        // Safety: while pinned, `ptr`'s strong count cannot reach zero (it
-        // is either current or retired at an epoch >= ours).
-        unsafe { Arc::increment_strong_count(ptr) };
-        unpin();
-        unsafe { Arc::from_raw(ptr) }
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Publish a new value. Readers that loaded before the swap keep their
-    /// old snapshot until their guards drop; readers that pin after the swap
-    /// see the new value — there is no in-between.
+    /// old value; readers that load after it see the new one.
     pub fn store(&self, new: Arc<T>) {
-        let mut retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
-        let new_ptr = Arc::into_raw(new) as *mut T;
-        let old_ptr = self.ptr.swap(new_ptr, SeqCst);
-        // Tag the retiree with the pre-bump epoch: any reader still able to
-        // dereference `old_ptr` pinned at or below it (it pinned before the
-        // swap), so `epoch < min_pinned` proves unreachability.
-        let epoch = EPOCH.fetch_add(1, SeqCst);
-        retired.push(Retired {
-            epoch,
-            // Safety: this is the Arc handed to a previous `store`/`new`.
-            value: unsafe { Arc::from_raw(old_ptr) },
-        });
-        let min = min_pinned_epoch();
-        retired.retain(|r| r.epoch >= min);
-    }
-
-    /// Shorthand for `store(Arc::new(value))`.
-    pub fn swap_pointee(&self, value: T) {
-        self.store(Arc::new(value));
-    }
-}
-
-impl<T> Drop for ArcSwap<T> {
-    fn drop(&mut self) {
-        // Exclusive access: no guards can outlive self (their lifetime
-        // borrows it), so both the current pointer and every retiree die.
-        let ptr = *self.ptr.get_mut();
-        drop(unsafe { Arc::from_raw(ptr) });
-    }
-}
-
-/// A pinned borrow of the value an [`ArcSwap`] held at [`ArcSwap::load`]
-/// time. `!Send` by construction (must unpin on the loading thread).
-pub struct Guard<'a, T> {
-    ptr: *const T,
-    _swap: PhantomData<&'a ArcSwap<T>>,
-}
-
-impl<T> Deref for Guard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // Safety: pinned since before the pointer was loaded; see `store`.
-        unsafe { &*self.ptr }
-    }
-}
-
-impl<T> Drop for Guard<'_, T> {
-    fn drop(&mut self) {
-        unpin();
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let old = std::mem::replace(&mut *current, new);
+        drop(current);
+        drop(old);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 
     /// A payload whose two halves must always agree — a torn read would
     /// surface as a mismatch — plus a drop counter for reclamation checks.
@@ -279,29 +68,15 @@ mod tests {
     fn store_then_load_sees_new_value() {
         let drops = Arc::new(AtomicUsize::new(0));
         let s = ArcSwap::new(pair(1, &drops));
-        assert_eq!(s.load().a, 1);
+        assert_eq!(s.load_full().a, 1);
         s.store(pair(2, &drops));
-        assert_eq!(s.load().a, 2);
         assert_eq!(s.load_full().b, 2);
+        // The superseded value had no other owner.
+        assert_eq!(drops.load(SeqCst), 1);
     }
 
     #[test]
-    fn old_value_survives_while_guard_lives() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let s = ArcSwap::new(pair(1, &drops));
-        let g = s.load();
-        s.store(pair(2, &drops));
-        // The superseded value is still pinned by `g`.
-        assert_eq!(g.a, 1);
-        assert_eq!(drops.load(SeqCst), 0);
-        drop(g);
-        // The next store reclaims it (reclamation piggybacks on stores).
-        s.store(pair(3, &drops));
-        assert!(drops.load(SeqCst) >= 1);
-    }
-
-    #[test]
-    fn load_full_outlives_the_swap() {
+    fn held_value_outlives_stores_and_is_freed_at_its_last_drop() {
         let drops = Arc::new(AtomicUsize::new(0));
         let s = ArcSwap::new(pair(7, &drops));
         let kept = s.load_full();
@@ -309,14 +84,34 @@ mod tests {
             s.store(pair(v, &drops));
         }
         assert_eq!((kept.a, kept.b), (7, 7));
-        drop(s);
+        // Every superseded value except the held one is already gone.
+        assert_eq!(drops.load(SeqCst), 99);
         drop(kept);
-        // Everything created was eventually dropped: 1 initial + 100 stored.
+        // Freed at its last drop, without waiting for another store.
+        assert_eq!(drops.load(SeqCst), 100);
+        drop(s);
         assert_eq!(drops.load(SeqCst), 101);
     }
 
     #[test]
-    fn concurrent_readers_never_tear_and_see_monotone_versions() {
+    fn a_held_value_pins_nothing_else() {
+        let drops_a = Arc::new(AtomicUsize::new(0));
+        let drops_b = Arc::new(AtomicUsize::new(0));
+        let a = ArcSwap::new(pair(0, &drops_a));
+        let b = ArcSwap::new(pair(0, &drops_b));
+        let stuck = a.load_full();
+        for v in 1..=100 {
+            a.store(pair(v, &drops_a));
+            b.store(pair(v, &drops_b));
+        }
+        // A reader stuck on one swap's value holds back only that value.
+        assert_eq!(drops_b.load(SeqCst), 100);
+        assert_eq!(drops_a.load(SeqCst), 99);
+        assert_eq!(stuck.a, 0);
+    }
+
+    #[test]
+    fn concurrent_readers_never_tear_and_nothing_leaks() {
         let drops = Arc::new(AtomicUsize::new(0));
         let s = Arc::new(ArcSwap::new(pair(0, &drops)));
         let stop = Arc::new(AtomicBool::new(false));
@@ -326,10 +121,10 @@ mod tests {
                 let stop = &stop;
                 scope.spawn(move || {
                     while !stop.load(SeqCst) {
-                        let g = s.load();
+                        let v = s.load_full();
                         // Racing writers publish in arbitrary order, but
                         // every loaded value must be internally consistent.
-                        assert_eq!(g.a, g.b, "torn read");
+                        assert_eq!(v.a, v.b, "torn read");
                     }
                 });
             }
@@ -347,7 +142,7 @@ mod tests {
         });
         let total = 1 + 2 * 2_000;
         drop(s);
-        assert_eq!(drops.load(SeqCst), total, "leaked retired values");
+        assert_eq!(drops.load(SeqCst), total, "leaked superseded values");
     }
 
     #[test]
@@ -361,7 +156,7 @@ mod tests {
                     let mut seen = 0u64;
                     let mut last = 0u64;
                     while last < 999 {
-                        let v = s.load().a;
+                        let v = s.load_full().a;
                         assert!(v >= last);
                         last = v;
                         seen += 1;

@@ -46,12 +46,6 @@ impl BenchmarkId {
             id: format!("{}/{}", function_name.into(), parameter),
         }
     }
-
-    pub fn from_parameter<P: std::fmt::Display>(parameter: P) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
 }
 
 /// Anything accepted where a benchmark name is expected.
@@ -92,30 +86,6 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
     }
-
-    /// `iter_batched` with per-iteration setup excluded from timing.
-    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
-        &mut self,
-        mut setup: S,
-        mut routine: R,
-        _size: BatchSize,
-    ) {
-        let mut total = Duration::ZERO;
-        for _ in 0..self.iters {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            total += start.elapsed();
-        }
-        self.elapsed = total;
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-pub enum BatchSize {
-    SmallInput,
-    LargeInput,
-    PerIteration,
 }
 
 /// Time budget per benchmark. Kept short: these are smoke/ballpark numbers,
@@ -207,25 +177,6 @@ impl Criterion {
         }
         self
     }
-
-    // Configuration knobs accepted and ignored: the shim's budget is fixed.
-    pub fn sample_size(self, _n: usize) -> Self {
-        self
-    }
-
-    pub fn measurement_time(self, _d: Duration) -> Self {
-        self
-    }
-
-    pub fn warm_up_time(self, _d: Duration) -> Self {
-        self
-    }
-
-    pub fn configure_from_args(self) -> Self {
-        self
-    }
-
-    pub fn final_summary(&mut self) {}
 }
 
 /// A named group of related benchmarks sharing a throughput setting.
@@ -238,18 +189,6 @@ pub struct BenchmarkGroup<'a> {
 impl BenchmarkGroup<'_> {
     pub fn throughput(&mut self, t: Throughput) -> &mut Self {
         self.throughput = Some(t);
-        self
-    }
-
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
-    pub fn warm_up_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 
@@ -287,12 +226,6 @@ macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         pub fn $group() {
             let mut c = $crate::Criterion::default();
-            $( $target(&mut c); )+
-        }
-    };
-    (name = $group:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $group() {
-            let mut c = $cfg;
             $( $target(&mut c); )+
         }
     };

@@ -5,7 +5,7 @@
 //! documented behaviour: locks are not poisoned — a panic while holding the
 //! lock simply releases it.
 
-use std::sync::{self, TryLockError};
+use std::sync;
 
 pub type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
 pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
@@ -34,14 +34,6 @@ impl<T: ?Sized> Mutex<T> {
         match self.0.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
-        }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
         }
     }
 
@@ -102,7 +94,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
         assert_eq!(m.into_inner(), 2);
     }
 

@@ -56,8 +56,3 @@ impl std::error::Error for Error {}
 pub fn to_value<T: Serialize + ?Sized>(v: &T) -> Value {
     v.to_json_value()
 }
-
-/// Reconstruct a deserializable value from a [`Value`] tree.
-pub fn from_value<T: Deserialize>(v: &Value) -> Result<T, Error> {
-    T::from_json_value(v)
-}

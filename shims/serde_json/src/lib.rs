@@ -51,11 +51,6 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error>
     Ok(value.to_json_value())
 }
 
-/// Reconstruct a deserializable value from a [`Value`] tree.
-pub fn from_value<T: serde::Deserialize>(v: Value) -> Result<T, Error> {
-    Ok(T::from_json_value(&v)?)
-}
-
 /// Render any serializable value as compact JSON bytes.
 pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
     Ok(to_string(value)?.into_bytes())
@@ -65,27 +60,6 @@ pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error>
 pub fn from_slice<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let s = std::str::from_utf8(bytes).map_err(|_| Error("invalid UTF-8 in JSON input".into()))?;
     from_str(s)
-}
-
-/// Serialize compact JSON into any [`std::io::Write`] sink.
-pub fn to_writer<W: std::io::Write, T: serde::Serialize + ?Sized>(
-    mut writer: W,
-    value: &T,
-) -> Result<(), Error> {
-    writer
-        .write_all(to_string(value)?.as_bytes())
-        .map_err(|e| Error(format!("write failed: {e}")))
-}
-
-/// Deserialize a value from any [`std::io::Read`] source. Reads the source
-/// to its end (one JSON document per source, the common file/log-record
-/// case), so the whole payload is validated including trailing garbage.
-pub fn from_reader<R: std::io::Read, T: serde::Deserialize>(mut reader: R) -> Result<T, Error> {
-    let mut buf = Vec::new();
-    reader
-        .read_to_end(&mut buf)
-        .map_err(|e| Error(format!("read failed: {e}")))?;
-    from_slice(&buf)
 }
 
 #[doc(hidden)]
@@ -512,16 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn writer_reader_roundtrip_through_io() {
-        let v = json!({ "rounds": 52, "title": "café\n", "opt": Option::<i64>::None });
-        let mut buf: Vec<u8> = Vec::new();
-        to_writer(&mut buf, &v).unwrap();
-        assert_eq!(buf, to_string(&v).unwrap().into_bytes());
-        let back: Value = from_reader(std::io::Cursor::new(&buf)).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
     fn vec_and_slice_roundtrip() {
         let v = json!([1, 2.5, "x"]);
         let bytes = to_vec(&v).unwrap();
@@ -530,22 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn from_reader_rejects_trailing_garbage_and_bad_utf8() {
-        let err = from_reader::<_, Value>(std::io::Cursor::new(b"{} extra".as_slice()));
+    fn from_slice_rejects_trailing_garbage_and_bad_utf8() {
+        let err = from_slice::<Value>(b"{} extra");
         assert!(err.is_err(), "trailing bytes must fail");
         let err = from_slice::<Value>(&[b'"', 0xff, b'"']);
         assert!(err.is_err(), "non-UTF-8 must fail");
-    }
-
-    #[test]
-    fn from_reader_surfaces_io_errors() {
-        struct Broken;
-        impl std::io::Read for Broken {
-            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk on fire"))
-            }
-        }
-        let err = from_reader::<_, Value>(Broken).unwrap_err();
-        assert!(err.0.contains("read failed"), "got: {}", err.0);
     }
 }
