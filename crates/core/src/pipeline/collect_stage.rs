@@ -6,15 +6,14 @@
 //! monitored-set series (Figure 4's substrate).
 //!
 //! Classification is the expensive per-candidate step (a full resolution
-//! per FQDN), so it fans out through [`ShardedExecutor`] under the standard
-//! contract: candidates bucketed by [`crate::snapshot::fqdn_shard`],
-//! verdicts re-assembled in feed order, and the admission loop — the part
-//! that mutates the canonical monitored list — stays serial over that
-//! ordered zip, so the monitored order is identical for any thread count.
+//! per FQDN), so it fans out through [`ShardedExecutor::map`] under the
+//! standard contract: verdicts re-assembled in feed order, and the admission
+//! loop — the part that mutates the canonical monitored list — stays serial
+//! over that ordered zip, so the monitored order is identical for any thread
+//! count.
 
 use super::{RunState, ShardedExecutor, Stage};
 use crate::collect::{CloudPointer, Collector};
-use crate::snapshot::fqdn_shard;
 use dns::{Name, Resolver};
 use simcore::SimTime;
 use std::collections::HashSet;
@@ -60,13 +59,10 @@ impl Stage for CollectStage {
             let candidates = std::mem::take(&mut self.pending_candidates);
             // Classify in parallel (read-only: resolver per worker, shared
             // collector tables), verdicts back in feed order.
-            let shards = rs.store.shard_count();
             let world = &rs.world;
             let collector = &self.collector;
             let verdicts: Vec<CloudPointer> = self.exec.map(
                 &candidates,
-                shards,
-                |fqdn| fqdn_shard(fqdn, shards),
                 || Resolver::new(world.dns()),
                 |resolver, _i, fqdn| collector.classify(fqdn, resolver, now),
             );

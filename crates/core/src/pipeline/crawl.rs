@@ -327,10 +327,6 @@ impl CrawlExecutor {
         }
 
         self.m_timeouts.add(timeouts);
-        // Defensive: worker threads exit per round (their thread-local
-        // buffers flush on drop), but flush explicitly so spans survive any
-        // future executor that reuses threads.
-        obs::causal::flush_thread();
         BucketCrawl {
             outcomes,
             peak_inflight: peak_inflight as u64,

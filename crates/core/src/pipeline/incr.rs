@@ -60,10 +60,9 @@
 //! ## Determinism under parallelism
 //!
 //! Fan-out (verdict extension, new-signature matching, validation, content
-//! classification) goes through one [`ShardedExecutor`] under the
-//! pipeline's keyed-shard contract — bucketed by [`fqdn_shard`] (or the
-//! signature's derivation id), re-assembled in canonical input order — so
-//! `--threads` drives the retro pass too.
+//! classification) goes through one [`ShardedExecutor`], whose `map`
+//! re-assembles outputs in canonical input order — so `--threads` drives
+//! the retro pass too.
 
 use super::retro::{assemble_results, MatchOutcome};
 use super::{RunState, ShardedExecutor, Stage};
@@ -72,7 +71,6 @@ use crate::report::StudyResults;
 use crate::signature::{
     is_suspicious, validate_signatures_sharded, Signature, SignatureFold, SignatureKind,
 };
-use crate::snapshot::fqdn_shard;
 use dns::Name;
 use simcore::SimTime;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -361,7 +359,6 @@ impl IncrementalRetro {
         }
 
         let sigs_all = self.fold.signatures(self.min_signature_slds);
-        let shards = rs.store.shard_count();
 
         // Extend every cached verdict column over the new entries: one
         // parallel map over the new records, each task evaluating all cached
@@ -378,8 +375,6 @@ impl IncrementalRetro {
                 .collect();
             let columns: Vec<Vec<bool>> = self.exec.map(
                 &new_entries,
-                shards,
-                |rec| fqdn_shard(&rec.fqdn, shards),
                 || (),
                 |_, _, rec| {
                     matchers
@@ -411,8 +406,6 @@ impl IncrementalRetro {
                 .collect();
             let columns: Vec<Vec<bool>> = self.exec.map(
                 &all_entries,
-                shards,
-                |rec| fqdn_shard(&rec.fqdn, shards),
                 || (),
                 |_, _, rec| {
                     new_keys
@@ -610,18 +603,15 @@ impl IncrementalRetro {
         // diff stage emits in monitored order), so re-sort by index.
         matched_idx.sort_unstable_by_key(|(idx, _)| *idx);
 
-        // Content classification of the matched records, shard-parallel
+        // Content classification of the matched records, in parallel
         // (pure per-record reads).
         let matched_recs: Vec<&ChangeRecord> = matched_idx
             .iter()
             .map(|(idx, _)| &rs.changes[*idx])
             .collect();
-        let shards = rs.store.shard_count();
         let classified: Vec<(crate::classify::Topic, Vec<contentgen::abuse::SeoTechnique>)> =
             self.exec.map(
                 &matched_recs,
-                shards,
-                |rec| fqdn_shard(&rec.fqdn, shards),
                 || (),
                 |_, _, rec| {
                     (

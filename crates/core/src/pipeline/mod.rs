@@ -28,10 +28,11 @@
 //! The crawl, Algorithm-1 classification, and the retrospective pass
 //! (signature matching, validation, content classification) all fan out
 //! through the shared [`ShardedExecutor`]. Three invariants make every
-//! parallel stage's output independent of the thread count: work is
-//! partitioned by the stable [`crate::snapshot::fqdn_shard`] hash (never by
-//! iteration order), results are re-assembled in the input's canonical order
-//! before any downstream stage sees them, and any randomness a task consumes
+//! parallel stage's output independent of the thread count: the crawl's
+//! per-shard event loops are partitioned by the stable
+//! [`crate::snapshot::fqdn_shard`] hash (never by iteration order), results
+//! are re-assembled in the input's canonical order (or shard order) before
+//! any downstream stage sees them, and any randomness a task consumes
 //! comes from a [`simcore::RngTree`] stream keyed by the FQDN and day — not
 //! from a shared sequential RNG that thread scheduling could reorder.
 //! `StudyResults` is therefore byte-identical for any `K`, which the

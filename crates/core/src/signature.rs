@@ -353,22 +353,17 @@ fn member_keywords(rec: &ChangeRecord) -> Vec<String> {
 /// a benign snapshot is discarded (§3.2). Returns `(kept, discarded_count)`,
 /// the kept signatures in input order.
 ///
-/// Shard-parallel: each signature is checked against the whole corpus
-/// independently (sharded by its derivation id — a content-keyed value,
-/// assigned in the deterministic derivation order), and the keep/discard
-/// verdicts are re-assembled in input order, so the result is the same for
-/// any thread count.
+/// Parallel: each signature is checked against the whole corpus
+/// independently, and the keep/discard verdicts are re-assembled in input
+/// order, so the result is the same for any thread count.
 pub fn validate_signatures_sharded(
     signatures: Vec<Signature>,
     benign: &[&Snapshot],
     exec: &crate::pipeline::ShardedExecutor,
 ) -> (Vec<Signature>, usize) {
     let before = signatures.len();
-    let buckets = crate::snapshot::DEFAULT_SHARDS;
     let keep: Vec<bool> = exec.map(
         &signatures,
-        buckets,
-        |sig| sig.id as usize % buckets,
         || (),
         |_, _, sig| !benign.iter().any(|b| sig.matches(b)),
     );

@@ -9,7 +9,7 @@
 //! - **Property layer** — arbitrary trace forests emitted through the real
 //!   [`obs::TraceCtx`] machinery export Perfetto flow arrows with globally
 //!   unique ids, every `s`/`f` pair matched, and enclosure preserved
-//!   through the emit → flush → export path.
+//!   through the emit → sink → export path.
 //!
 //! The causal sink is process-global, so every test that touches it holds
 //! [`GLOBAL`] for its full duration.
@@ -193,7 +193,7 @@ fn arb_forest() -> impl Strategy<Value = Vec<TraceSpec>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary trace forests pushed through the real emit → flush →
+    /// Arbitrary trace forests pushed through the real emit → sink →
     /// export path keep children enclosed and export flow arrows with
     /// globally unique, fully matched ids.
     #[test]

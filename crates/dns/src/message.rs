@@ -53,7 +53,6 @@ pub enum Opcode {
 /// the section vectors' lengths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Header {
-    pub id: u16,
     /// Query (false) or response (true).
     pub qr: bool,
     pub opcode: Opcode,
@@ -69,9 +68,8 @@ pub struct Header {
 }
 
 impl Header {
-    pub fn query(id: u16) -> Self {
+    pub fn query() -> Self {
         Header {
-            id,
             qr: false,
             opcode: Opcode::Query,
             aa: false,
@@ -84,7 +82,6 @@ impl Header {
 
     pub fn response_to(query: &Header, rcode: Rcode) -> Self {
         Header {
-            id: query.id,
             qr: true,
             opcode: query.opcode,
             aa: true,
@@ -126,9 +123,9 @@ pub struct Message {
 
 impl Message {
     /// Build a standard recursive query for `name`/`qtype`.
-    pub fn query(id: u16, name: Name, qtype: RecordType) -> Self {
+    pub fn query(name: Name, qtype: RecordType) -> Self {
         Message {
-            header: Header::query(id),
+            header: Header::query(),
             questions: vec![Question::new(name, qtype)],
             answers: Vec::new(),
             authority: Vec::new(),
@@ -174,9 +171,8 @@ mod tests {
 
     #[test]
     fn response_echoes_query() {
-        let q = Message::query(7, "x.example.com".parse().unwrap(), RecordType::A);
+        let q = Message::query("x.example.com".parse().unwrap(), RecordType::A);
         let r = Message::response(&q, Rcode::NxDomain);
-        assert_eq!(r.header.id, 7);
         assert!(r.header.qr);
         assert!(r.header.aa);
         assert_eq!(r.header.rcode, Rcode::NxDomain);
@@ -187,7 +183,7 @@ mod tests {
     fn answers_of_filters() {
         use crate::record::RecordData;
         use std::net::Ipv4Addr;
-        let mut m = Message::query(1, "a.b".parse().unwrap(), RecordType::A);
+        let mut m = Message::query("a.b".parse().unwrap(), RecordType::A);
         m.answers.push(ResourceRecord::new(
             "a.b".parse().unwrap(),
             60,

@@ -242,17 +242,6 @@ pub struct Resolver<T: Transport> {
     transport: T,
     config: ResolverConfig,
     cache: Mutex<HashMap<(Name, RecordType), CacheEntry>>,
-    next_id: Mutex<u16>,
-    /// Counters for the benchmark harness.
-    stats: Mutex<ResolverStats>,
-}
-
-/// Query statistics.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
-pub struct ResolverStats {
-    pub queries_sent: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
 }
 
 impl<T: Transport> Resolver<T> {
@@ -265,24 +254,12 @@ impl<T: Transport> Resolver<T> {
             transport,
             config,
             cache: Mutex::new(HashMap::new()),
-            next_id: Mutex::new(1),
-            stats: Mutex::new(ResolverStats::default()),
         }
-    }
-
-    pub fn stats(&self) -> ResolverStats {
-        *self.stats.lock()
     }
 
     /// Drop all cached entries (tests / epoch changes).
     pub fn flush_cache(&self) {
         self.cache.lock().clear();
-    }
-
-    fn fresh_id(&self) -> u16 {
-        let mut id = self.next_id.lock();
-        *id = id.wrapping_add(1);
-        *id
     }
 
     /// Resolve the A records for `name` at simulated time `now`, chasing
@@ -309,23 +286,20 @@ impl<T: Transport> Resolver<T> {
             let cache = self.cache.lock();
             if let Some(e) = cache.get(&(name.clone(), RecordType::A)) {
                 if e.expires > now {
-                    self.stats.lock().cache_hits += 1;
                     let mut outcome = e.outcome.clone();
                     outcome.sim_elapsed_ns = 0; // a hit costs no network time
                     return ResolutionInFlight::cached(name.clone(), now, outcome);
                 }
             }
         }
-        self.stats.lock().cache_misses += 1;
-        let query = Message::query(self.fresh_id(), name.clone(), RecordType::A);
+        let query = Message::query(name.clone(), RecordType::A);
         ResolutionInFlight::fresh(name.clone(), now, query, &self.config)
     }
 
-    /// Send the machine's pending query over the transport, counting it.
-    /// `None` when the transport dropped it (or nothing is pending).
+    /// Send the machine's pending query over the transport. `None` when the
+    /// transport dropped it (or nothing is pending).
     pub fn exchange_pending(&self, fl: &ResolutionInFlight) -> Option<Message> {
         let q = fl.pending_query()?;
-        self.stats.lock().queries_sent += 1;
         self.transport.try_exchange(q)
     }
 
@@ -362,7 +336,7 @@ impl<T: Transport> Resolver<T> {
                 fl.rcode = Rcode::ServFail;
                 fl.state = FlightState::Done;
             } else {
-                let q = Message::query(self.fresh_id(), fl.current.clone(), RecordType::A);
+                let q = Message::query(fl.current.clone(), RecordType::A);
                 fl.state = FlightState::Pending { query: q };
             }
             return;
@@ -405,7 +379,7 @@ impl<T: Transport> Resolver<T> {
         }
         fl.hops_left -= 1;
         fl.attempts_left = self.config.max_query_attempts.max(1);
-        let q = Message::query(self.fresh_id(), fl.current.clone(), RecordType::A);
+        let q = Message::query(fl.current.clone(), RecordType::A);
         fl.state = FlightState::Pending { query: q };
     }
 
@@ -444,8 +418,7 @@ impl<T: Transport> Resolver<T> {
     /// Fetch records of an arbitrary type at a single name (no chain
     /// chasing); used for CAA/TXT lookups by the certificate machinery.
     pub fn query_raw(&self, name: &Name, rtype: RecordType) -> (Rcode, Vec<ResourceRecord>) {
-        let q = Message::query(self.fresh_id(), name.clone(), rtype);
-        self.stats.lock().queries_sent += 1;
+        let q = Message::query(name.clone(), rtype);
         let resp = self.transport.exchange(&q);
         (resp.header.rcode, resp.answers)
     }
@@ -561,25 +534,27 @@ mod tests {
 
     #[test]
     fn cache_hits_within_ttl() {
-        let r = Resolver::new(authority());
+        // Dropping none: the transport only counts the queries sent.
+        let r = Resolver::new(DroppingTransport::new(authority(), 0));
+        let sent = || *r.transport.seen.lock();
         let day0 = SimTime(0);
         r.resolve_a(&n("www.example.com"), day0); // ttl 2 days -> cached
-        let sent_before = r.stats().queries_sent;
+        let sent_before = sent();
         let out = r.resolve_a(&n("www.example.com"), SimTime(1));
         assert!(out.is_resolvable());
-        assert_eq!(r.stats().queries_sent, sent_before, "should hit cache");
+        assert_eq!(sent(), sent_before, "should hit cache");
         // After expiry it re-queries.
         r.resolve_a(&n("www.example.com"), SimTime(3));
-        assert!(r.stats().queries_sent > sent_before);
+        assert!(sent() > sent_before);
     }
 
     #[test]
     fn short_ttl_not_cached() {
-        let r = Resolver::new(authority());
+        let r = Resolver::new(DroppingTransport::new(authority(), 0));
         r.resolve_a(&n("shop.example.com"), SimTime(0)); // min ttl 60s
-        let sent = r.stats().queries_sent;
+        let sent = *r.transport.seen.lock();
         r.resolve_a(&n("shop.example.com"), SimTime(0));
-        assert!(r.stats().queries_sent > sent);
+        assert!(*r.transport.seen.lock() > sent);
     }
 
     #[test]
@@ -624,7 +599,8 @@ mod tests {
     }
 
     /// Drops the first N queries it sees, then behaves like its inner
-    /// authority — the timeout/retry test double.
+    /// authority — the timeout/retry test double. `seen` counts every query
+    /// sent through `try_exchange`.
     struct DroppingTransport {
         inner: Authority,
         drop_first: u64,
@@ -663,7 +639,7 @@ mod tests {
         let r = Resolver::new(DroppingTransport::new(authority(), 2));
         let out = r.resolve_a(&n("www.example.com"), SimTime(0));
         assert!(out.is_resolvable());
-        assert_eq!(r.stats().queries_sent, 3);
+        assert_eq!(*r.transport.seen.lock(), 3);
     }
 
     #[test]
@@ -752,7 +728,7 @@ mod tests {
         let out = r.resolve_a(&n("shop.example.com"), SimTime(0));
         assert!(out.is_resolvable());
         assert_eq!(out.cname_chain, vec![n("shop-prod.azurewebsites.net")]);
-        assert_eq!(r.stats().queries_sent, 4);
+        assert_eq!(*r.transport.seen.lock(), 4);
     }
 
     #[test]

@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn direct_a() {
         let auth = build();
-        let q = Message::query(1, n("www.example.com"), RecordType::A);
+        let q = Message::query(n("www.example.com"), RecordType::A);
         let r = auth.answer(&q);
         assert_eq!(r.header.rcode, Rcode::NoError);
         assert_eq!(r.answers.len(), 1);
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn in_authority_cname_chain_followed() {
         let auth = build();
-        let q = Message::query(2, n("shop.example.com"), RecordType::A);
+        let q = Message::query(n("shop.example.com"), RecordType::A);
         let r = auth.answer(&q);
         assert_eq!(r.header.rcode, Rcode::NoError);
         // CNAME + target A
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn same_zone_alias() {
         let auth = build();
-        let q = Message::query(3, n("alias.example.com"), RecordType::A);
+        let q = Message::query(n("alias.example.com"), RecordType::A);
         let r = auth.answer(&q);
         assert_eq!(r.answers.len(), 2);
         assert_eq!(r.answers[1].data, RecordData::A(Ipv4Addr::new(1, 2, 3, 4)));
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn nxdomain_with_soa() {
         let auth = build();
-        let q = Message::query(4, n("missing.example.com"), RecordType::A);
+        let q = Message::query(n("missing.example.com"), RecordType::A);
         let r = auth.answer(&q);
         assert_eq!(r.header.rcode, Rcode::NxDomain);
         assert!(r.answers.is_empty());
@@ -215,7 +215,7 @@ mod tests {
             .get_mut(&n("azurewebsites.net"))
             .unwrap()
             .remove_name(&n("shop-prod.azurewebsites.net"));
-        let q = Message::query(5, n("shop.example.com"), RecordType::A);
+        let q = Message::query(n("shop.example.com"), RecordType::A);
         let r = auth.answer(&q);
         // CNAME is present in answers, final rcode NXDOMAIN.
         assert_eq!(r.header.rcode, Rcode::NxDomain);
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn nodata_for_wrong_type() {
         let auth = build();
-        let q = Message::query(6, n("www.example.com"), RecordType::Mx);
+        let q = Message::query(n("www.example.com"), RecordType::Mx);
         let r = auth.answer(&q);
         assert_eq!(r.header.rcode, Rcode::NoError);
         assert!(r.answers.is_empty());
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn refused_outside_authority() {
         let auth = build();
-        let q = Message::query(7, n("www.google.com"), RecordType::A);
+        let q = Message::query(n("www.google.com"), RecordType::A);
         let r = auth.answer(&q);
         assert_eq!(r.header.rcode, Rcode::Refused);
     }
@@ -257,7 +257,7 @@ mod tests {
         ));
         zs.insert(z);
         let auth = Authority::new(zs);
-        let q = Message::query(8, n("a.loop.test"), RecordType::A);
+        let q = Message::query(n("a.loop.test"), RecordType::A);
         let r = auth.answer(&q);
         assert_eq!(r.header.rcode, Rcode::ServFail);
     }

@@ -17,11 +17,10 @@
 //! a pure hash of `(fqdn, day)` — no RNG stream is touched, derived, or
 //! reordered — and the sampling decision ([`sampled`]) is a modulus on that
 //! hash, so it is identical at any thread count and any sample rate.
-//! Collection uses per-thread buffers and a global sink: a buffer flushes
-//! on overflow, at [`flush_thread`] (the shard event loops call it before
-//! returning) or on thread exit. Unlike a wall span, which locks the sink
-//! once per stage, a causal span is emitted per sampled crawl on the worker
-//! threads, so it is buffered. `StudyResults` stays byte-identical
+//! [`emit`] pushes each span straight into one global sink under a mutex,
+//! from whichever worker thread completed it, so a span is collectable as
+//! soon as it is emitted. That is one lock per sampled query and crawl,
+//! taken only while causal tracing is on. `StudyResults` stays byte-identical
 //! with causal tracing on or off (the `telemetry_equivalence` causal leg
 //! pins it).
 //!
@@ -33,15 +32,10 @@
 //! decomposition, and the top-K slowest FQDNs.
 
 use crate::span::ArgValue;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// Flush threshold for the per-thread buffer: one sink lock per this many
-/// spans.
-const FLUSH_AT: usize = 256;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static CAUSAL: AtomicBool = AtomicBool::new(false);
 static SAMPLE: AtomicU64 = AtomicU64::new(1);
@@ -201,82 +195,29 @@ impl CausalSpan {
     }
 }
 
-struct TlBuf {
-    spans: Vec<CausalSpan>,
+static SINK: Mutex<Vec<CausalSpan>> = Mutex::new(Vec::new());
+
+fn sink() -> MutexGuard<'static, Vec<CausalSpan>> {
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl Drop for TlBuf {
-    fn drop(&mut self) {
-        sink_push(&mut self.spans);
-    }
-}
-
-thread_local! {
-    static BUF: RefCell<TlBuf> = const { RefCell::new(TlBuf { spans: Vec::new() }) };
-}
-
-fn sink() -> &'static Mutex<Vec<CausalSpan>> {
-    static SINK: OnceLock<Mutex<Vec<CausalSpan>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn sink_push(spans: &mut Vec<CausalSpan>) {
-    if spans.is_empty() {
-        return;
-    }
-    let mut s = match sink().lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    s.append(spans);
-}
-
-/// Buffer one completed span. Callers gate on [`sampled`] (a machine only
-/// carries a [`TraceCtx`] when its trace was kept), so this is
-/// unconditional.
+/// Record one completed span in the global sink. Callers gate on
+/// [`sampled`] (a machine only carries a [`TraceCtx`] when its trace was
+/// kept), so this is unconditional.
 pub fn emit(span: CausalSpan) {
-    BUF.with(|b| {
-        let mut b = b.borrow_mut();
-        b.spans.push(span);
-        if b.spans.len() >= FLUSH_AT {
-            let mut spans = std::mem::take(&mut b.spans);
-            sink_push(&mut spans);
-        }
-    });
+    sink().push(span);
 }
 
-/// Flush the calling thread's buffer into the global sink. Shard event
-/// loops call this before returning so spans are visible even when the
-/// worker thread is reused rather than exited.
-pub fn flush_thread() {
-    BUF.with(|b| {
-        let mut b = b.borrow_mut();
-        let mut spans = std::mem::take(&mut b.spans);
-        sink_push(&mut spans);
-    });
-}
-
-/// Flush and *clone* every collected span, leaving the sink intact — so
-/// the critical-path renderer and the trace exporter can both read the
-/// same run.
+/// *Clone* every collected span, leaving the sink intact — so the
+/// critical-path renderer and the trace exporter can both read the same
+/// run.
 pub fn collect_causal() -> Vec<CausalSpan> {
-    flush_thread();
-    let s = match sink().lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    s.clone()
+    sink().clone()
 }
 
-/// Flush and *drain* every collected span (tests use this to isolate
-/// legs; exited threads were flushed by their destructors).
+/// *Drain* every collected span (tests use this to isolate legs).
 pub fn take_causal() -> Vec<CausalSpan> {
-    flush_thread();
-    let mut s = match sink().lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    std::mem::take(&mut *s)
+    std::mem::take(&mut *sink())
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +226,7 @@ pub fn take_causal() -> Vec<CausalSpan> {
 
 /// Order spans for export and analysis: by trace, then roots first, then
 /// virtual start, then span id — fully deterministic regardless of which
-/// worker flushed when.
+/// worker emitted when.
 fn sort_spans(spans: &mut [CausalSpan]) {
     spans.sort_by(|a, b| {
         (a.trace, a.parent.is_some(), a.start_ns, a.span_id).cmp(&(

@@ -10,10 +10,10 @@
 //!
 //! Three subsystems:
 //!
-//! - [`metrics`] — sharded [`Counter`]/[`Gauge`]/[`Histogram`] primitives.
-//!   Writes are relaxed atomic increments on per-thread stripes; merging
-//!   happens only at scrape time, so the parallel crawl pays near-zero
-//!   contention. A process-global registry dumps everything as JSON
+//! - [`metrics`] — [`Counter`]/[`Gauge`]/[`Histogram`] primitives. Writes
+//!   are relaxed atomic operations on one shared cell per value; the
+//!   parallel crawl writes only two counters, so there is nothing to stripe.
+//!   A process-global registry dumps everything as JSON
 //!   (`repro --metrics out.json`).
 //! - [`span`] — wall-clock spans with sim-time/round correlation, one per
 //!   pipeline stage, pushed straight into a global sink when they end and
@@ -32,8 +32,8 @@
 //! ## Always-on vs. opt-in
 //!
 //! Metric recording is always compiled in and always on: a write is one
-//! relaxed `fetch_add` on a cache-padded stripe, cheap enough to leave
-//! enabled (`obs_overhead` bench asserts <2% on a full crawl round). Span
+//! relaxed `fetch_add`, cheap enough to leave enabled (`obs_overhead`
+//! bench asserts <2% on a full crawl round). Span
 //! *collection* is opt-in via [`set_tracing`] because spans allocate sink
 //! entries; a [`SpanGuard`] created while tracing is off still measures time
 //! for its optional histogram but records no trace event.
@@ -41,7 +41,7 @@
 //! ## Metric naming scheme
 //!
 //! `subsystem.metric[_unit]`, lowercase, dot-separated subsystem, underscore
-//! words: `pipeline.crawl_ns`, `crawl.steals`, `storelog.commit_ns`,
+//! words: `pipeline.crawl_ns`, `crawl.tasks`, `storelog.commit_ns`,
 //! `world.hijacks`. Durations are always `_ns` histograms; ratios are
 //! gauges.
 

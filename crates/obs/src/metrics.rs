@@ -1,70 +1,44 @@
-//! Sharded metric primitives and the process-global registry.
+//! Metric primitives and the process-global registry.
 //!
-//! Every primitive is write-optimized for many concurrent threads: updates
-//! are relaxed atomic operations on one of [`STRIPES`] cache-line-padded
-//! stripes (picked by a per-thread id), so crawl workers never contend on a
-//! shared line. Reads merge the stripes — scrape-time work, off every hot
-//! path. Counts are exact under any interleaving (addition commutes);
-//! histograms additionally keep per-stripe min/max merged the same way.
+//! Every primitive is a handful of relaxed atomics, so counts are exact
+//! under any interleaving (addition commutes). They are not striped per
+//! thread: inside a parallel crawl only `crawl.transient_failures` (once
+//! per failed fetch) and `crawl.query_timeouts` (once per bucket) are
+//! written; every other metric is written after the workers join or by one
+//! thread (the pipeline thread, or serve's query thread), so there is no
+//! contention for per-thread stripes to spread.
 //!
 //! Metrics are registered by name on first use ([`counter`], [`gauge`],
 //! [`histogram`]) and live for the process lifetime; [`metrics_json`] dumps
 //! the whole registry as deterministic (name-sorted) JSON.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// Stripe count per metric. Power of two; more stripes buy less contention
-/// at the cost of scrape work and memory.
-pub const STRIPES: usize = 8;
 
 /// Log-bucket count: bucket `i` holds values whose bit length is `i`
 /// (i.e. `2^(i-1) <= v < 2^i`), bucket 0 holds zero.
 pub const BUCKETS: usize = 65;
 
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-impl PaddedU64 {
-    const fn new(v: u64) -> Self {
-        PaddedU64(AtomicU64::new(v))
-    }
-}
-
-/// Stable small id for the calling thread, used to pick a stripe. Ids are
-/// handed out in thread-creation order; reuse across STRIPES is fine — it
-/// only costs contention, never correctness.
-fn stripe_of_thread() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static ID: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    ID.with(|id| *id) & (STRIPES - 1)
-}
-
 // ---------------------------------------------------------------------------
 // Counter
 // ---------------------------------------------------------------------------
 
-/// Monotone event counter. `add` is one relaxed `fetch_add` on the calling
-/// thread's stripe; `get` sums the stripes.
+/// Monotone event counter: one relaxed `fetch_add` per `add`.
 pub struct Counter {
-    stripes: [PaddedU64; STRIPES],
+    value: AtomicU64,
 }
 
 impl Counter {
     pub const fn new() -> Self {
         Counter {
-            stripes: [const { PaddedU64::new(0) }; STRIPES],
+            value: AtomicU64::new(0),
         }
     }
 
     #[inline]
     pub fn add(&self, n: u64) {
-        self.stripes[stripe_of_thread()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     #[inline]
@@ -72,12 +46,8 @@ impl Counter {
         self.add(1);
     }
 
-    /// Merged total across all stripes.
     pub fn get(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -125,26 +95,6 @@ impl Default for Gauge {
 // Histogram
 // ---------------------------------------------------------------------------
 
-struct HistStripe {
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-}
-
-impl HistStripe {
-    const fn new() -> Self {
-        HistStripe {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-        }
-    }
-}
-
 /// Index of the log bucket holding `v`: 0 for zero, else `v`'s bit length
 /// (so bucket `i` covers `[2^(i-1), 2^i)` and the last bucket tops out at
 /// `u64::MAX`).
@@ -166,13 +116,17 @@ pub fn bucket_bound(i: usize) -> u64 {
 }
 
 /// Log-bucketed histogram of `u64` samples (durations in ns, sizes in
-/// bytes). `record` touches only the calling thread's stripe with relaxed
-/// ops; totals, min/max and bucket counts are exact at merge time.
+/// bytes). `record` is five relaxed atomic ops; totals, min/max and bucket
+/// counts are exact.
 pub struct Histogram {
-    stripes: [HistStripe; STRIPES],
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
 }
 
-/// A merged, point-in-time view of a [`Histogram`].
+/// A point-in-time view of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
@@ -185,42 +139,40 @@ pub struct HistogramSnapshot {
 impl Histogram {
     pub const fn new() -> Self {
         Histogram {
-            stripes: [const { HistStripe::new() }; STRIPES],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
         }
     }
 
     #[inline]
     pub fn record(&self, v: u64) {
-        let s = &self.stripes[stripe_of_thread()];
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(v, Ordering::Relaxed);
-        s.min.fetch_min(v, Ordering::Relaxed);
-        s.max.fetch_max(v, Ordering::Relaxed);
-        s.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.min.fetch_min(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Merge all stripes into one snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: vec![0; BUCKETS],
-        };
-        for s in &self.stripes {
-            out.count += s.count.load(Ordering::Relaxed);
-            out.sum += s.sum.load(Ordering::Relaxed);
-            out.min = out.min.min(s.min.load(Ordering::Relaxed));
-            out.max = out.max.max(s.max.load(Ordering::Relaxed));
-            for (b, sb) in out.buckets.iter_mut().zip(&s.buckets) {
-                *b += sb.load(Ordering::Relaxed);
-            }
+        let count = self.count.load(Ordering::Relaxed);
+        HistogramSnapshot {
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+            min: if count == 0 {
+                0
+            } else {
+                self.min.load(Ordering::Relaxed)
+            },
+            max: self.max.load(Ordering::Relaxed),
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
         }
-        if out.count == 0 {
-            out.min = 0;
-        }
-        out
     }
 }
 
@@ -495,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_sums_stripes() {
+    fn counter_adds_and_increments() {
         let c = Counter::new();
         c.add(5);
         c.inc();

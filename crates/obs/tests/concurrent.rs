@@ -1,5 +1,5 @@
-//! Concurrency and export-format tests: striped metrics must merge exactly
-//! under contention, and both JSON exports must parse with a real JSON
+//! Concurrency and export-format tests: metrics must count exactly under
+//! contention, and both JSON exports must parse with a real JSON
 //! parser (the serde_json shim — dev-dependency only; obs itself stays
 //! std-only).
 
