@@ -13,7 +13,7 @@ use cloudsim::{
 use contentgen::abuse::{AbuseTopic, SeoTechnique};
 use dns::resolver::Transport;
 use dns::server::answer_with;
-use dns::{CaaRecord, Message, Name, Rcode, RecordData, ResourceRecord, ZoneSet};
+use dns::{CaaRecord, Message, Name, RecordData, ResourceRecord, ZoneSet};
 use httpsim::{Endpoint, Request, Response};
 use rand::Rng;
 use serde::Serialize;
@@ -237,20 +237,20 @@ impl World {
     }
 }
 
-/// Composite DNS transport: organization zones answer first; platform
-/// (cloud-suffix) zones answer for everything else they own.
+/// Composite DNS transport: organization zones answer for the names they
+/// hold; platform (cloud-suffix) zones answer for everything else.
 pub struct WorldDns<'a> {
-    org: &'a ZoneSet,
-    cloud: &'a ZoneSet,
+    pub org: &'a ZoneSet,
+    pub cloud: &'a ZoneSet,
 }
 
 impl Transport for WorldDns<'_> {
     fn exchange(&self, query: &Message) -> Message {
-        let r = answer_with(self.org, query);
-        if r.header.rcode != Rcode::Refused {
-            return r;
-        }
-        answer_with(self.cloud, query)
+        let org_owns = query
+            .questions
+            .first()
+            .is_none_or(|q| self.org.find_zone(&q.name).is_some());
+        answer_with(if org_owns { self.org } else { self.cloud }, query)
     }
 }
 
@@ -342,6 +342,80 @@ mod tests {
         let resolver = dns::Resolver::new(w.dns());
         let out = resolver.resolve_a(&org.apex, SimTime(0));
         assert!(out.is_resolvable(), "{:?}", out);
+    }
+
+    /// Each question goes to exactly one authority: the org set when it
+    /// holds a zone for the name, else the cloud set; a name neither holds
+    /// is REFUSED, and an org CNAME into a cloud suffix stops at the CNAME
+    /// for the resolver to chase.
+    #[test]
+    fn dns_view_dispatches_each_question_to_one_authority() {
+        use dns::{Rcode, RecordType, Resolver};
+        let mut w = tiny_world();
+        let mut rng = w.rng_tree.rng("dispatch");
+        let apex = w.population.orgs[0].apex.clone();
+        let rid = w
+            .platform
+            .register(
+                ServiceId::AzureWebApp,
+                Some("dispatchsite"),
+                None,
+                AccountId::Org(0),
+                SimTime(0),
+                &mut rng,
+            )
+            .unwrap();
+        let cloud_name = w
+            .platform
+            .resource(rid)
+            .unwrap()
+            .generated_fqdn
+            .clone()
+            .unwrap();
+        let alias = apex.child("app").unwrap();
+        w.org_zones.get_mut(&apex).unwrap().add(ResourceRecord::new(
+            alias.clone(),
+            300,
+            RecordData::Cname(cloud_name.clone()),
+        ));
+        let dns = w.dns();
+        let ask = |name: &Name| dns.exchange(&Message::query(name.clone(), RecordType::A));
+        let soa_owner = |r: &Message| r.authority.first().map(|rr| rr.name.clone());
+
+        // Org-owned names, present or not, are answered by the org zone.
+        let r = ask(&apex);
+        assert_eq!(r.header.rcode, Rcode::NoError);
+        assert!(!r.answers.is_empty());
+        let r = ask(&apex.child("nosuchhost").unwrap());
+        assert_eq!(r.header.rcode, Rcode::NxDomain);
+        assert_eq!(soa_owner(&r), Some(apex.clone()));
+
+        // A cloud-only name is answered by the platform's suffix zone.
+        let r = ask(&cloud_name);
+        assert_eq!(r.header.rcode, Rcode::NoError);
+        assert_eq!(r.answers.len(), 1);
+        assert_eq!(r.answers[0].rtype(), RecordType::A);
+
+        // Neither set holds it.
+        assert_eq!(
+            ask(&"www.unowned.invalid".parse().unwrap()).header.rcode,
+            Rcode::Refused
+        );
+
+        // The org answers with just its CNAME; the resolver completes it.
+        let r = ask(&alias);
+        assert_eq!(r.header.rcode, Rcode::NoError);
+        assert_eq!(r.answers.len(), 1);
+        assert_eq!(r.answers[0].data, RecordData::Cname(cloud_name.clone()));
+        assert!(r.authority.is_empty());
+        let out = Resolver::new(w.dns()).resolve_a(&alias, SimTime(0));
+        assert_eq!(out.cname_chain, vec![cloud_name]);
+        assert!(out.is_resolvable(), "{out:?}");
+
+        // No question: FORMERR.
+        let mut q = Message::query(apex, RecordType::A);
+        q.questions.clear();
+        assert_eq!(w.dns().exchange(&q).header.rcode, Rcode::FormErr);
     }
 
     #[test]

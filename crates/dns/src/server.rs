@@ -61,68 +61,70 @@ pub fn answer_with(zones: &ZoneSet, query: &Message) -> Message {
 /// Core lookup against a borrowed [`ZoneSet`]: returns
 /// `(rcode, answers, authority)`.
 ///
-/// In-zone CNAME chains are chased up to a depth limit; chains that leave
-/// the known zones stop with the CNAME as the final answer record (the
-/// resolver continues from there), matching real-world behaviour.
+/// A name outside every zone is REFUSED. In-zone CNAME chains are chased up
+/// to a depth limit; chains that leave the known zones stop with the CNAME
+/// as the final answer record (the resolver continues from there), matching
+/// real-world behaviour.
 pub fn lookup_in(
     zones: &ZoneSet,
     name: &Name,
     qtype: RecordType,
 ) -> (Rcode, Vec<ResourceRecord>, Vec<ResourceRecord>) {
-    {
-        if zones.find_zone(name).is_none() {
-            return (Rcode::Refused, Vec::new(), Vec::new());
-        }
-        let mut answers: Vec<ResourceRecord> = Vec::new();
-        let mut current = name.clone();
-        // A CNAME chain longer than this inside one authority is a
-        // misconfiguration; bail out with what we have.
-        const MAX_CHAIN: usize = 16;
-        for _ in 0..MAX_CHAIN {
-            // The chain may cross into a different zone we are also
-            // authoritative for.
-            let Some(z) = zones.find_zone(&current) else {
-                // Chain left our authority; return what we have so far.
-                return (Rcode::NoError, answers, Vec::new());
+    let mut answers: Vec<ResourceRecord> = Vec::new();
+    let mut current = name.clone();
+    // A CNAME chain longer than this inside one authority is a
+    // misconfiguration; bail out with what we have.
+    const MAX_CHAIN: usize = 16;
+    for _ in 0..MAX_CHAIN {
+        // The chain may cross into a different zone we are also
+        // authoritative for.
+        let Some(z) = zones.find_zone(&current) else {
+            // No zone for the question itself: not our name. Otherwise the
+            // chain left our authority; return what we have so far.
+            let rcode = if answers.is_empty() {
+                Rcode::Refused
+            } else {
+                Rcode::NoError
             };
-            match z.lookup(&current, qtype) {
-                ZoneLookup::Found(mut rrs) => {
-                    answers.append(&mut rrs);
-                    return (Rcode::NoError, answers, Vec::new());
-                }
-                ZoneLookup::Cname(rr) => {
-                    let target = match &rr.data {
-                        RecordData::Cname(t) => t.clone(),
-                        _ => unreachable!("ZoneLookup::Cname holds a CNAME"),
-                    };
-                    answers.push(rr);
-                    current = target;
-                }
-                ZoneLookup::NoData => {
-                    let soa = ResourceRecord::new(
-                        z.origin().clone(),
-                        z.soa().minimum,
-                        RecordData::Soa(z.soa().clone()),
-                    );
-                    // If we already collected CNAMEs the overall rcode stays
-                    // NOERROR (the terminal name exists but lacks the type).
-                    return (Rcode::NoError, answers, vec![soa]);
-                }
-                ZoneLookup::NxDomain => {
-                    let soa = ResourceRecord::new(
-                        z.origin().clone(),
-                        z.soa().minimum,
-                        RecordData::Soa(z.soa().clone()),
-                    );
-                    // NXDOMAIN applies to the *final* name of the chain; with
-                    // a preceding CNAME the rcode is still NXDOMAIN per
-                    // RFC 2308 §2.1.
-                    return (Rcode::NxDomain, answers, vec![soa]);
-                }
+            return (rcode, answers, Vec::new());
+        };
+        match z.lookup(&current, qtype) {
+            ZoneLookup::Found(mut rrs) => {
+                answers.append(&mut rrs);
+                return (Rcode::NoError, answers, Vec::new());
+            }
+            ZoneLookup::Cname(rr) => {
+                let target = match &rr.data {
+                    RecordData::Cname(t) => t.clone(),
+                    _ => unreachable!("ZoneLookup::Cname holds a CNAME"),
+                };
+                answers.push(rr);
+                current = target;
+            }
+            ZoneLookup::NoData => {
+                let soa = ResourceRecord::new(
+                    z.origin().clone(),
+                    z.soa().minimum,
+                    RecordData::Soa(z.soa().clone()),
+                );
+                // If we already collected CNAMEs the overall rcode stays
+                // NOERROR (the terminal name exists but lacks the type).
+                return (Rcode::NoError, answers, vec![soa]);
+            }
+            ZoneLookup::NxDomain => {
+                let soa = ResourceRecord::new(
+                    z.origin().clone(),
+                    z.soa().minimum,
+                    RecordData::Soa(z.soa().clone()),
+                );
+                // NXDOMAIN applies to the *final* name of the chain; with
+                // a preceding CNAME the rcode is still NXDOMAIN per
+                // RFC 2308 §2.1.
+                return (Rcode::NxDomain, answers, vec![soa]);
             }
         }
-        (Rcode::ServFail, answers, Vec::new())
     }
+    (Rcode::ServFail, answers, Vec::new())
 }
 
 #[cfg(test)]

@@ -9,8 +9,7 @@
 
 use crate::name::Name;
 use crate::record::{RecordData, RecordType, ResourceRecord, Soa};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Result of looking a name up inside one zone.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,18 +26,16 @@ pub enum ZoneLookup {
 }
 
 /// One authoritative zone.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
     soa: Soa,
     /// Records keyed by owner name; values hold all types at that name.
-    /// BTreeMap for deterministic iteration order in reports.
-    records: BTreeMap<Name, Vec<ResourceRecord>>,
+    records: HashMap<Name, Vec<ResourceRecord>>,
     /// Reference counts of proper ancestors of record owners — the "empty
     /// non-terminal" index that makes the NXDOMAIN/NODATA distinction O(1)
     /// instead of a zone scan.
-    #[serde(default)]
-    non_terminals: BTreeMap<Name, u32>,
+    non_terminals: HashMap<Name, u32>,
     /// Monotonic serial bumped on every mutation.
     serial: u32,
 }
@@ -60,8 +57,8 @@ impl Zone {
         Zone {
             origin,
             soa,
-            records: BTreeMap::new(),
-            non_terminals: BTreeMap::new(),
+            records: HashMap::new(),
+            non_terminals: HashMap::new(),
             serial: 1,
         }
     }
@@ -214,7 +211,7 @@ impl Zone {
             // name, the name itself exists (NODATA, not NXDOMAIN).
             ancestor = anc.parent();
         }
-        // Empty non-terminal check via the ancestor refcount index (O(log n)).
+        // Empty non-terminal check via the ancestor refcount index.
         let has_descendants = self.non_terminals.contains_key(name);
         if has_descendants {
             ZoneLookup::NoData
@@ -226,11 +223,6 @@ impl Zone {
     /// All records at a name (any type).
     pub fn records_at(&self, name: &Name) -> &[ResourceRecord] {
         self.records.get(name).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Iterate over every record in the zone (deterministic order).
-    pub fn iter(&self) -> impl Iterator<Item = &ResourceRecord> {
-        self.records.values().flatten()
     }
 
     /// Number of owner names in the zone.
@@ -251,9 +243,9 @@ impl Zone {
 
 /// A set of zones with longest-suffix-match dispatch, standing in for "the
 /// world's authoritative DNS".
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ZoneSet {
-    zones: BTreeMap<Name, Zone>,
+    zones: HashMap<Name, Zone>,
 }
 
 impl ZoneSet {
@@ -313,6 +305,7 @@ impl ZoneSet {
         self.zones.is_empty()
     }
 
+    /// Every zone, in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &Zone> {
         self.zones.values()
     }
