@@ -83,7 +83,7 @@ impl<'a> CrawlInFlight<'a> {
         now: SimTime,
         fetch_dropped: bool,
     ) -> Self {
-        let fl = resolver.begin(&fqdn, now);
+        let fl = resolver.begin(&fqdn);
         CrawlInFlight {
             fqdn,
             now,
@@ -176,16 +176,11 @@ impl<'a> CrawlInFlight<'a> {
         let phase = std::mem::replace(&mut self.phase, CrawlPhase::Taken);
         self.phase = match phase {
             CrawlPhase::Dns(mut fl) => {
-                let resp = if dropped {
-                    None
-                } else {
-                    resolver.exchange_pending(&fl)
-                };
-                resolver.advance(&mut fl, resp, cost_ns);
+                resolver.step(&mut fl, dropped, cost_ns);
                 if !fl.is_done() {
                     CrawlPhase::Dns(fl)
                 } else {
-                    let outcome = resolver.conclude(*fl);
+                    let outcome = fl.into_outcome();
                     self.dns_elapsed_ns = outcome.sim_elapsed_ns;
                     let cname = outcome.final_cname().cloned();
                     match outcome.addresses.first().copied() {

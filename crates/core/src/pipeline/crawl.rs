@@ -88,11 +88,9 @@ impl CrawlExecutor {
     /// Crawl `monitored` (in canonical order) against the pre-round `store`,
     /// returning one [`CrawlOutcome`] per FQDN in the same order.
     ///
-    /// `make_resolver` / `make_web` are per-worker factories: each thread
-    /// gets its own resolver (and thus its own TTL cache) so no lock is
-    /// shared on the hot path. Within one round a cache hit returns exactly
-    /// what a fresh resolution would (same authority state, same `now`), so
-    /// per-thread caches cannot perturb results.
+    /// `make_resolver` / `make_web` are per-worker factories: each shard
+    /// event loop builds its own resolver and web view over the round's
+    /// read-only world.
     pub fn run<T, E, FR, FW>(
         &self,
         monitored: &[Name],
@@ -300,14 +298,10 @@ impl CrawlExecutor {
                     },
                     trace,
                 });
-                if schedule(&mut slots[slot], &mut q, slot, &mut timeouts) {
-                    inflight += 1;
-                    peak_inflight = peak_inflight.max(inflight);
-                } else {
-                    // Done at begin (DNS cache hit straight to a negative
-                    // answer): harvest without ever entering the queue.
-                    harvest(&mut slots[slot], store, &mut outcomes);
-                }
+                let scheduled = schedule(&mut slots[slot], &mut q, slot, &mut timeouts);
+                debug_assert!(scheduled, "a crawl begins with its DNS query pending");
+                inflight += 1;
+                peak_inflight = peak_inflight.max(inflight);
             }
             // Drain the next completion.
             let Some((_at, slot)) = q.pop() else {
@@ -359,12 +353,6 @@ impl CrawlStage {
     /// Select the latency model (builder-style).
     pub fn with_latency(mut self, latency: LatencyModel) -> Self {
         self.exec = self.exec.with_latency(latency);
-        self
-    }
-
-    /// Cap concurrently in-flight crawls per shard event loop.
-    pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {
-        self.exec = self.exec.with_max_inflight(max_inflight);
         self
     }
 }

@@ -91,8 +91,8 @@ impl ShardedExecutor {
 
     /// Map every item to an output, returning outputs in **input order**.
     ///
-    /// `make_ctx` is a per-worker factory (e.g. a resolver with its own TTL
-    /// cache) so no lock is shared on the hot path; `work` receives the
+    /// `make_ctx` is a per-worker factory (e.g. a resolver) so no context is
+    /// shared between workers; `work` receives the
     /// worker context, the item's input index, and the item. Output is
     /// byte-identical for any thread count as long as `work` is deterministic
     /// per item.

@@ -1,12 +1,16 @@
-//! The committed golden `StudyResults` digest and the study config it pins,
-//! shared by the suites that hold a run mode to it (`intern_equivalence`,
-//! `latency_equivalence`).
+//! The committed golden `StudyResults` digests and the study config they
+//! pin, shared by the suites that hold a run mode to them
+//! (`intern_equivalence`, `latency_equivalence`, `parallel_equivalence`).
 //!
-//! `tests/fixtures/intern_eq/results.digest` holds the byte length and
-//! FNV-1a 64 of the full serialized `StudyResults`, generated by
-//! `examples/gen_intern_fixture.rs`; `results.head.json` next to it is the
-//! same document minus the bulky `changes` array, committed so a divergence
-//! is diffable.
+//! Each `tests/fixtures/<fixture>/results.digest` holds the byte length and
+//! FNV-1a 64 of the full serialized `StudyResults`:
+//!
+//! - `intern_eq` — [`fixture_config`] as is, generated by
+//!   `examples/gen_intern_fixture.rs`; `results.head.json` next to it is the
+//!   same document minus the bulky `changes` array, committed so a
+//!   divergence is diffable.
+//! - `lossy_eq` — [`fixture_config`] with `latency_profile = "lossy"`,
+//!   recorded at the last commit whose resolver still cached answers.
 
 use dangling_core::scenario::ScenarioConfig;
 
@@ -33,11 +37,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The committed digest: (byte length, FNV-1a 64).
-fn golden() -> (usize, u64) {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/intern_eq/results.digest"
+/// The committed digest of `fixture`: (byte length, FNV-1a 64).
+fn golden(fixture: &str) -> (usize, u64) {
+    let path = format!(
+        "{}/tests/fixtures/{fixture}/results.digest",
+        env!("CARGO_MANIFEST_DIR")
     );
     let text = std::fs::read_to_string(path).expect("committed fixture digest");
     let mut parts = text.split_whitespace();
@@ -49,15 +53,15 @@ fn golden() -> (usize, u64) {
     (len, hash)
 }
 
-/// Assert that `json` (a serialized `StudyResults`) is the golden document.
-pub fn assert_matches_golden(json: &str, context: &str) {
-    let (want_len, want_hash) = golden();
+/// Assert that `json` (a serialized `StudyResults`) is the golden document
+/// pinned by `tests/fixtures/<fixture>/results.digest`.
+pub fn assert_matches_golden(json: &str, fixture: &str, context: &str) {
+    let (want_len, want_hash) = golden(fixture);
     assert_eq!(
         (json.len(), fnv1a(json.as_bytes())),
         (want_len, want_hash),
-        "{context}: StudyResults diverged from the committed golden digest \
-         (diff against tests/fixtures/intern_eq/results.head.json; \
-         regenerate via the gen_intern_fixture example ONLY for intentional \
-         semantic changes)"
+        "{context}: StudyResults diverged from the committed {fixture} golden \
+         digest (for intern_eq, diff against its results.head.json; \
+         regenerate a digest ONLY for intentional semantic changes)"
     );
 }

@@ -55,7 +55,7 @@ impl Drop for TempDir {
 fn fresh_runs_match_pre_interning_bytes_at_every_thread_count() {
     for threads in [1, 2, 4, 8] {
         let json = serialize(&Scenario::new(fixture_config(threads)).run());
-        assert_matches_golden(&json, &format!("fresh, {threads} threads"));
+        assert_matches_golden(&json, "intern_eq", &format!("fresh, {threads} threads"));
     }
 }
 
@@ -67,7 +67,11 @@ fn incremental_runs_match_pre_interning_bytes_at_every_thread_count() {
                 .incremental(true)
                 .run(),
         );
-        assert_matches_golden(&json, &format!("--incremental, {threads} threads"));
+        assert_matches_golden(
+            &json,
+            "intern_eq",
+            &format!("--incremental, {threads} threads"),
+        );
     }
 }
 
@@ -87,7 +91,7 @@ fn resume_replay_matches_pre_interning_bytes_at_every_thread_count() {
                 .expect("recording run"),
         )
     };
-    assert_matches_golden(&recorded, "--persist recording, 1 thread");
+    assert_matches_golden(&recorded, "intern_eq", "--persist recording, 1 thread");
     for threads in [1, 2, 4, 8] {
         let mut opts = PersistOptions::new(&dir.0);
         opts.resume = true;
@@ -96,7 +100,11 @@ fn resume_replay_matches_pre_interning_bytes_at_every_thread_count() {
                 .run_persisted(&opts)
                 .expect("replay run"),
         );
-        assert_matches_golden(&replayed, &format!("--resume replay, {threads} threads"));
+        assert_matches_golden(
+            &replayed,
+            "intern_eq",
+            &format!("--resume replay, {threads} threads"),
+        );
     }
 }
 
@@ -121,7 +129,7 @@ fn interrupted_resume_matches_pre_interning_bytes() {
             .run_persisted(&opts)
             .expect("resumed run"),
     );
-    assert_matches_golden(&resumed, "interrupted at round 20, resumed");
+    assert_matches_golden(&resumed, "intern_eq", "interrupted at round 20, resumed");
 }
 
 /// Spans recorded on the calling thread since `marker` was dropped there.
@@ -175,7 +183,7 @@ fn traced_runs_match_golden_bytes_in_every_mode() {
         !fresh.resolution_latency.is_empty(),
         "a fresh run crawls every round"
     );
-    assert_matches_golden(&serialize(&fresh), "traced fresh, 1 thread");
+    assert_matches_golden(&serialize(&fresh), "intern_eq", "traced fresh, 1 thread");
 
     let dir = TempDir::new("traced");
     let recorded = Scenario::new(fixture_config(N))
@@ -184,12 +192,14 @@ fn traced_runs_match_golden_bytes_in_every_mode() {
     assert!(!recorded.resolution_latency.is_empty());
     assert_matches_golden(
         &serialize(&recorded),
+        "intern_eq",
         &format!("traced fresh --persist, {N} threads"),
     );
 
     let incremental = Scenario::new(fixture_config(N)).incremental(true).run();
     assert_matches_golden(
         &serialize(&incremental),
+        "intern_eq",
         &format!("traced --incremental, {N} threads"),
     );
 
@@ -205,6 +215,7 @@ fn traced_runs_match_golden_bytes_in_every_mode() {
     );
     assert_matches_golden(
         &serialize(&replayed),
+        "intern_eq",
         &format!("traced --resume --incremental replay, {N} threads"),
     );
 

@@ -6,11 +6,11 @@
 //!
 //! Why this holds: a crawl's outcome is a pure function of its own
 //! operation sequence — every task reads the pre-round store, the simulated
-//! authority and web are static within a round, and per-worker DNS caches
-//! only ever return what a fresh resolution would. Latency therefore
-//! reorders *completions*, never *observations*; only the `lossy` profile
-//! (which drops queries) can change results, and its thread-count
-//! invariance is pinned by `parallel_equivalence`.
+//! authority and web are static within a round, and the resolver keeps no
+//! state between resolutions. Latency therefore reorders *completions*,
+//! never *observations*; only the `lossy` profile (which drops queries) can
+//! change results, and `parallel_equivalence` pins those to the `lossy_eq`
+//! digest at every thread count.
 
 mod golden;
 
@@ -28,7 +28,7 @@ fn latency_profiles_change_timing_telemetry_never_results() {
     for profile in ["zero", "datacenter", "wan"] {
         let results = run_with_profile(profile);
         let json = serde_json::to_string(&results).expect("results serialize");
-        golden::assert_matches_golden(&json, &format!("{profile} profile"));
+        golden::assert_matches_golden(&json, "intern_eq", &format!("{profile} profile"));
 
         // The telemetry side: nonzero-latency profiles must actually have
         // consumed virtual time, the degenerate clock must not — which is

@@ -1,21 +1,19 @@
 //! The parallel crawl's determinism contract under the lossy transport: a
 //! full scenario run must serialize to the *same bytes* for any crawl
-//! thread count. (The default `zero` profile is pinned to a committed digest
+//! thread count, and the serial run must match the committed `lossy_eq`
+//! digest. (The default `zero` profile is pinned to the `intern_eq` digest
 //! at every thread count by `intern_equivalence`.)
 //!
 //! The config enables the transient-failure model (nonzero
 //! `crawl_failure_rate`) so the RNG-keyed crawl path is exercised too — a
 //! sequential RNG shared across threads would break equality immediately.
 
-use dangling_core::scenario::{Scenario, ScenarioConfig};
+mod golden;
+
+use dangling_core::scenario::Scenario;
 
 fn run_lossy(threads: usize) -> String {
-    let mut cfg = ScenarioConfig::at_scale(2000);
-    cfg.world.n_fortune1000 = 30;
-    cfg.world.n_global500 = 15;
-    cfg.seed = 11;
-    cfg.crawl_threads = threads;
-    cfg.crawl_failure_rate = 0.02;
+    let mut cfg = golden::fixture_config(threads);
     cfg.latency_profile = "lossy".into();
     let results = Scenario::new(cfg).run();
     serde_json::to_string(&results).expect("results serialize")
@@ -28,7 +26,7 @@ fn run_lossy(threads: usize) -> String {
 #[test]
 fn lossy_transport_is_thread_count_invariant() {
     let serial = run_lossy(1);
-    assert!(serial.len() > 1000, "run produced a non-trivial result");
+    golden::assert_matches_golden(&serial, "lossy_eq", "lossy profile, 1 thread");
     for threads in [2, 4, 8] {
         let par = run_lossy(threads);
         assert_eq!(

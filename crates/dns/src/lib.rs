@@ -12,8 +12,8 @@
 //!   owners purging or re-pointing records mid-study),
 //! - [`server`] — authoritative query answering (CNAME inclusion, NXDOMAIN
 //!   vs NODATA distinction, which the collection pipeline depends on),
-//! - [`resolver`] — a stub resolver that chases CNAME chains with loop
-//!   detection and a TTL cache driven by simulated time.
+//! - [`resolver`] — a stateless stub resolver that chases CNAME chains
+//!   with loop detection and retries dropped queries.
 //!
 //! The paper's collection methodology (Algorithm 1) issues A queries and
 //! inspects both the CNAME chain and the final A records; this crate provides
@@ -31,6 +31,6 @@ pub use intern::{Interner, LabelId};
 pub use message::{Header, Message, Opcode, Question, Rcode};
 pub use name::{Name, NameError};
 pub use record::{CaaRecord, RecordClass, RecordData, RecordType, ResourceRecord, Soa};
-pub use resolver::{ResolutionInFlight, ResolutionOutcome, Resolver, ResolverConfig};
+pub use resolver::{ResolutionInFlight, ResolutionOutcome, Resolver};
 pub use server::Authority;
 pub use zone::{Zone, ZoneSet};

@@ -1,26 +1,31 @@
-//! Stub resolver with CNAME chasing and a TTL cache.
+//! Stub resolver with CNAME chasing.
 //!
 //! [`Resolver::resolve_a`] is the exact primitive Algorithm 1 of the paper
 //! consumes: given an FQDN it returns the full CNAME chain *and* the terminal
 //! A records (`A_results, CNAME_results ← DNS_A_query(fqdn)`), or the
 //! negative outcome (NXDOMAIN / NODATA / SERVFAIL). The resolver queries an
-//! [`Authority`] through the [`Transport`] trait so tests can interpose
-//! failures, and caches positive and negative answers with day-granularity
-//! TTLs driven by simulated time.
+//! [`Authority`] through the [`Transport`] trait and keeps no state between
+//! resolutions: every call observes the live DNS state, as each monitoring
+//! round of the paper does.
 
 use crate::message::{Message, Rcode};
 use crate::name::Name;
 use crate::record::{RecordData, RecordType, ResourceRecord};
 use crate::server::Authority;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// Where queries go. The production implementation is [`Authority`]; tests
-/// can inject flaky or adversarial transports.
+/// Maximum total CNAME indirections across queries.
+const MAX_CHAIN: usize = 16;
+
+/// Attempts per query before the resolver gives up with SERVFAIL: one
+/// initial send plus two retries after drops. Only a lossy latency profile
+/// ever consumes more than the first.
+const MAX_QUERY_ATTEMPTS: u32 = 3;
+
+/// Where queries go. The production implementation is [`Authority`]; the
+/// world composes its org and cloud authorities behind one.
 ///
 /// `Sync` is a supertrait: the shard-parallel crawl executor resolves
 /// against one shared world from many threads, so every transport must be
@@ -28,14 +33,6 @@ use std::sync::Arc;
 /// interior state).
 pub trait Transport: Sync {
     fn exchange(&self, query: &Message) -> Message;
-
-    /// Lossy-aware exchange: `None` means the query was dropped on the wire
-    /// — no response ever arrives and the caller's retry/timeout budget
-    /// decides what happens next. The default never drops, so existing
-    /// transports are lossless unless they opt in.
-    fn try_exchange(&self, query: &Message) -> Option<Message> {
-        Some(self.exchange(query))
-    }
 }
 
 impl Transport for Authority {
@@ -48,15 +45,11 @@ impl<T: Transport + Send + ?Sized> Transport for Arc<T> {
     fn exchange(&self, query: &Message) -> Message {
         (**self).exchange(query)
     }
-
-    fn try_exchange(&self, query: &Message) -> Option<Message> {
-        (**self).try_exchange(query)
-    }
 }
 
 /// Outcome of resolving an FQDN's A record, the unit of observation for the
 /// collection and monitoring pipelines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolutionOutcome {
     /// Final response code of the chain.
     pub rcode: Rcode,
@@ -66,8 +59,8 @@ pub struct ResolutionOutcome {
     pub addresses: Vec<Ipv4Addr>,
     /// Simulated time the resolution consumed, summed over every query of
     /// the chain (retries and timeout budgets included). Zero under the
-    /// blocking wrapper, on cache hits, and under the zero-latency profile
-    /// — timing telemetry, never an input to any result.
+    /// blocking wrapper and under the zero-latency profile — timing
+    /// telemetry, never an input to any result.
     pub sim_elapsed_ns: u64,
 }
 
@@ -93,67 +86,22 @@ impl ResolutionOutcome {
     }
 }
 
-/// Resolver tuning knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ResolverConfig {
-    /// Maximum total CNAME indirections across queries.
-    pub max_chain: usize,
-    /// Enable the TTL cache.
-    pub cache: bool,
-    /// Cap on cached entries (FIFO-ish eviction by insertion day).
-    pub cache_capacity: usize,
-    /// Attempts per query before the resolver gives up with SERVFAIL: one
-    /// initial send plus `max_query_attempts - 1` retries after drops. Only
-    /// lossy transports/latency profiles ever consume more than the first.
-    pub max_query_attempts: u32,
-}
-
-impl Default for ResolverConfig {
-    fn default() -> Self {
-        ResolverConfig {
-            max_chain: 16,
-            cache: true,
-            cache_capacity: 100_000,
-            max_query_attempts: 3,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    expires: SimTime,
-    outcome: ResolutionOutcome,
-}
-
-#[derive(Debug)]
-enum FlightState {
-    /// One query is on the wire awaiting its completion.
-    Pending { query: Message },
-    /// Terminal: [`Resolver::conclude`] may harvest the outcome.
-    Done,
-}
-
 /// One A-resolution in flight: the submit/poll form of
 /// [`Resolver::resolve_a`]. The machine has at most **one query pending at
-/// a time**; each [`Resolver::advance`] consumes that query's completion
-/// and either readies the next (CNAME hop, or retry after a drop) or
-/// finishes. The event-driven crawl schedules each pending query on its
-/// completion queue; the blocking wrapper completes them inline — both
-/// traverse exactly the same states.
+/// a time**; each [`Resolver::step`] completes that query and either readies
+/// the next (CNAME hop, or retry after a drop) or finishes. The event-driven
+/// crawl schedules each pending query on its completion queue; the blocking
+/// wrapper completes them inline — both traverse exactly the same states.
 #[derive(Debug)]
 pub struct ResolutionInFlight {
-    name: Name,
-    now: SimTime,
-    state: FlightState,
-    /// Pre-resolved outcome from the TTL cache (machine starts done).
-    cached: Option<ResolutionOutcome>,
+    /// The query on the wire awaiting its completion; `None` once done.
+    pending: Option<Message>,
     chain: Vec<Name>,
     seen: Vec<Name>,
     current: Name,
     addresses: Vec<Ipv4Addr>,
     rcode: Rcode,
-    min_ttl: u32,
-    /// CNAME hops still permitted (the old `0..=max_chain` bound).
+    /// CNAME hops still permitted.
     hops_left: usize,
     /// Attempts left for the *current* query before SERVFAIL.
     attempts_left: u32,
@@ -165,44 +113,6 @@ pub struct ResolutionInFlight {
 }
 
 impl ResolutionInFlight {
-    fn cached(name: Name, now: SimTime, outcome: ResolutionOutcome) -> Self {
-        ResolutionInFlight {
-            current: name.clone(),
-            name,
-            now,
-            state: FlightState::Done,
-            cached: Some(outcome),
-            chain: Vec::new(),
-            seen: Vec::new(),
-            addresses: Vec::new(),
-            rcode: Rcode::NoError,
-            min_ttl: 0,
-            hops_left: 0,
-            attempts_left: 0,
-            elapsed_ns: 0,
-            trace: None,
-        }
-    }
-
-    fn fresh(name: Name, now: SimTime, query: Message, config: &ResolverConfig) -> Self {
-        ResolutionInFlight {
-            current: name.clone(),
-            seen: vec![name.clone()],
-            name,
-            now,
-            state: FlightState::Pending { query },
-            cached: None,
-            chain: Vec::new(),
-            addresses: Vec::new(),
-            rcode: Rcode::NoError,
-            min_ttl: 86_400 * 7, // cap cache residency at a week
-            hops_left: config.max_chain,
-            attempts_left: config.max_query_attempts.max(1),
-            elapsed_ns: 0,
-            trace: None,
-        }
-    }
-
     /// Attach a causal trace context (the crawl's, re-based to this
     /// machine's start). Each completed query then emits a `dns.query`
     /// child span stamped in virtual time.
@@ -210,105 +120,95 @@ impl ResolutionInFlight {
         self.trace = Some((ctx, 0));
     }
 
-    /// The query currently on the wire, if any.
-    pub fn pending_query(&self) -> Option<&Message> {
-        match &self.state {
-            FlightState::Pending { query } => Some(query),
-            FlightState::Done => None,
-        }
-    }
-
     /// The name the pending query asks about (the current CNAME hop) — what
     /// a latency model prices the exchange against.
     pub fn pending_qname(&self) -> Option<&Name> {
-        match &self.state {
-            FlightState::Pending { .. } => Some(&self.current),
-            FlightState::Done => None,
-        }
+        self.pending.as_ref().map(|_| &self.current)
     }
 
     pub fn is_done(&self) -> bool {
-        matches!(self.state, FlightState::Done)
+        self.pending.is_none()
     }
 
     /// Simulated time consumed so far.
     pub fn elapsed_ns(&self) -> u64 {
         self.elapsed_ns
     }
+
+    /// The finished resolution's outcome.
+    pub fn into_outcome(self) -> ResolutionOutcome {
+        debug_assert!(self.is_done(), "harvesting a resolution still in flight");
+        ResolutionOutcome {
+            rcode: self.rcode,
+            cname_chain: self.chain,
+            addresses: self.addresses,
+            sim_elapsed_ns: self.elapsed_ns,
+        }
+    }
+
+    /// Ready the next query for the current name with a fresh retry budget.
+    fn ask_current(&mut self) {
+        self.attempts_left = MAX_QUERY_ATTEMPTS;
+        self.pending = Some(Message::query(self.current.clone(), RecordType::A));
+    }
 }
 
-/// A caching stub resolver.
+/// A stub resolver: a transport plus the per-name state machine.
 pub struct Resolver<T: Transport> {
     transport: T,
-    config: ResolverConfig,
-    cache: Mutex<HashMap<(Name, RecordType), CacheEntry>>,
 }
 
 impl<T: Transport> Resolver<T> {
     pub fn new(transport: T) -> Self {
-        Self::with_config(transport, ResolverConfig::default())
+        Resolver { transport }
     }
 
-    pub fn with_config(transport: T, config: ResolverConfig) -> Self {
-        Resolver {
-            transport,
-            config,
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
+    /// No-op: the resolver holds no cached answers. Kept only because the
+    /// study benchmark's crawl sampler still calls it.
+    pub fn flush_cache(&self) {}
 
-    /// Drop all cached entries (tests / epoch changes).
-    pub fn flush_cache(&self) {
-        self.cache.lock().clear();
-    }
-
-    /// Resolve the A records for `name` at simulated time `now`, chasing
-    /// CNAME chains with loop detection.
+    /// Resolve the A records for `name`, chasing CNAME chains with loop
+    /// detection. The time parameter is unused: the answer is whatever the
+    /// transport holds when it is asked.
     ///
     /// Thin blocking wrapper over the submit/poll machine: every query
     /// completes instantly and in submission order, which is exactly the
     /// schedule the event-driven crawl produces under the zero-latency
     /// profile.
-    pub fn resolve_a(&self, name: &Name, now: SimTime) -> ResolutionOutcome {
-        let mut fl = self.begin(name, now);
+    pub fn resolve_a(&self, name: &Name, _now: SimTime) -> ResolutionOutcome {
+        let mut fl = self.begin(name);
         while !fl.is_done() {
-            let resp = self.exchange_pending(&fl);
-            self.advance(&mut fl, resp, 0);
+            self.step(&mut fl, false, 0);
         }
-        self.conclude(fl)
+        fl.into_outcome()
     }
 
-    /// Start resolving `name`: checks the cache and, on a miss, readies the
-    /// first query. Drive the returned machine with [`Self::advance`] until
-    /// [`ResolutionInFlight::is_done`], then harvest via [`Self::conclude`].
-    pub fn begin(&self, name: &Name, now: SimTime) -> ResolutionInFlight {
-        if self.config.cache {
-            let cache = self.cache.lock();
-            if let Some(e) = cache.get(&(name.clone(), RecordType::A)) {
-                if e.expires > now {
-                    let mut outcome = e.outcome.clone();
-                    outcome.sim_elapsed_ns = 0; // a hit costs no network time
-                    return ResolutionInFlight::cached(name.clone(), now, outcome);
-                }
-            }
-        }
-        let query = Message::query(name.clone(), RecordType::A);
-        ResolutionInFlight::fresh(name.clone(), now, query, &self.config)
+    /// Start resolving `name`: readies the first query. Drive the returned
+    /// machine with [`Self::step`] until [`ResolutionInFlight::is_done`],
+    /// then harvest it with [`ResolutionInFlight::into_outcome`].
+    pub fn begin(&self, name: &Name) -> ResolutionInFlight {
+        let mut fl = ResolutionInFlight {
+            pending: None,
+            chain: Vec::new(),
+            seen: vec![name.clone()],
+            current: name.clone(),
+            addresses: Vec::new(),
+            rcode: Rcode::NoError,
+            hops_left: MAX_CHAIN,
+            attempts_left: 0,
+            elapsed_ns: 0,
+            trace: None,
+        };
+        fl.ask_current();
+        fl
     }
 
-    /// Send the machine's pending query over the transport. `None` when the
-    /// transport dropped it (or nothing is pending).
-    pub fn exchange_pending(&self, fl: &ResolutionInFlight) -> Option<Message> {
-        let q = fl.pending_query()?;
-        self.transport.try_exchange(q)
-    }
-
-    /// Feed one completion into the machine: the response to its pending
-    /// query (`None` = dropped on the wire) and the simulated time the
-    /// attempt consumed. Readies the next query (CNAME hop or retry) or
-    /// finishes the chain.
-    pub fn advance(&self, fl: &mut ResolutionInFlight, response: Option<Message>, cost_ns: u64) {
-        let FlightState::Pending { .. } = fl.state else {
+    /// Complete the machine's pending query: send it over the transport
+    /// unless it was `dropped` on the wire, and charge `cost_ns` of
+    /// simulated time for the attempt. Readies the next query (CNAME hop or
+    /// retry) or finishes the chain.
+    pub fn step(&self, fl: &mut ResolutionInFlight, dropped: bool, cost_ns: u64) {
+        let Some(query) = fl.pending.take() else {
             return; // already done; nothing in flight to complete
         };
         if let Some((ctx, index)) = &mut fl.trace {
@@ -320,35 +220,29 @@ impl<T: Transport> Resolver<T> {
                 cost_ns,
                 vec![
                     ("qname", obs::span::ArgValue::Str(fl.current.to_string())),
-                    (
-                        "dropped",
-                        obs::span::ArgValue::I64(response.is_none() as i64),
-                    ),
+                    ("dropped", obs::span::ArgValue::I64(dropped as i64)),
                 ],
             );
             *index += 1;
         }
         fl.elapsed_ns += cost_ns;
-        let Some(resp) = response else {
-            // Dropped: burn one attempt, retry the same name or give up.
+        if dropped {
+            // Burn one attempt, retry the same name or give up.
             fl.attempts_left -= 1;
             if fl.attempts_left == 0 {
                 fl.rcode = Rcode::ServFail;
-                fl.state = FlightState::Done;
             } else {
-                let q = Message::query(fl.current.clone(), RecordType::A);
-                fl.state = FlightState::Pending { query: q };
+                fl.pending = Some(query);
             }
             return;
-        };
+        }
+        let resp = self.transport.exchange(&query);
         fl.rcode = resp.header.rcode;
         if fl.rcode == Rcode::Refused || fl.rcode == Rcode::ServFail {
-            fl.state = FlightState::Done;
             return;
         }
         let mut progressed = false;
         for rr in &resp.answers {
-            fl.min_ttl = fl.min_ttl.min(rr.ttl);
             match &rr.data {
                 RecordData::A(ip) => {
                     fl.addresses.push(*ip);
@@ -357,7 +251,6 @@ impl<T: Transport> Resolver<T> {
                     if fl.seen.contains(target) {
                         // CNAME loop crossing authorities.
                         fl.rcode = Rcode::ServFail;
-                        fl.state = FlightState::Done;
                         return;
                     }
                     fl.chain.push(target.clone());
@@ -369,50 +262,13 @@ impl<T: Transport> Resolver<T> {
             }
         }
         if !fl.addresses.is_empty() || fl.rcode == Rcode::NxDomain || !progressed {
-            fl.state = FlightState::Done;
             return;
         }
         if fl.hops_left == 0 {
-            // Chain budget exhausted (same bound as the old `0..=max_chain`).
-            fl.state = FlightState::Done;
-            return;
+            return; // chain budget exhausted
         }
         fl.hops_left -= 1;
-        fl.attempts_left = self.config.max_query_attempts.max(1);
-        let q = Message::query(fl.current.clone(), RecordType::A);
-        fl.state = FlightState::Pending { query: q };
-    }
-
-    /// Finish a completed resolution: build the outcome and cache it under
-    /// the same TTL rules the blocking path always had.
-    pub fn conclude(&self, fl: ResolutionInFlight) -> ResolutionOutcome {
-        debug_assert!(fl.is_done(), "concluding a resolution still in flight");
-        if let Some(outcome) = fl.cached {
-            return outcome; // cache hit: never re-inserted
-        }
-        let outcome = ResolutionOutcome {
-            rcode: fl.rcode,
-            cname_chain: fl.chain,
-            addresses: fl.addresses,
-            sim_elapsed_ns: fl.elapsed_ns,
-        };
-        if self.config.cache && fl.rcode != Rcode::ServFail && fl.rcode != Rcode::Refused {
-            let ttl_days = (fl.min_ttl / 86_400) as i32;
-            if ttl_days >= 1 {
-                let mut cache = self.cache.lock();
-                if cache.len() >= self.config.cache_capacity {
-                    cache.clear(); // crude but deterministic
-                }
-                cache.insert(
-                    (fl.name.clone(), RecordType::A),
-                    CacheEntry {
-                        expires: fl.now + ttl_days,
-                        outcome: outcome.clone(),
-                    },
-                );
-            }
-        }
-        outcome
+        fl.ask_current();
     }
 
     /// Fetch records of an arbitrary type at a single name (no chain
@@ -456,6 +312,7 @@ mod tests {
     use super::*;
     use crate::record::CaaRecord;
     use crate::zone::{Zone, ZoneSet};
+    use parking_lot::Mutex;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -532,29 +389,36 @@ mod tests {
         assert!(!out.is_dangling_cname()); // no CNAME involved
     }
 
-    #[test]
-    fn cache_hits_within_ttl() {
-        // Dropping none: the transport only counts the queries sent.
-        let r = Resolver::new(DroppingTransport::new(authority(), 0));
-        let sent = || *r.transport.seen.lock();
-        let day0 = SimTime(0);
-        r.resolve_a(&n("www.example.com"), day0); // ttl 2 days -> cached
-        let sent_before = sent();
-        let out = r.resolve_a(&n("www.example.com"), SimTime(1));
-        assert!(out.is_resolvable());
-        assert_eq!(sent(), sent_before, "should hit cache");
-        // After expiry it re-queries.
-        r.resolve_a(&n("www.example.com"), SimTime(3));
-        assert!(sent() > sent_before);
+    /// Answers from an authority the test can edit between resolutions.
+    struct EditableTransport(Mutex<Authority>);
+
+    impl Transport for EditableTransport {
+        fn exchange(&self, query: &Message) -> Message {
+            self.0.lock().answer(query)
+        }
     }
 
     #[test]
-    fn short_ttl_not_cached() {
-        let r = Resolver::new(DroppingTransport::new(authority(), 0));
-        r.resolve_a(&n("shop.example.com"), SimTime(0)); // min ttl 60s
-        let sent = *r.transport.seen.lock();
-        r.resolve_a(&n("shop.example.com"), SimTime(0));
-        assert!(*r.transport.seen.lock() > sent);
+    fn every_resolution_asks_the_transport() {
+        // A negative answer is not remembered: once the record exists, the
+        // same resolver resolves the name at the same instant.
+        let r = Resolver::new(EditableTransport(Mutex::new(authority())));
+        let name = n("new.example.com");
+        assert_eq!(r.resolve_a(&name, SimTime(0)).rcode, Rcode::NxDomain);
+        r.transport
+            .0
+            .lock()
+            .zones_mut()
+            .get_mut(&n("example.com"))
+            .unwrap()
+            .add(ResourceRecord::new(
+                name.clone(),
+                300,
+                RecordData::A(Ipv4Addr::new(5, 6, 7, 8)),
+            ));
+        let out = r.resolve_a(&name, SimTime(0));
+        assert!(out.is_resolvable());
+        assert_eq!(out.addresses, vec![Ipv4Addr::new(5, 6, 7, 8)]);
     }
 
     #[test]
@@ -598,73 +462,55 @@ mod tests {
         assert!(!out.is_resolvable());
     }
 
-    /// Drops the first N queries it sees, then behaves like its inner
-    /// authority — the timeout/retry test double. `seen` counts every query
-    /// sent through `try_exchange`.
-    struct DroppingTransport {
-        inner: Authority,
-        drop_first: u64,
-        seen: Mutex<u64>,
-    }
-
-    impl DroppingTransport {
-        fn new(inner: Authority, drop_first: u64) -> Self {
-            DroppingTransport {
-                inner,
-                drop_first,
-                seen: Mutex::new(0),
-            }
+    /// Drive one resolution by hand, as the crawl does. `sent` counts the
+    /// sends across calls; a send whose ordinal is in `drops` is lost.
+    fn resolve_dropping<T: Transport>(
+        r: &Resolver<T>,
+        name: &str,
+        drops: &[u64],
+        sent: &mut u64,
+    ) -> ResolutionOutcome {
+        let mut fl = r.begin(&n(name));
+        while !fl.is_done() {
+            *sent += 1;
+            r.step(&mut fl, drops.contains(sent), 0);
         }
-    }
-
-    impl Transport for DroppingTransport {
-        fn exchange(&self, query: &Message) -> Message {
-            self.inner.exchange(query)
-        }
-
-        fn try_exchange(&self, query: &Message) -> Option<Message> {
-            let mut seen = self.seen.lock();
-            *seen += 1;
-            if *seen <= self.drop_first {
-                None
-            } else {
-                Some(self.inner.exchange(query))
-            }
-        }
+        fl.into_outcome()
     }
 
     #[test]
     fn drops_within_budget_retry_to_success() {
         // 2 drops, 3 attempts: the third attempt lands.
-        let r = Resolver::new(DroppingTransport::new(authority(), 2));
-        let out = r.resolve_a(&n("www.example.com"), SimTime(0));
+        let r = Resolver::new(authority());
+        let mut sent = 0;
+        let out = resolve_dropping(&r, "www.example.com", &[1, 2], &mut sent);
         assert!(out.is_resolvable());
-        assert_eq!(*r.transport.seen.lock(), 3);
+        assert_eq!(sent, 3);
     }
 
     #[test]
     fn drops_exhausting_budget_yield_servfail() {
-        // 3 drops, 3 attempts: budget exhausted -> SERVFAIL, never cached.
-        let r = Resolver::new(DroppingTransport::new(authority(), 3));
-        let out = r.resolve_a(&n("www.example.com"), SimTime(0));
+        // 3 drops, 3 attempts: budget exhausted -> SERVFAIL.
+        let r = Resolver::new(authority());
+        let mut sent = 0;
+        let out = resolve_dropping(&r, "www.example.com", &[1, 2, 3], &mut sent);
         assert_eq!(out.rcode, Rcode::ServFail);
         assert!(!out.is_resolvable());
-        // Not cached: the next call goes back to the (now healed) wire.
-        let out2 = r.resolve_a(&n("www.example.com"), SimTime(0));
-        assert!(out2.is_resolvable());
+        assert_eq!(sent, 3);
+        // The next resolution goes back to the (now healed) wire.
+        let out = resolve_dropping(&r, "www.example.com", &[1, 2, 3], &mut sent);
+        assert!(out.is_resolvable());
+        assert_eq!(sent, 4);
     }
 
-    /// Two separate authorities (the chain must cross them query by query)
-    /// with drops injected at chosen query ordinals.
-    struct SplitLossyTransport {
+    /// Two separate authorities: the chain must cross them query by query.
+    struct SplitTransport {
         org: Authority,
         cloud: Authority,
-        drop_ordinals: Vec<u64>,
-        seen: Mutex<u64>,
     }
 
-    impl SplitLossyTransport {
-        fn new(drop_ordinals: Vec<u64>) -> Self {
+    impl SplitTransport {
+        fn new() -> Self {
             let mut org_zs = ZoneSet::new();
             let mut ex = Zone::new(n("example.com"));
             ex.add(ResourceRecord::new(
@@ -681,15 +527,15 @@ mod tests {
                 RecordData::A(Ipv4Addr::new(20, 40, 60, 80)),
             ));
             cloud_zs.insert(az);
-            SplitLossyTransport {
+            SplitTransport {
                 org: Authority::new(org_zs),
                 cloud: Authority::new(cloud_zs),
-                drop_ordinals,
-                seen: Mutex::new(0),
             }
         }
+    }
 
-        fn route(&self, query: &Message) -> Message {
+    impl Transport for SplitTransport {
+        fn exchange(&self, query: &Message) -> Message {
             let qname = &query.questions[0].name;
             if qname.ends_with(&n("azurewebsites.net")) {
                 self.cloud.exchange(query)
@@ -699,86 +545,58 @@ mod tests {
         }
     }
 
-    impl Transport for SplitLossyTransport {
-        fn exchange(&self, query: &Message) -> Message {
-            self.route(query)
-        }
-
-        fn try_exchange(&self, query: &Message) -> Option<Message> {
-            let mut seen = self.seen.lock();
-            *seen += 1;
-            if self.drop_ordinals.contains(&seen) {
-                None
-            } else {
-                Some(self.route(query))
-            }
-        }
-    }
-
     #[test]
-    fn drop_retry_spans_cname_hops() {
-        // Drop budget is per query, not per chain: one drop on each hop
-        // still resolves with 2 attempts per query.
-        let cfg = ResolverConfig {
-            max_query_attempts: 2,
-            ..ResolverConfig::default()
-        };
-        // Query 1 (hop 1) and query 3 (hop 2) are dropped; retries land.
-        let r = Resolver::with_config(SplitLossyTransport::new(vec![1, 3]), cfg);
-        let out = r.resolve_a(&n("shop.example.com"), SimTime(0));
+    fn drop_budget_resets_on_each_cname_hop() {
+        // Two drops on each hop: each hop's third attempt lands.
+        let r = Resolver::new(SplitTransport::new());
+        let mut sent = 0;
+        let out = resolve_dropping(&r, "shop.example.com", &[1, 2, 4, 5], &mut sent);
         assert!(out.is_resolvable());
         assert_eq!(out.cname_chain, vec![n("shop-prod.azurewebsites.net")]);
-        assert_eq!(*r.transport.seen.lock(), 4);
+        assert_eq!(sent, 6);
+        // Hop 1 lands first time; hop 2 loses all three attempts.
+        let mut sent = 0;
+        let out = resolve_dropping(&r, "shop.example.com", &[2, 3, 4], &mut sent);
+        assert_eq!(out.rcode, Rcode::ServFail);
+        assert_eq!(out.cname_chain, vec![n("shop-prod.azurewebsites.net")]);
+        assert_eq!(sent, 4);
     }
 
     #[test]
     fn machine_accumulates_elapsed_time() {
         // Drive the submit/poll machine by hand, charging a modeled cost per
         // completion: a drop burns the full timeout budget, answers their RTT.
-        let r = Resolver::new(SplitLossyTransport::new(vec![1]));
-        let mut fl = r.begin(&n("shop.example.com"), SimTime(0));
-        let mut costs = [5_000_000_000u64, 20_000_000, 25_000_000].into_iter();
+        let r = Resolver::new(SplitTransport::new());
+        let mut fl = r.begin(&n("shop.example.com"));
+        let mut sends = [
+            (true, 5_000_000_000u64),
+            (false, 20_000_000),
+            (false, 25_000_000),
+        ]
+        .into_iter();
         while !fl.is_done() {
             assert!(fl.pending_qname().is_some());
-            let resp = r.exchange_pending(&fl);
-            r.advance(&mut fl, resp, costs.next().expect("≤3 completions"));
+            let (dropped, cost_ns) = sends.next().expect("≤3 completions");
+            r.step(&mut fl, dropped, cost_ns);
         }
-        let out = r.conclude(fl);
+        let out = fl.into_outcome();
         assert!(out.is_resolvable());
         // Dropped hop-1 attempt + answered hop-1 retry + answered hop 2.
         assert_eq!(out.sim_elapsed_ns, 5_000_000_000 + 20_000_000 + 25_000_000);
     }
 
     #[test]
-    fn cache_hit_costs_no_simulated_time() {
-        let r = Resolver::new(authority());
-        let mut fl = r.begin(&n("www.example.com"), SimTime(0));
-        while !fl.is_done() {
-            let resp = r.exchange_pending(&fl);
-            r.advance(&mut fl, resp, 1_000_000);
-        }
-        let first = r.conclude(fl);
-        assert_eq!(first.sim_elapsed_ns, 1_000_000);
-        // Second resolution hits the TTL cache: same answer, zero cost.
-        let hit = r.resolve_a(&n("www.example.com"), SimTime(1));
-        assert!(hit.is_resolvable());
-        assert_eq!(hit.sim_elapsed_ns, 0);
-    }
-
-    #[test]
     fn blocking_wrapper_matches_machine() {
         // The blocking API and a hand-driven machine traverse identical
         // states: same outcome, field for field.
-        let r1 = Resolver::new(authority());
-        let r2 = Resolver::new(authority());
+        let r = Resolver::new(authority());
         for name in ["www.example.com", "shop.example.com", "nope.example.com"] {
-            let blocking = r1.resolve_a(&n(name), SimTime(0));
-            let mut fl = r2.begin(&n(name), SimTime(0));
+            let blocking = r.resolve_a(&n(name), SimTime(0));
+            let mut fl = r.begin(&n(name));
             while !fl.is_done() {
-                let resp = r2.exchange_pending(&fl);
-                r2.advance(&mut fl, resp, 0);
+                r.step(&mut fl, false, 0);
             }
-            assert_eq!(blocking, r2.conclude(fl), "{name}");
+            assert_eq!(blocking, fl.into_outcome(), "{name}");
         }
     }
 }
