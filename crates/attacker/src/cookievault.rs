@@ -15,6 +15,28 @@ use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::net::Ipv4Addr;
 
+/// Can a specific cookie be stolen by a hijack of the given class, given
+/// whether the hijack serves valid HTTPS for the domain?
+///
+/// - `HttpOnly` cookies require header access, which only a full webserver
+///   gives (Table 4); a content-only hijack's script cannot see them.
+/// - `Secure` cookies are only ever sent over HTTPS, so stealing them
+///   requires a valid certificate (§5.6's motivation).
+pub fn can_steal_cookie(
+    class: CapabilityClass,
+    hijack_serves_https: bool,
+    cookie_http_only: bool,
+    cookie_secure: bool,
+) -> bool {
+    if cookie_http_only && class != CapabilityClass::FullWebserver {
+        return false;
+    }
+    if cookie_secure && !hijack_serves_https {
+        return false;
+    }
+    true
+}
+
 /// One leaked authentication cookie observed in the feed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CookieLeak {
@@ -63,12 +85,8 @@ impl CookieVault {
             // Cookie attribute mix: most auth cookies are HttpOnly+Secure.
             let http_only = rng.gen_bool(0.8);
             let secure = rng.gen_bool(0.7);
-            let can_read_headers = capability == CapabilityClass::FullWebserver;
-            if http_only && !can_read_headers {
-                continue; // content-only hijack cannot see it
-            }
-            if secure && !serves_https {
-                continue; // browser never sends it over HTTP
+            if !can_steal_cookie(capability, serves_https, http_only, secure) {
+                continue;
             }
             let id = self.next_id;
             self.next_id += 1;
@@ -118,6 +136,20 @@ mod tests {
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
+    }
+
+    #[test]
+    fn cookie_theft_matrix() {
+        use CapabilityClass::*;
+        // HttpOnly + Secure: needs full webserver AND https.
+        assert!(can_steal_cookie(FullWebserver, true, true, true));
+        assert!(!can_steal_cookie(FullWebserver, false, true, true));
+        assert!(!can_steal_cookie(StaticContent, true, true, true));
+        // Plain cookie: anyone.
+        assert!(can_steal_cookie(StaticContent, false, false, false));
+        // Secure only: needs https, not headers.
+        assert!(!can_steal_cookie(StaticContent, false, false, true));
+        assert!(can_steal_cookie(StaticContent, true, false, true));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! rather than materializing terabytes), response headers, and robots.txt /
 //! .htaccess (the cloaking machinery of §5.2.1).
 
-use httpsim::{HeaderMap, Request, Response, StatusCode};
+use httpsim::{Request, Response, StatusCode};
 use serde::{Deserialize, Serialize};
 
 /// Sitemap metadata plus a small representative sample. The monitoring
@@ -106,15 +106,6 @@ impl SiteContent {
             resp.headers.append(n.clone(), v.clone());
         }
         resp
-    }
-
-    /// Extract the headers this site would attach (used when building
-    /// synthetic responses without a request).
-    pub fn header_map(&self) -> HeaderMap {
-        self.extra_headers
-            .iter()
-            .map(|(n, v)| (n.clone(), v.clone()))
-            .collect()
     }
 }
 

@@ -4,7 +4,9 @@
 //! resource class they control: static-content resources (S3, Pantheon CMS)
 //! give file/content/html/javascript; full-webserver resources additionally
 //! give header access and HTTPS. The §5.5 cookie consequences follow
-//! mechanically.
+//! mechanically: [`cookie_access`] is the per-class row `repro table4`
+//! prints, and `attacker::cookievault::can_steal_cookie` is the per-cookie
+//! rule the simulated hijacks run.
 
 use cloudsim::CapabilityClass;
 use serde::{Deserialize, Serialize};
@@ -60,27 +62,6 @@ pub fn cookie_access(class: CapabilityClass) -> CookieAccess {
     }
 }
 
-/// Can a specific cookie be stolen by a hijack of the given class, given
-/// whether the hijack serves valid HTTPS for the domain?
-///
-/// - `HttpOnly` cookies require header access (full webserver).
-/// - `Secure` cookies are only ever sent over HTTPS, so stealing them
-///   requires a valid certificate (§5.6's motivation).
-pub fn can_steal_cookie(
-    class: CapabilityClass,
-    hijack_serves_https: bool,
-    cookie_http_only: bool,
-    cookie_secure: bool,
-) -> bool {
-    if cookie_http_only && cookie_access(class) != CookieAccess::AllCookies {
-        return false;
-    }
-    if cookie_secure && !hijack_serves_https {
-        return false;
-    }
-    true
-}
-
 /// §5.1's attack-prerequisite check, extending [16]: which same-site attacks
 /// does the capability class enable? CSP bypass needs file+html; CORS /
 /// postMessage / domain-relaxation abuse additionally need javascript —
@@ -128,20 +109,6 @@ mod tests {
             cookie_access(CapabilityClass::StaticContent),
             CookieAccess::ScriptVisibleOnly
         );
-    }
-
-    #[test]
-    fn cookie_theft_matrix() {
-        use CapabilityClass::*;
-        // HttpOnly + Secure: needs full webserver AND https.
-        assert!(can_steal_cookie(FullWebserver, true, true, true));
-        assert!(!can_steal_cookie(FullWebserver, false, true, true));
-        assert!(!can_steal_cookie(StaticContent, true, true, true));
-        // Plain cookie: anyone.
-        assert!(can_steal_cookie(StaticContent, false, false, false));
-        // Secure only: needs https, not headers.
-        assert!(!can_steal_cookie(StaticContent, false, false, true));
-        assert!(can_steal_cookie(StaticContent, true, false, true));
     }
 
     #[test]

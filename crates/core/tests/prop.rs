@@ -2,7 +2,8 @@
 //! signature matching, the capability model, and the serde round-trips the
 //! persistence log depends on.
 
-use dangling_core::capability::{can_steal_cookie, capabilities};
+use attacker::cookievault::can_steal_cookie;
+use dangling_core::capability::{capabilities, cookie_access, CookieAccess};
 use dangling_core::diff::{diff, ChangeKind};
 use dangling_core::keywords::{cluster_key, extract_keywords, overlap, rank_tokens};
 use dangling_core::signature::Signature;
@@ -221,6 +222,13 @@ proptest! {
         use cloudsim::CapabilityClass::*;
         if can_steal_cookie(StaticContent, https, http_only, secure) {
             prop_assert!(can_steal_cookie(FullWebserver, https, http_only, secure));
+        }
+        // The rule the hijacks run agrees with the Table 4 row repro prints.
+        for class in [StaticContent, FullWebserver] {
+            prop_assert_eq!(
+                can_steal_cookie(class, true, true, false),
+                cookie_access(class) == CookieAccess::AllCookies
+            );
         }
         // Full webserver capabilities strictly dominate.
         let s = capabilities(StaticContent);

@@ -2,9 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A multimap of HTTP headers. Lookup is case-insensitive; insertion order is
-/// preserved for serialization fidelity. Multiple values per name are allowed
-/// (`Set-Cookie` in particular must not be folded).
+/// A multimap of HTTP headers. Lookup is case-insensitive and returns the
+/// first value in insertion order; [`HeaderMap::append`] keeps earlier
+/// values of the same name, [`HeaderMap::set`] replaces them.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HeaderMap {
     entries: Vec<(String, String)>,
@@ -34,46 +34,13 @@ impl HeaderMap {
             .map(|(_, v)| v.as_str())
     }
 
-    /// All values of `name`.
-    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.entries
-            .iter()
-            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
     pub fn contains(&self, name: &str) -> bool {
         self.get(name).is_some()
     }
 
-    /// Remove all values of `name`, returning how many were removed.
-    pub fn remove(&mut self, name: &str) -> usize {
-        let before = self.entries.len();
+    /// Remove all values of `name`.
+    fn remove(&mut self, name: &str) {
         self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
-        before - self.entries.len()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl<N: Into<String>, V: Into<String>> FromIterator<(N, V)> for HeaderMap {
-    fn from_iter<T: IntoIterator<Item = (N, V)>>(iter: T) -> Self {
-        HeaderMap {
-            entries: iter
-                .into_iter()
-                .map(|(n, v)| (n.into(), v.into()))
-                .collect(),
-        }
     }
 }
 
@@ -92,12 +59,10 @@ mod tests {
     }
 
     #[test]
-    fn multiple_values_preserved() {
+    fn append_keeps_first_value() {
         let mut h = HeaderMap::new();
         h.append("Set-Cookie", "a=1");
         h.append("Set-Cookie", "b=2");
-        let all: Vec<_> = h.get_all("set-cookie").collect();
-        assert_eq!(all, vec!["a=1", "b=2"]);
         assert_eq!(h.get("Set-Cookie"), Some("a=1"));
     }
 
@@ -107,22 +72,11 @@ mod tests {
         h.append("X", "1");
         h.append("x", "2");
         h.set("X", "3");
-        assert_eq!(h.get_all("x").count(), 1);
         assert_eq!(h.get("x"), Some("3"));
-    }
-
-    #[test]
-    fn remove_counts() {
-        let mut h: HeaderMap = [("a", "1"), ("A", "2"), ("b", "3")].into_iter().collect();
-        assert_eq!(h.remove("a"), 2);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.remove("zzz"), 0);
-    }
-
-    #[test]
-    fn order_preserved() {
-        let h: HeaderMap = [("z", "1"), ("a", "2"), ("m", "3")].into_iter().collect();
-        let names: Vec<_> = h.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["z", "a", "m"]);
+        assert_eq!(h, {
+            let mut one = HeaderMap::new();
+            one.append("X", "3");
+            one
+        });
     }
 }

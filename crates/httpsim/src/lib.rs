@@ -4,28 +4,18 @@
 //! checked at the application layer**: ICMP and TCP probes mis-estimate the
 //! availability of virtually-hosted services (72% / 93% responsive vs 89%
 //! for real HTTP requests on their hijacked set), so the pipeline downloads
-//! HTML per-FQDN instead of port-scanning. This crate supplies everything
-//! needed to express that:
+//! HTML per-FQDN instead of port-scanning. This crate supplies what the
+//! weekly crawl and the liveness probe send and receive:
 //!
-//! - [`message`] — HTTP/1.1 requests/responses with status codes,
+//! - [`message`] — GET requests carrying the FQDN in `Host`, and responses,
 //! - [`headers`] — a case-insensitive, order-preserving header map,
-//! - [`parse`] — textual HTTP/1.1 serialization and parsing,
-//! - [`cookie`] — `Set-Cookie` handling with the `HttpOnly`/`Secure`/
-//!   `SameSite` attributes that gate the cookie-theft analysis of §5.5,
-//! - [`hsts`] — `Strict-Transport-Security` parsing and a client-side store
-//!   (App. A.2 measures HSTS prevalence on hijacked parents),
 //! - [`probe`] — the three liveness probe types (ICMP / TCP / HTTP) whose
 //!   disagreement motivates the paper's collection design.
 
-pub mod cookie;
 pub mod headers;
-pub mod hsts;
 pub mod message;
-pub mod parse;
 pub mod probe;
 
-pub use cookie::{Cookie, CookieJar, SameSite};
 pub use headers::HeaderMap;
-pub use hsts::{HstsPolicy, HstsStore};
-pub use message::{Method, Request, Response, StatusCode};
+pub use message::{Request, Response, StatusCode};
 pub use probe::{Endpoint, ProbeInFlight, ProbeKind, ProbeResult, ProbeWait};

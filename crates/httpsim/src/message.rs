@@ -2,107 +2,29 @@
 
 use crate::headers::HeaderMap;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// Request methods used by the pipeline (the crawler only ever sends GET and
-/// HEAD; POST exists for the attacker's referral endpoints).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Method {
-    Get,
-    Head,
-    Post,
-}
-
-impl Method {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Method::Get => "GET",
-            Method::Head => "HEAD",
-            Method::Post => "POST",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "GET" => Method::Get,
-            "HEAD" => Method::Head,
-            "POST" => Method::Post,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for Method {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// HTTP status code wrapper with the reason phrases the simulation serves.
+/// HTTP status code wrapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct StatusCode(pub u16);
 
 impl StatusCode {
     pub const OK: StatusCode = StatusCode(200);
-    pub const MOVED_PERMANENTLY: StatusCode = StatusCode(301);
-    pub const FOUND: StatusCode = StatusCode(302);
-    pub const BAD_REQUEST: StatusCode = StatusCode(400);
-    pub const FORBIDDEN: StatusCode = StatusCode(403);
     pub const NOT_FOUND: StatusCode = StatusCode(404);
-    pub const GONE: StatusCode = StatusCode(410);
-    pub const INTERNAL_SERVER_ERROR: StatusCode = StatusCode(500);
-    pub const BAD_GATEWAY: StatusCode = StatusCode(502);
-    pub const SERVICE_UNAVAILABLE: StatusCode = StatusCode(503);
 
     pub fn is_success(self) -> bool {
         (200..300).contains(&self.0)
     }
-
-    pub fn is_redirect(self) -> bool {
-        (300..400).contains(&self.0)
-    }
-
-    pub fn is_client_error(self) -> bool {
-        (400..500).contains(&self.0)
-    }
-
-    pub fn is_server_error(self) -> bool {
-        (500..600).contains(&self.0)
-    }
-
-    pub fn reason(self) -> &'static str {
-        match self.0 {
-            200 => "OK",
-            301 => "Moved Permanently",
-            302 => "Found",
-            400 => "Bad Request",
-            403 => "Forbidden",
-            404 => "Not Found",
-            410 => "Gone",
-            500 => "Internal Server Error",
-            502 => "Bad Gateway",
-            503 => "Service Unavailable",
-            _ => "Unknown",
-        }
-    }
 }
 
-impl fmt::Display for StatusCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.0, self.reason())
-    }
-}
-
-/// An HTTP/1.1 request.
+/// An HTTP GET request — the only method the crawl and the probes send.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
-    pub method: Method,
     /// Origin-form target, e.g. `/sitemap.xml`.
     pub path: String,
     pub headers: HeaderMap,
-    pub body: Vec<u8>,
-    /// Whether the request travelled over TLS — the `Secure`-cookie and HSTS
-    /// logic branch on this.
+    /// Whether the request travelled over TLS. The platform completes the
+    /// handshake only for its generated FQDN and custom domains bound to a
+    /// certificate.
     pub https: bool,
 }
 
@@ -113,10 +35,8 @@ impl Request {
         headers.set("Host", host);
         headers.set("User-Agent", "dangling-study/1.0");
         Request {
-            method: Method::Get,
             path: path.to_string(),
             headers,
-            body: Vec::new(),
             https: false,
         }
     }
@@ -188,10 +108,7 @@ mod tests {
     #[test]
     fn status_classes() {
         assert!(StatusCode::OK.is_success());
-        assert!(StatusCode::FOUND.is_redirect());
-        assert!(StatusCode::NOT_FOUND.is_client_error());
-        assert!(StatusCode::BAD_GATEWAY.is_server_error());
-        assert!(!StatusCode::OK.is_client_error());
+        assert!(!StatusCode::NOT_FOUND.is_success());
     }
 
     #[test]
@@ -209,13 +126,5 @@ mod tests {
         assert_eq!(r.status, StatusCode::OK);
         assert_eq!(r.headers.get("content-length"), Some("13"));
         assert_eq!(r.body_text(), "<html></html>");
-    }
-
-    #[test]
-    fn method_roundtrip() {
-        for m in [Method::Get, Method::Head, Method::Post] {
-            assert_eq!(Method::parse(m.as_str()), Some(m));
-        }
-        assert_eq!(Method::parse("BREW"), None);
     }
 }

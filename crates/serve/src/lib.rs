@@ -34,13 +34,11 @@
 //! against a live run (`serve_load` bench, BENCH_serve.json).
 
 pub mod daemon;
-pub mod http;
 pub mod load;
 pub mod query;
 pub mod view;
 
 pub use daemon::{daemon, ServeHandle, ServeSink, SloBudgets};
-pub use http::handle_request;
 pub use load::{run_load, LoadConfig, LoadReport};
 pub use query::{Query, Reply, ReplyBody};
 pub use view::{ClusterEntry, FqdnVerdict, Health, LiveView, SignatureEntry, SloHealth, ViewStamp};

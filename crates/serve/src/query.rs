@@ -155,6 +155,15 @@ mod tests {
             assert_eq!(r.round, 6);
             assert!(r.provisional, "served verdicts are always advisory");
             assert!(r.consistent(), "reply to {q:?} must be self-consistent");
+            // The JSON envelope a client receives carries the same witness.
+            let v: serde_json::Value =
+                serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
+            for key in ["seq", "round", "day", "provisional", "stamp", "body"] {
+                assert!(v.get(key).is_some(), "reply to {q:?} lacks `{key}`");
+            }
+            assert_eq!(v["provisional"].as_bool(), Some(true), "{q:?}");
+            assert_eq!(v["stamp"]["round"], v["round"], "{q:?}");
+            assert_eq!(v["stamp"]["seq"], v["seq"], "{q:?}");
         }
     }
 
