@@ -6,6 +6,11 @@
 //!   whose per-round critical path accounts for ≥95% of the round's
 //!   virtual makespan (it is 1.0 by construction; the slack keeps the
 //!   assertion honest if the decomposition ever gains a rounding step).
+//!   The run's span export is also pinned byte for byte to the committed
+//!   `causal_wan/trace.digest`, so virtual time itself cannot drift. That
+//!   study never fills a shard's in-flight slots, so a second pinned run
+//!   (`causal_wan/queued.digest`) crawls 1,200 sites through one shard,
+//!   where 176 crawls must queue for a slot.
 //! - **Property layer** — arbitrary trace forests emitted through the real
 //!   [`obs::TraceCtx`] machinery export Perfetto flow arrows with globally
 //!   unique ids, every `s`/`f` pair matched, and enclosure preserved
@@ -14,10 +19,18 @@
 //! The causal sink is process-global, so every test that touches it holds
 //! [`GLOBAL`] for its full duration.
 
-use dangling_core::scenario::{Scenario, ScenarioConfig};
+mod golden;
+
+use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
+use dangling_core::pipeline::CrawlExecutor;
+use dangling_core::scenario::Scenario;
+use dangling_core::snapshot::SnapshotStore;
+use dns::{Authority, Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
 use obs::causal::{SALT_DNS, SALT_ROOT};
 use obs::{CausalSpan, TraceCtx};
 use proptest::prelude::*;
+use rand::SeedableRng;
+use simcore::{LatencyProfile, RngTree, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
@@ -112,12 +125,7 @@ fn wan_run_traces_decompose_the_round_makespan() {
     obs::take_causal();
     obs::set_trace_sample(1);
     obs::set_causal_tracing(true);
-    let mut cfg = ScenarioConfig::at_scale(2000);
-    cfg.world.n_fortune1000 = 30;
-    cfg.world.n_global500 = 15;
-    cfg.seed = 11;
-    cfg.crawl_threads = 2;
-    cfg.crawl_failure_rate = 0.02;
+    let mut cfg = golden::fixture_config(2);
     cfg.latency_profile = "wan".into();
     let results = Scenario::new(cfg).max_rounds(20).run();
     obs::set_causal_tracing(false);
@@ -164,7 +172,92 @@ fn wan_run_traces_decompose_the_round_makespan() {
 
     let mut buf = Vec::new();
     obs::write_chrome_trace_with_causal(&[], &spans, &mut buf).expect("export");
+    golden::assert_matches_golden(&buf, "causal_wan/trace.digest", "wan causal-span export");
     assert_unique_matched_flows(&String::from_utf8(buf).expect("utf8 trace"));
+}
+
+/// `n` bound sites, one in three with a sitemap: a CNAME per site from
+/// `victim.com` into the platform's zone.
+fn bound_sites(n: usize) -> (CloudPlatform, ZoneSet, Vec<Name>) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut platform = CloudPlatform::new(PlatformConfig::default());
+    let mut zone = Zone::new("victim.com".parse().unwrap());
+    let mut monitored = Vec::new();
+    for i in 0..n {
+        let id = platform
+            .register(
+                ServiceId::AzureWebApp,
+                Some(&format!("site-{i}")),
+                None,
+                AccountId::Org(1),
+                SimTime(0),
+                &mut rng,
+            )
+            .unwrap();
+        let mut content = SiteContent::placeholder(&format!("Site {i}"));
+        if i % 3 == 0 {
+            content.sitemap = Some(Sitemap::synthetic(1_000, "<urlset/>".into()));
+        }
+        platform.set_content(id, content);
+        let fqdn: Name = format!("s{i}.victim.com").parse().unwrap();
+        platform.bind_custom_domain(id, fqdn.clone());
+        zone.add(ResourceRecord::new(
+            fqdn.clone(),
+            300,
+            RecordData::Cname(format!("site-{i}.azurewebsites.net").parse().unwrap()),
+        ));
+        monitored.push(fqdn);
+    }
+    let mut zs = ZoneSet::new();
+    zs.insert(zone);
+    for pz in platform.zones().iter() {
+        zs.insert(pz.clone());
+    }
+    (platform, zs, monitored)
+}
+
+/// More crawls than in-flight slots in one shard: the late crawls wait
+/// for the earliest running crawl to finish, and the span export (every
+/// queue-wait, every wait's virtual start) is pinned.
+#[test]
+fn queued_crawls_wait_for_the_earliest_slot() {
+    let _g = lock();
+    let (platform, zs, monitored) = bound_sites(1_200);
+    let store = SnapshotStore::with_shards(1);
+    let tree = RngTree::new(1);
+    let exec = CrawlExecutor::new(2, 0.0).with_latency(LatencyProfile::by_name("wan").unwrap());
+    obs::take_causal();
+    obs::set_trace_sample(1);
+    obs::set_causal_tracing(true);
+    let out = exec.run(
+        &monitored,
+        &store,
+        &tree,
+        SimTime(7),
+        &|| Resolver::new(Authority::new(zs.clone())),
+        &|| &platform,
+    );
+    obs::set_causal_tracing(false);
+    let spans = obs::take_causal();
+    assert_eq!(out.len(), monitored.len());
+    let queued = spans
+        .iter()
+        .filter(|s| s.parent.is_none() && s.queue_wait_ns > 0)
+        .count();
+    assert_eq!(
+        queued,
+        1_200 - 1_024,
+        "crawls past the slot count must queue"
+    );
+    assert_causally_consistent(&spans);
+
+    let mut buf = Vec::new();
+    obs::write_chrome_trace_with_causal(&[], &spans, &mut buf).expect("export");
+    golden::assert_matches_golden(
+        &buf,
+        "causal_wan/queued.digest",
+        "queued causal-span export",
+    );
 }
 
 fn spans_total_for_day(spans: &[CausalSpan], day: i64) -> u64 {

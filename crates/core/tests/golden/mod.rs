@@ -1,6 +1,6 @@
-//! The committed golden `StudyResults` digests and the study config they
-//! pin, shared by the suites that hold a run mode to them
-//! (`intern_equivalence`, `latency_equivalence`, `parallel_equivalence`).
+//! The committed golden digests and the study config they pin, shared by
+//! the suites that hold a run mode to them (`intern_equivalence`,
+//! `latency_equivalence`, `parallel_equivalence`, `causal_trace`).
 //!
 //! Each `tests/fixtures/<fixture>/results.digest` holds the byte length and
 //! FNV-1a 64 of the full serialized `StudyResults`:
@@ -11,6 +11,11 @@
 //!   divergence is diffable.
 //! - `lossy_eq` — [`fixture_config`] with `latency_profile = "lossy"`,
 //!   recorded at the last commit whose resolver still cached answers.
+//!
+//! `causal_wan/trace.digest` pins, the same way, the causal-span export of
+//! [`fixture_config`] at 2 threads under the `wan` profile: every span's
+//! virtual start and duration, so every crawl's queue-wait and every
+//! round's makespan.
 
 use dangling_core::scenario::ScenarioConfig;
 
@@ -37,12 +42,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The committed digest of `fixture`: (byte length, FNV-1a 64).
-fn golden(fixture: &str) -> (usize, u64) {
-    let path = format!(
-        "{}/tests/fixtures/{fixture}/results.digest",
-        env!("CARGO_MANIFEST_DIR")
-    );
+/// The committed digest `tests/fixtures/<digest>`: (byte length, FNV-1a 64).
+fn golden(digest: &str) -> (usize, u64) {
+    let path = format!("{}/tests/fixtures/{digest}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(path).expect("committed fixture digest");
     let mut parts = text.split_whitespace();
     let len = parts.next().and_then(|s| s.parse().ok()).expect("length");
@@ -53,14 +55,15 @@ fn golden(fixture: &str) -> (usize, u64) {
     (len, hash)
 }
 
-/// Assert that `json` (a serialized `StudyResults`) is the golden document
-/// pinned by `tests/fixtures/<fixture>/results.digest`.
-pub fn assert_matches_golden(json: &str, fixture: &str, context: &str) {
-    let (want_len, want_hash) = golden(fixture);
+/// Assert that `doc` is the golden document pinned by
+/// `tests/fixtures/<digest>` (e.g. `intern_eq/results.digest`).
+pub fn assert_matches_golden(doc: impl AsRef<[u8]>, digest: &str, context: &str) {
+    let doc = doc.as_ref();
+    let (want_len, want_hash) = golden(digest);
     assert_eq!(
-        (json.len(), fnv1a(json.as_bytes())),
+        (doc.len(), fnv1a(doc)),
         (want_len, want_hash),
-        "{context}: StudyResults diverged from the committed {fixture} golden \
+        "{context}: output diverged from the committed {digest} golden \
          digest (for intern_eq, diff against its results.head.json; \
          regenerate a digest ONLY for intentional semantic changes)"
     );

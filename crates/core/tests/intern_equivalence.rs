@@ -55,7 +55,11 @@ impl Drop for TempDir {
 fn fresh_runs_match_pre_interning_bytes_at_every_thread_count() {
     for threads in [1, 2, 4, 8] {
         let json = serialize(&Scenario::new(fixture_config(threads)).run());
-        assert_matches_golden(&json, "intern_eq", &format!("fresh, {threads} threads"));
+        assert_matches_golden(
+            &json,
+            "intern_eq/results.digest",
+            &format!("fresh, {threads} threads"),
+        );
     }
 }
 
@@ -69,7 +73,7 @@ fn incremental_runs_match_pre_interning_bytes_at_every_thread_count() {
         );
         assert_matches_golden(
             &json,
-            "intern_eq",
+            "intern_eq/results.digest",
             &format!("--incremental, {threads} threads"),
         );
     }
@@ -91,7 +95,11 @@ fn resume_replay_matches_pre_interning_bytes_at_every_thread_count() {
                 .expect("recording run"),
         )
     };
-    assert_matches_golden(&recorded, "intern_eq", "--persist recording, 1 thread");
+    assert_matches_golden(
+        &recorded,
+        "intern_eq/results.digest",
+        "--persist recording, 1 thread",
+    );
     for threads in [1, 2, 4, 8] {
         let mut opts = PersistOptions::new(&dir.0);
         opts.resume = true;
@@ -102,7 +110,7 @@ fn resume_replay_matches_pre_interning_bytes_at_every_thread_count() {
         );
         assert_matches_golden(
             &replayed,
-            "intern_eq",
+            "intern_eq/results.digest",
             &format!("--resume replay, {threads} threads"),
         );
     }
@@ -129,7 +137,11 @@ fn interrupted_resume_matches_pre_interning_bytes() {
             .run_persisted(&opts)
             .expect("resumed run"),
     );
-    assert_matches_golden(&resumed, "intern_eq", "interrupted at round 20, resumed");
+    assert_matches_golden(
+        &resumed,
+        "intern_eq/results.digest",
+        "interrupted at round 20, resumed",
+    );
 }
 
 /// Spans recorded on the calling thread since `marker` was dropped there.
@@ -183,7 +195,11 @@ fn traced_runs_match_golden_bytes_in_every_mode() {
         !fresh.resolution_latency.is_empty(),
         "a fresh run crawls every round"
     );
-    assert_matches_golden(&serialize(&fresh), "intern_eq", "traced fresh, 1 thread");
+    assert_matches_golden(
+        serialize(&fresh),
+        "intern_eq/results.digest",
+        "traced fresh, 1 thread",
+    );
 
     let dir = TempDir::new("traced");
     let recorded = Scenario::new(fixture_config(N))
@@ -191,15 +207,15 @@ fn traced_runs_match_golden_bytes_in_every_mode() {
         .expect("recording run");
     assert!(!recorded.resolution_latency.is_empty());
     assert_matches_golden(
-        &serialize(&recorded),
-        "intern_eq",
+        serialize(&recorded),
+        "intern_eq/results.digest",
         &format!("traced fresh --persist, {N} threads"),
     );
 
     let incremental = Scenario::new(fixture_config(N)).incremental(true).run();
     assert_matches_golden(
-        &serialize(&incremental),
-        "intern_eq",
+        serialize(&incremental),
+        "intern_eq/results.digest",
         &format!("traced --incremental, {N} threads"),
     );
 
@@ -214,8 +230,8 @@ fn traced_runs_match_golden_bytes_in_every_mode() {
         "a full-history replay must not re-run the crawl"
     );
     assert_matches_golden(
-        &serialize(&replayed),
-        "intern_eq",
+        serialize(&replayed),
+        "intern_eq/results.digest",
         &format!("traced --resume --incremental replay, {N} threads"),
     );
 

@@ -28,7 +28,11 @@ fn latency_profiles_change_timing_telemetry_never_results() {
     for profile in ["zero", "datacenter", "wan"] {
         let results = run_with_profile(profile);
         let json = serde_json::to_string(&results).expect("results serialize");
-        golden::assert_matches_golden(&json, "intern_eq", &format!("{profile} profile"));
+        golden::assert_matches_golden(
+            &json,
+            "intern_eq/results.digest",
+            &format!("{profile} profile"),
+        );
 
         // The telemetry side: nonzero-latency profiles must actually have
         // consumed virtual time, the degenerate clock must not — which is

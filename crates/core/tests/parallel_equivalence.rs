@@ -26,7 +26,11 @@ fn run_lossy(threads: usize) -> String {
 #[test]
 fn lossy_transport_is_thread_count_invariant() {
     let serial = run_lossy(1);
-    golden::assert_matches_golden(&serial, "lossy_eq", "lossy profile, 1 thread");
+    golden::assert_matches_golden(
+        &serial,
+        "lossy_eq/results.digest",
+        "lossy profile, 1 thread",
+    );
     for threads in [2, 4, 8] {
         let par = run_lossy(threads);
         assert_eq!(
