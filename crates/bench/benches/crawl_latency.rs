@@ -1,11 +1,11 @@
-//! The event-driven crawl under modeled network latency.
+//! The crawl under modeled network latency.
 //!
-//! One worker drives a single shard's completion queue over 1,200 sites —
-//! proving a lone event loop sustains ≥1,000 concurrent in-flight crawls
-//! (the `crawl.inflight` gauge is asserted, not just reported). The rows
-//! compare the degenerate clock (`zero` — the cost of the submit/poll
-//! machinery itself) with the `wan` profile (full latency sampling: keyed
-//! RNG draw per network event, queue reordering by completion time).
+//! One worker crawls a single shard of 1,200 sites — more than the 1,024
+//! crawls a shard models in flight, so the slot scheduler queues the rest
+//! (the `crawl.inflight` gauge is asserted ≥1,000, not just reported). The
+//! rows compare the degenerate clock (`zero` — the crawl itself plus a free
+//! pricing hook) with the `wan` profile (a keyed RNG draw per network wait
+//! and the slot scheduler's admission times).
 
 use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -58,18 +58,16 @@ fn build(n: usize) -> (CloudPlatform, ZoneSet, Vec<Name>) {
 
 fn bench_crawl_latency(c: &mut Criterion) {
     let (platform, zs, monitored) = build(SITES);
-    // One shard: the whole site set lands in a single event loop, so one
-    // worker must interleave every crawl.
+    // One shard: the whole site set lands in a single bucket, so one
+    // worker crawls every site.
     let store = SnapshotStore::with_shards(1);
     let tree = RngTree::new(1);
     let auth = std::sync::Arc::new(Authority::new(zs));
 
-    // Contract check before timing anything: a single worker draining the
-    // wan-profile completion queue holds ≥1,000 crawls in flight at once.
+    // Contract check before timing anything: a single wan-profile shard
+    // holds ≥1,000 crawls in flight at once in virtual time.
     {
-        let exec = CrawlExecutor::new(1, 0.0)
-            .with_latency(LatencyProfile::by_name("wan").unwrap())
-            .with_max_inflight(4 * SITES);
+        let exec = CrawlExecutor::new(1, 0.0).with_latency(LatencyProfile::by_name("wan").unwrap());
         let out = exec.run(
             &monitored,
             &store,
@@ -92,11 +90,10 @@ fn bench_crawl_latency(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("crawl_latency");
     g.throughput(Throughput::Elements(SITES as u64));
-    for (label, profile) in [("evented_zero", "zero"), ("evented_wan", "wan")] {
-        let exec = CrawlExecutor::new(1, 0.0)
-            .with_latency(LatencyProfile::by_name(profile).unwrap())
-            .with_max_inflight(4 * SITES);
-        g.bench_function(format!("{label}_{SITES}_sites_t1"), |b| {
+    for profile in ["zero", "wan"] {
+        let exec =
+            CrawlExecutor::new(1, 0.0).with_latency(LatencyProfile::by_name(profile).unwrap());
+        g.bench_function(format!("{profile}_{SITES}_sites_t1"), |b| {
             b.iter(|| {
                 black_box(exec.run(
                     &monitored,

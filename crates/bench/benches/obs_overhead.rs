@@ -1,9 +1,10 @@
 //! Telemetry overhead on the hot path: the same monitoring round crawled
 //! three ways —
 //!
-//! 1. **baseline**: a hand-rolled serial crawl loop with no telemetry at all
-//!    (the exact work [`CrawlExecutor`]'s serial path does, minus the obs
-//!    calls),
+//! 1. **baseline**: a hand-rolled serial loop of [`Crawler::sample`] plus
+//!    the diff, with no telemetry at all — the same `monitor::crawl`
+//!    function [`CrawlExecutor`] runs, with a hook that prices nothing,
+//!    and without the executor's slot scheduler and obs calls,
 //! 2. **instrumented**: [`CrawlExecutor`] as shipped, telemetry compiled in
 //!    but neither `--trace` nor `--metrics` exporting (counters/histograms
 //!    still count — they are always on),

@@ -3,8 +3,8 @@
 //! The untimed contract phase runs the real pipeline (incremental retro,
 //! serve sink attached) on one thread while the main thread drives
 //! [`serve::run_load`] batches against the live daemon — 1,500 simulated
-//! clients per batch on the `wan` latency profile, exactly the machinery the
-//! crawl substrate uses for its ≥1,000-in-flight contract. Asserted, not
+//! clients per batch on the `wan` latency profile, paced through a
+//! `simcore::CompletionQueue` with the crawl's latency model. Asserted, not
 //! just reported: peak concurrent queries ≥ 1,000, zero torn replies, and
 //! round versions advancing *across* batches (reads proceed while rounds
 //! commit). Round-publication latency percentiles print greppably for

@@ -1,19 +1,27 @@
 //! The weekly crawler (§3.2 / ethics §1).
 //!
 //! Per FQDN and round, at most two HTTP requests: the index page, and the
-//! sitemap only when the index responded. DNS state is recorded either way.
+//! sitemap only when the index changed. DNS state is recorded either way.
 //! Content features are extracted lazily — only when the body hash differs
 //! from the previous snapshot — which is also how the real system avoided
 //! re-analyzing terabytes of unchanged HTML.
+//!
+//! [`crawl`] is that procedure as one straight-line function. Every network
+//! wait it makes (each DNS attempt, each connect, each request) first goes
+//! through a caller-supplied hook, which is where the crawl executor prices
+//! the wait in virtual time; [`Crawler::sample`] passes a hook that charges
+//! nothing.
 
 use crate::snapshot::{body_hash, Snapshot};
-use dns::resolver::{ResolutionInFlight, Transport};
+use dns::resolver::Transport;
 use dns::{Name, Resolver};
-use httpsim::{Endpoint, ProbeInFlight, ProbeKind, ProbeResult, ProbeWait};
+use httpsim::{Endpoint, Request};
 use simcore::SimTime;
 
-/// The network operation one in-flight crawl is waiting on. The crawl
-/// driver maps these onto its latency model's query classes.
+/// One network wait of a crawl, in the order [`crawl`] makes them: a DNS
+/// attempt per query (retries included) for each hop of the chain, then a
+/// connect and the index request, then — only when the index changed — a
+/// connect and the sitemap request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrawlWait {
     /// One DNS exchange of the resolution chain.
@@ -27,302 +35,80 @@ pub enum CrawlWait {
     Sitemap,
 }
 
-enum CrawlPhase {
-    Dns(Box<ResolutionInFlight>),
-    /// The index fetch, driven through the staged probe machine (connect
-    /// event, then request event).
-    Index {
-        rcode: dns::Rcode,
-        cname: Option<Name>,
-        ip: std::net::Ipv4Addr,
-        probe: ProbeInFlight,
-    },
-    /// The sitemap fetch, same staged probe machine.
-    Sitemap {
-        snap: Box<Snapshot>,
-        probe: ProbeInFlight,
-    },
-    Done(Box<Snapshot>),
-    /// Transient placeholder while `step` owns the real phase.
-    Taken,
-}
-
-/// One crawl observation in flight: the submit/poll form of
-/// [`Crawler::sample`]. At most one network operation is pending at a time
-/// ([`CrawlInFlight::wait`] names it); each [`CrawlInFlight::step`]
-/// completes that operation and readies the next, traversing exactly the
-/// states the blocking sampler always has — DNS chain, index fetch, then
-/// (only when the body changed) the sitemap fetch.
-pub struct CrawlInFlight<'a> {
-    fqdn: Name,
+/// Take one observation of `fqdn`. `prev` enables the lazy feature
+/// extraction: an unchanged body inherits the previous features instead of
+/// re-parsing (and instead of losing them). When `fetch_dropped` is set
+/// (the executor's transient-failure model) DNS still resolves and is
+/// recorded, but no HTTP request is made.
+///
+/// `wait(kind, target)` is called before each network wait; `target` is the
+/// name the wait is addressed to (the current DNS hop, or `fqdn` for the
+/// HTTP waits). It returns true when a DNS attempt is lost on the wire; the
+/// resolver then retries or gives up (SERVFAIL). Its answer is ignored for
+/// the HTTP waits.
+pub fn crawl<T: Transport, E: Endpoint + ?Sized>(
+    fqdn: &Name,
+    resolver: &Resolver<T>,
+    web: &E,
+    prev: Option<&Snapshot>,
     now: SimTime,
-    prev: Option<&'a Snapshot>,
-    /// Transient-fetch-failure flag from the executor's flake model: DNS
-    /// still resolves, but the HTTP fetch never happens.
     fetch_dropped: bool,
-    phase: CrawlPhase,
-    /// Simulated time consumed by the DNS portion (for resolution-latency
-    /// percentiles).
-    dns_elapsed_ns: u64,
-    /// Total simulated time consumed so far.
-    elapsed_ns: u64,
-    /// Root causal trace context, when this crawl's trace is sampled.
-    /// Forwarded (re-based) into each stage machine; pure telemetry.
-    trace: Option<obs::TraceCtx>,
-}
-
-impl<'a> CrawlInFlight<'a> {
-    /// Start crawling `fqdn`: kicks off the DNS resolution. When
-    /// `fetch_dropped` is set the machine still resolves (DNS state is
-    /// recorded either way) but records an unreachable snapshot instead of
-    /// fetching.
-    pub fn begin<T: Transport>(
-        fqdn: Name,
-        resolver: &Resolver<T>,
-        prev: Option<&'a Snapshot>,
-        now: SimTime,
-        fetch_dropped: bool,
-    ) -> Self {
-        let fl = resolver.begin(&fqdn);
-        CrawlInFlight {
-            fqdn,
-            now,
-            prev,
-            fetch_dropped,
-            phase: CrawlPhase::Dns(Box::new(fl)),
-            dns_elapsed_ns: 0,
-            elapsed_ns: 0,
-            trace: None,
-        }
+    mut wait: impl FnMut(CrawlWait, &Name) -> bool,
+) -> Snapshot {
+    let outcome = resolver.resolve_with(fqdn, |qname| wait(CrawlWait::Dns, qname));
+    let cname = outcome.final_cname().cloned();
+    let mut snap = Snapshot::unreachable(fqdn.clone(), now, outcome.rcode, cname);
+    let Some(ip) = outcome.addresses.first().copied() else {
+        return snap;
+    };
+    snap.ip = Some(ip);
+    if fetch_dropped {
+        return snap;
     }
 
-    /// Attach the crawl's root causal trace context (call right after
-    /// [`Self::begin`], before any step). Each stage machine then emits
-    /// linked child spans — `dns.query`, `probe.connect`, `probe.request`
-    /// — stamped in virtual time relative to `ctx.base_ns`.
-    pub fn set_trace(&mut self, ctx: obs::TraceCtx) {
-        if let CrawlPhase::Dns(fl) = &mut self.phase {
-            fl.set_trace(ctx.child(obs::causal::SALT_DNS, ctx.base_ns));
-        }
-        self.trace = Some(ctx);
-    }
-
-    /// The operation currently pending (`None` once done).
-    pub fn wait(&self) -> Option<CrawlWait> {
-        match &self.phase {
-            CrawlPhase::Dns(_) => Some(CrawlWait::Dns),
-            CrawlPhase::Index { probe, .. } => match probe.pending() {
-                Some(ProbeWait::Connect) => Some(CrawlWait::Connect),
-                _ => Some(CrawlWait::Index),
-            },
-            CrawlPhase::Sitemap { probe, .. } => match probe.pending() {
-                Some(ProbeWait::Connect) => Some(CrawlWait::Connect),
-                _ => Some(CrawlWait::Sitemap),
-            },
-            CrawlPhase::Done(_) => None,
-            CrawlPhase::Taken => unreachable!(),
-        }
-    }
-
-    /// The name the pending operation is addressed to: the current DNS hop
-    /// for [`CrawlWait::Dns`], the crawled FQDN itself for the HTTP phases.
-    /// This is what a latency model prices the wait against.
-    pub fn target(&self) -> &Name {
-        match &self.phase {
-            CrawlPhase::Dns(fl) => fl.pending_qname().unwrap_or(&self.fqdn),
-            _ => &self.fqdn,
-        }
-    }
-
-    pub fn is_done(&self) -> bool {
-        matches!(self.phase, CrawlPhase::Done(_))
-    }
-
-    /// Total simulated time consumed so far.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.elapsed_ns
-    }
-
-    /// Simulated time the DNS chain consumed.
-    pub fn dns_elapsed_ns(&self) -> u64 {
-        self.dns_elapsed_ns
-    }
-
-    /// Complete the pending operation. `dropped` marks a lost DNS query
-    /// (only meaningful in the [`CrawlWait::Dns`] phase — the resolver's
-    /// retry budget decides what happens); `cost_ns` is the simulated time
-    /// the completed wait consumed.
-    pub fn step<T: Transport, E: Endpoint + ?Sized>(
-        &mut self,
-        resolver: &Resolver<T>,
-        web: &E,
-        dropped: bool,
-        cost_ns: u64,
-    ) {
-        self.elapsed_ns += cost_ns;
-        // In-flight probes step in place: routing every probe event through
-        // the move-based transition below would memcpy the whole phase (the
-        // probe machine plus any buffered response) twice per event. The
-        // phase is only moved once the probe machine has concluded.
-        match &mut self.phase {
-            CrawlPhase::Index { probe, .. } | CrawlPhase::Sitemap { probe, .. } => {
-                probe.step_timed(web, self.now, cost_ns);
-                if !probe.is_done() {
-                    return;
-                }
+    // Request 1: the index page.
+    let host = fqdn.to_string();
+    wait(CrawlWait::Connect, fqdn);
+    wait(CrawlWait::Index, fqdn);
+    // `None` is no front end at the IP: the snapshot stays unreachable.
+    let Some(resp) = web.http_serve(ip, &Request::get(&host, "/"), now) else {
+        return snap;
+    };
+    let hash = body_hash(&resp.body);
+    snap.http_status = Some(resp.status.0);
+    snap.index_hash = hash;
+    snap.index_size = resp.body.len() as u32;
+    let changed = prev.map(|p| p.index_hash) != Some(hash);
+    if !(changed && resp.status.is_success()) {
+        if !changed {
+            if let Some(p) = prev {
+                snap.inherit_features(p);
             }
-            _ => {}
         }
-        let phase = std::mem::replace(&mut self.phase, CrawlPhase::Taken);
-        self.phase = match phase {
-            CrawlPhase::Dns(mut fl) => {
-                resolver.step(&mut fl, dropped, cost_ns);
-                if !fl.is_done() {
-                    CrawlPhase::Dns(fl)
-                } else {
-                    let outcome = fl.into_outcome();
-                    self.dns_elapsed_ns = outcome.sim_elapsed_ns;
-                    let cname = outcome.final_cname().cloned();
-                    match outcome.addresses.first().copied() {
-                        None => CrawlPhase::Done(Box::new(Snapshot::unreachable(
-                            self.fqdn.clone(),
-                            self.now,
-                            outcome.rcode,
-                            cname,
-                        ))),
-                        Some(ip) if self.fetch_dropped => {
-                            // Transient fetch failure: DNS recorded, HTTP
-                            // skipped.
-                            let mut s = Snapshot::unreachable(
-                                self.fqdn.clone(),
-                                self.now,
-                                outcome.rcode,
-                                cname,
-                            );
-                            s.ip = Some(ip);
-                            CrawlPhase::Done(Box::new(s))
-                        }
-                        Some(ip) => {
-                            // Request 1: the index page, staged as a
-                            // connect event then a request event.
-                            let mut probe = ProbeInFlight::new(
-                                ProbeKind::Http { https: false },
-                                ip,
-                                self.fqdn.to_string(),
-                            );
-                            if let Some(tr) = &self.trace {
-                                probe.set_trace(
-                                    tr.child(obs::causal::SALT_INDEX, tr.base_ns + self.elapsed_ns),
-                                );
-                            }
-                            CrawlPhase::Index {
-                                rcode: outcome.rcode,
-                                cname,
-                                ip,
-                                probe,
-                            }
-                        }
-                    }
-                }
-            }
-            // Reached only once the in-place fast path above has stepped
-            // the probe machine to completion.
-            CrawlPhase::Index {
-                rcode,
-                cname,
-                ip,
-                probe,
-            } => {
-                match probe.into_result() {
-                    ProbeResult::HttpResponse(resp) => {
-                        let hash = body_hash(&resp.body);
-                        let mut snap =
-                            Snapshot::unreachable(self.fqdn.clone(), self.now, rcode, cname);
-                        snap.ip = Some(ip);
-                        snap.http_status = Some(resp.status.0);
-                        snap.index_hash = hash;
-                        snap.index_size = resp.body.len() as u32;
-                        let changed = self.prev.map(|p| p.index_hash) != Some(hash);
-                        if changed && resp.status.is_success() {
-                            let html = String::from_utf8_lossy(&resp.body);
-                            snap.ingest_content(&html, true);
-                            // Request 2: the sitemap (only when we need
-                            // to look closer).
-                            let mut probe = ProbeInFlight::new(
-                                ProbeKind::Http { https: false },
-                                ip,
-                                self.fqdn.to_string(),
-                            )
-                            .with_path("/sitemap.xml");
-                            if let Some(tr) = &self.trace {
-                                probe.set_trace(tr.child(
-                                    obs::causal::SALT_SITEMAP,
-                                    tr.base_ns + self.elapsed_ns,
-                                ));
-                            }
-                            CrawlPhase::Sitemap {
-                                snap: Box::new(snap),
-                                probe,
-                            }
-                        } else {
-                            if !changed {
-                                if let Some(p) = self.prev {
-                                    snap.inherit_features(p);
-                                }
-                            }
-                            CrawlPhase::Done(Box::new(snap))
-                        }
-                    }
-                    // No front end at the IP (ConnectionFailed; the
-                    // transport-only results cannot occur for HTTP
-                    // probes).
-                    _ => {
-                        let mut s =
-                            Snapshot::unreachable(self.fqdn.clone(), self.now, rcode, cname);
-                        s.ip = Some(ip);
-                        CrawlPhase::Done(Box::new(s))
-                    }
-                }
-            }
-            // Reached only once the probe machine has concluded (in-place
-            // fast path above).
-            CrawlPhase::Sitemap { mut snap, probe } => {
-                if let ProbeResult::HttpResponse(sm) = probe.into_result() {
-                    if sm.status.is_success() {
-                        snap.sitemap_bytes = sm
-                            .headers
-                            .get("Content-Length")
-                            .and_then(|v| v.parse().ok())
-                            .or(Some(sm.body.len() as u64));
-                    }
-                }
-                CrawlPhase::Done(snap)
-            }
-            done @ CrawlPhase::Done(_) => done,
-            CrawlPhase::Taken => unreachable!(),
-        };
+        return snap;
     }
+    snap.ingest_content(&String::from_utf8_lossy(&resp.body), true);
 
-    /// Harvest the snapshot of a completed crawl.
-    pub fn into_snapshot(self) -> Snapshot {
-        match self.phase {
-            CrawlPhase::Done(snap) => *snap,
-            _ => panic!("crawl still in flight"),
+    // Request 2: the sitemap (only when we need to look closer).
+    wait(CrawlWait::Connect, fqdn);
+    wait(CrawlWait::Sitemap, fqdn);
+    if let Some(sm) = web.http_serve(ip, &Request::get(&host, "/sitemap.xml"), now) {
+        if sm.status.is_success() {
+            snap.sitemap_bytes = sm
+                .headers
+                .get("Content-Length")
+                .and_then(|v| v.parse().ok())
+                .or(Some(sm.body.len() as u64));
         }
     }
+    snap
 }
 
 /// Crawler over a DNS transport and an HTTP endpoint.
 pub struct Crawler;
 
 impl Crawler {
-    /// Take one observation of `fqdn`. `prev` enables the lazy feature
-    /// extraction: an unchanged body inherits the previous features instead
-    /// of re-parsing (and instead of losing them).
-    ///
-    /// Thin blocking driver of [`CrawlInFlight`]: every wait completes
-    /// instantly, which is exactly the schedule the event-driven crawl
-    /// produces under the zero-latency profile.
+    /// [`crawl`] `fqdn` with every wait free and nothing lost.
     pub fn sample<T: Transport, E: Endpoint + ?Sized>(
         fqdn: &Name,
         resolver: &Resolver<T>,
@@ -330,11 +116,7 @@ impl Crawler {
         prev: Option<&Snapshot>,
         now: SimTime,
     ) -> Snapshot {
-        let mut fl = CrawlInFlight::begin(fqdn.clone(), resolver, prev, now, false);
-        while !fl.is_done() {
-            fl.step(resolver, web, false, 0);
-        }
-        fl.into_snapshot()
+        crawl(fqdn, resolver, web, prev, now, false, |_, _| false)
     }
 }
 
@@ -402,6 +184,141 @@ mod tests {
         assert_eq!(second.page.title, first.page.title);
         assert_eq!(second.sitemap_bytes, first.sitemap_bytes);
         assert!(second.html.is_none());
+    }
+
+    /// The org zone and the platform's zones behind separate authorities,
+    /// as the world serves them: the chain takes one query per hop.
+    struct SplitDns {
+        org: Authority,
+        cloud: Authority,
+    }
+
+    impl Transport for SplitDns {
+        fn exchange(&self, query: &dns::Message) -> dns::Message {
+            let cloud: Name = "azurewebsites.net".parse().unwrap();
+            if query.questions[0].name.ends_with(&cloud) {
+                self.cloud.answer(query)
+            } else {
+                self.org.answer(query)
+            }
+        }
+    }
+
+    fn split_resolver(platform: &CloudPlatform) -> Resolver<SplitDns> {
+        let mut org = ZoneSet::new();
+        let mut z = Zone::new("acme.com".parse().unwrap());
+        z.add(ResourceRecord::new(
+            "shop.acme.com".parse().unwrap(),
+            300,
+            RecordData::Cname("acme-shop.azurewebsites.net".parse().unwrap()),
+        ));
+        org.insert(z);
+        let mut cloud = ZoneSet::new();
+        for pz in platform.zones().iter() {
+            cloud.insert(pz.clone());
+        }
+        Resolver::new(SplitDns {
+            org: Authority::new(org),
+            cloud: Authority::new(cloud),
+        })
+    }
+
+    /// Crawl `shop.acme.com`, recording every `(wait, target)` the hook is
+    /// asked.
+    fn waits_of(
+        resolver: &Resolver<SplitDns>,
+        platform: &CloudPlatform,
+        prev: Option<&Snapshot>,
+    ) -> (Snapshot, Vec<(CrawlWait, Name)>) {
+        let fqdn: Name = "shop.acme.com".parse().unwrap();
+        let mut waits = Vec::new();
+        let snap = crawl(
+            &fqdn,
+            resolver,
+            platform,
+            prev,
+            SimTime(7),
+            false,
+            |w, t| {
+                waits.push((w, t.clone()));
+                false
+            },
+        );
+        (snap, waits)
+    }
+
+    #[test]
+    fn waits_follow_the_crawl_procedure() {
+        // The order fixes the per-task ordinals that key lossy drops.
+        let (platform, _) = build();
+        let resolver = split_resolver(&platform);
+        let fqdn: Name = "shop.acme.com".parse().unwrap();
+        let cloud: Name = "acme-shop.azurewebsites.net".parse().unwrap();
+        let (first, waits) = waits_of(&resolver, &platform, None);
+        assert_eq!(
+            waits,
+            [
+                (CrawlWait::Dns, fqdn.clone()),
+                (CrawlWait::Dns, cloud),
+                (CrawlWait::Connect, fqdn.clone()),
+                (CrawlWait::Index, fqdn.clone()),
+                (CrawlWait::Connect, fqdn.clone()),
+                (CrawlWait::Sitemap, fqdn.clone()),
+            ]
+        );
+        // Unchanged body: the crawl stops after the index request.
+        let (_, waits) = waits_of(&resolver, &platform, Some(&first));
+        assert_eq!(
+            waits.iter().map(|(w, _)| *w).collect::<Vec<_>>(),
+            [
+                CrawlWait::Dns,
+                CrawlWait::Dns,
+                CrawlWait::Connect,
+                CrawlWait::Index
+            ]
+        );
+    }
+
+    #[test]
+    fn lost_dns_attempts_are_retried_then_servfail() {
+        let (platform, _) = build();
+        let resolver = split_resolver(&platform);
+        let fqdn: Name = "shop.acme.com".parse().unwrap();
+        // Every attempt lost: three DNS waits, then no HTTP at all.
+        let mut waits = Vec::new();
+        let s = crawl(
+            &fqdn,
+            &resolver,
+            &platform,
+            None,
+            SimTime(7),
+            false,
+            |w, _| {
+                waits.push(w);
+                w == CrawlWait::Dns
+            },
+        );
+        assert_eq!(waits, [CrawlWait::Dns; 3]);
+        assert_eq!(s.rcode, dns::Rcode::ServFail);
+        assert_eq!(s.http_status, None);
+        // A dropped fetch still resolves (and records the IP), but waits on
+        // nothing after DNS.
+        let mut waits = Vec::new();
+        let s = crawl(
+            &fqdn,
+            &resolver,
+            &platform,
+            None,
+            SimTime(7),
+            true,
+            |w, _| {
+                waits.push(w);
+                false
+            },
+        );
+        assert_eq!(waits, [CrawlWait::Dns; 2]);
+        assert!(s.ip.is_some());
+        assert_eq!(s.http_status, None);
     }
 
     #[test]

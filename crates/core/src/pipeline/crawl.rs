@@ -17,13 +17,20 @@
 
 use super::{RunState, ShardedExecutor, Stage};
 use crate::diff::{record as diff_record, ChangeRecord};
-use crate::monitor::{CrawlInFlight, CrawlWait};
+use crate::monitor::{crawl, CrawlWait};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use dns::resolver::Transport;
 use dns::{Name, Resolver};
 use httpsim::Endpoint;
+use obs::causal::{SALT_DNS, SALT_INDEX, SALT_SITEMAP};
 use rand::Rng;
-use simcore::{CompletionQueue, LatencyModel, QueryClass, QueryFate, RngTree, SimTime};
+use simcore::{LatencyModel, QueryClass, RngTree, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Crawls one shard keeps in flight at once in virtual time: the 1,025th
+/// crawl of a shard starts when the earliest of the first 1,024 finishes.
+const MAX_INFLIGHT: usize = 1024;
 
 /// What one crawl task produced: the new snapshot and, when there was a
 /// previous one, the diff against it. The two latency fields are timing
@@ -46,11 +53,8 @@ pub struct CrawlExecutor {
     /// Per-fetch probability of a transient failure (network flake). Zero
     /// disables the model entirely — no RNG stream is even derived.
     failure_rate: f64,
-    /// Per-query latency oracle pricing every wait in the shards'
-    /// completion queues of interleaved in-flight crawls.
+    /// Per-query latency oracle pricing every network wait of a crawl.
     latency: LatencyModel,
-    /// Cap on concurrently in-flight crawls per shard event loop.
-    max_inflight: usize,
     m_failures: &'static obs::Counter,
     m_inflight: &'static obs::Gauge,
     m_sim_latency: &'static obs::Histogram,
@@ -64,7 +68,6 @@ impl CrawlExecutor {
             exec: ShardedExecutor::new(threads, crate::exec_metric_names!("crawl")),
             failure_rate,
             latency: LatencyModel::default(),
-            max_inflight: 1024,
             m_failures: obs::counter("crawl.transient_failures"),
             m_inflight: obs::gauge("crawl.inflight"),
             m_sim_latency: obs::histogram("crawl.sim_latency_ns"),
@@ -79,18 +82,12 @@ impl CrawlExecutor {
         self
     }
 
-    /// Cap concurrently in-flight crawls per shard event loop.
-    pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {
-        self.max_inflight = max_inflight.max(1);
-        self
-    }
-
     /// Crawl `monitored` (in canonical order) against the pre-round `store`,
     /// returning one [`CrawlOutcome`] per FQDN in the same order.
     ///
     /// `make_resolver` / `make_web` are per-worker factories: each shard
-    /// event loop builds its own resolver and web view over the round's
-    /// read-only world.
+    /// builds its own resolver and web view over the round's read-only
+    /// world.
     pub fn run<T, E, FR, FW>(
         &self,
         monitored: &[Name],
@@ -106,13 +103,12 @@ impl CrawlExecutor {
         FR: Fn() -> Resolver<T> + Sync,
         FW: Fn() -> E + Sync,
     {
-        // Each shard drains its own completion queue, interleaving up to
-        // `max_inflight` crawls. Work is partitioned by the store's shards —
-        // a stable, FQDN-keyed split, so the same name always lands in the
-        // same bucket no matter how many workers run — every latency draw
-        // is keyed by (fqdn, day, event ordinal), and per-bucket outcome
-        // lists are merged back in canonical input order, so the result
-        // stays byte-identical for any thread count.
+        // Work is partitioned by the store's shards — a stable, FQDN-keyed
+        // split, so the same name always lands in the same bucket no matter
+        // how many workers run — every latency draw is keyed by (fqdn, day,
+        // wait ordinal), and per-bucket outcome lists are merged back in
+        // canonical input order, so the result stays byte-identical for any
+        // thread count.
         let per_bucket = self.exec.fold_buckets(
             monitored,
             store.shard_count(),
@@ -124,11 +120,11 @@ impl CrawlExecutor {
             },
         );
 
-        // Telemetry: peak concurrency and makespan across shard loops, each
+        // Telemetry: peak concurrency and makespan across shards, each
         // crawl's simulated duration. All out-of-band.
         let peak = per_bucket
             .iter()
-            .map(|b| b.peak_inflight)
+            .map(|b| b.outcomes.len().min(MAX_INFLIGHT))
             .max()
             .unwrap_or(0);
         let makespan = per_bucket.iter().map(|b| b.makespan_ns).max().unwrap_or(0);
@@ -145,9 +141,10 @@ impl CrawlExecutor {
         indexed.into_iter().map(|(_, o)| o).collect()
     }
 
-    /// Drain one shard's completion queue: admit crawls in canonical order
-    /// up to the in-flight cap, price every network wait with the latency
-    /// model, and pop completions in deterministic `(fire_time, seq)` order.
+    /// Crawl one shard in canonical order. Each crawl runs to completion
+    /// in turn; its admission time in virtual time comes from the
+    /// [`Slots`] list scheduler, and every network wait is priced by a
+    /// [`WaitPricer`].
     fn run_bucket<T: Transport, E: Endpoint + ?Sized>(
         &self,
         bucket: &[(usize, &Name)],
@@ -157,184 +154,221 @@ impl CrawlExecutor {
         resolver: &Resolver<T>,
         web: &E,
     ) -> BucketCrawl {
-        struct Task<'s> {
-            input_idx: usize,
-            fqdn: &'s Name,
-            fl: Option<CrawlInFlight<'s>>,
-            /// Events scheduled so far for this task — the per-task ordinal
-            /// that keys latency draws.
-            ordinal: u64,
-            /// Fate sampled when the pending wait was scheduled.
-            pending: QueryFate,
-            /// Root causal trace context when this crawl is sampled.
-            trace: Option<obs::TraceCtx>,
-        }
-
-        /// Turn a finished task's machine into its [`CrawlOutcome`],
-        /// emitting the trace's root span when the crawl was sampled.
-        fn harvest(
-            task: &mut Task<'_>,
-            store: &SnapshotStore,
-            outcomes: &mut Vec<(usize, CrawlOutcome)>,
-        ) {
-            let fl = task.fl.take().expect("harvesting an empty task");
-            let sim_elapsed_ns = fl.elapsed_ns();
-            let dns_elapsed_ns = fl.dns_elapsed_ns();
-            let snap = fl.into_snapshot();
-            if let Some(ctx) = task.trace.take() {
+        let latency = (!self.latency.is_free()).then_some(&self.latency);
+        let mut slots = Slots::new(MAX_INFLIGHT);
+        let mut outcomes = Vec::with_capacity(bucket.len());
+        let mut timeouts = 0u64;
+        for &(input_idx, fqdn) in bucket {
+            let fetch_dropped = self.failure_rate > 0.0
+                && tree
+                    .rng(&format!("crawl/{fqdn}/{}", now.0))
+                    .gen_bool(self.failure_rate);
+            if fetch_dropped {
+                self.m_failures.inc();
+            }
+            let admit_ns = slots.admit();
+            // Causal tracing: the sampling decision is a pure hash of
+            // (fqdn, day) — no RNG stream touched, so results cannot depend
+            // on it. The admission time is the crawl's queue-wait.
+            let mut trace = None;
+            if obs::causal_enabled() {
+                let day = now.0 as i64;
+                let tid = obs::trace_id(&fqdn.to_string(), day);
+                if obs::sampled(tid) {
+                    trace = Some(obs::TraceCtx::root(tid, admit_ns, day));
+                }
+            }
+            let prev = store.latest(fqdn);
+            let mut pricer = WaitPricer::new(latency, tree, fqdn, now.0, trace);
+            let snap = crawl(
+                fqdn,
+                resolver,
+                web,
+                prev,
+                now,
+                fetch_dropped,
+                |wait, target| pricer.wait(wait, target),
+            );
+            slots.finish(admit_ns + pricer.elapsed_ns);
+            timeouts += pricer.timeouts;
+            if let Some(ctx) = trace {
                 // Root span: round start → completion. Queue-wait is the
-                // virtual time before admission (ctx.base_ns); service is
-                // the sum of priced waits — the two add up to the span
-                // exactly, because a task's events are contiguous.
+                // virtual time before admission; service is the sum of
+                // priced waits, which run back to back.
                 obs::causal::emit(obs::CausalSpan {
                     trace: ctx.trace,
                     span_id: ctx.parent,
                     parent: None,
                     name: "crawl",
-                    fqdn: task.fqdn.to_string(),
+                    fqdn: fqdn.to_string(),
                     day: ctx.day,
                     start_ns: 0,
-                    dur_ns: ctx.base_ns + sim_elapsed_ns,
-                    queue_wait_ns: ctx.base_ns,
-                    service_ns: sim_elapsed_ns,
+                    dur_ns: admit_ns + pricer.elapsed_ns,
+                    queue_wait_ns: admit_ns,
+                    service_ns: pricer.elapsed_ns,
                     args: Vec::new(),
                 });
             }
-            let change = store
-                .latest(task.fqdn)
-                .and_then(|p| diff_record(p, snap.clone()));
+            let change = prev.and_then(|p| diff_record(p, snap.clone()));
             outcomes.push((
-                task.input_idx,
+                input_idx,
                 CrawlOutcome {
                     snap,
                     change,
-                    sim_elapsed_ns,
-                    dns_elapsed_ns,
+                    sim_elapsed_ns: pricer.elapsed_ns,
+                    dns_elapsed_ns: pricer.dns_elapsed_ns,
                 },
             ));
         }
-
-        let free = self.latency.is_free();
-        let mut q: CompletionQueue<usize> = CompletionQueue::new();
-        let mut slots: Vec<Task> = Vec::with_capacity(bucket.len().min(self.max_inflight));
-        let mut outcomes: Vec<(usize, CrawlOutcome)> = Vec::with_capacity(bucket.len());
-        let mut next = 0usize; // next bucket item to admit (canonical order)
-        let mut inflight = 0usize;
-        let mut peak_inflight = 0usize;
-        let mut timeouts = 0u64;
-
-        // Price and schedule a task's pending wait; returns false if the
-        // task is already done (nothing to schedule).
-        let schedule =
-            |task: &mut Task, q: &mut CompletionQueue<usize>, slot: usize, timeouts: &mut u64| {
-                let fl = task.fl.as_ref().expect("scheduling a harvested task");
-                let Some(wait) = fl.wait() else { return false };
-                let fate = if free {
-                    QueryFate {
-                        cost_ns: 0,
-                        dropped: false,
-                    }
-                } else {
-                    let class = match wait {
-                        CrawlWait::Dns => QueryClass::Dns,
-                        CrawlWait::Connect => QueryClass::Connect,
-                        CrawlWait::Index | CrawlWait::Sitemap => QueryClass::Http,
-                    };
-                    let key = format!("net/{}/{}/{}", task.fqdn, now.0, task.ordinal);
-                    self.latency
-                        .sample(tree, &key, &fl.target().to_string(), class)
-                };
-                if fate.dropped {
-                    *timeouts += 1;
-                }
-                task.ordinal += 1;
-                task.pending = fate;
-                q.schedule_in(fate.cost_ns, slot);
-                true
-            };
-
-        while outcomes.len() < bucket.len() {
-            // Admission in canonical order up to the in-flight cap.
-            while inflight < self.max_inflight && next < bucket.len() {
-                let (input_idx, fqdn) = bucket[next];
-                next += 1;
-                let fetch_dropped = self.failure_rate > 0.0
-                    && tree
-                        .rng(&format!("crawl/{fqdn}/{}", now.0))
-                        .gen_bool(self.failure_rate);
-                if fetch_dropped {
-                    self.m_failures.inc();
-                }
-                let mut fl = CrawlInFlight::begin(
-                    fqdn.clone(),
-                    resolver,
-                    store.latest(fqdn),
-                    now,
-                    fetch_dropped,
-                );
-                // Causal tracing: the sampling decision is a pure hash of
-                // (fqdn, day) — no RNG stream touched, so results cannot
-                // depend on it. Admission time (the queue's current
-                // virtual instant) is the crawl's queue-wait.
-                let mut trace = None;
-                if obs::causal_enabled() {
-                    let day = now.0 as i64;
-                    let tid = obs::trace_id(&fqdn.to_string(), day);
-                    if obs::sampled(tid) {
-                        let ctx = obs::TraceCtx::root(tid, q.now().as_nanos(), day);
-                        fl.set_trace(ctx);
-                        trace = Some(ctx);
-                    }
-                }
-                let slot = slots.len();
-                slots.push(Task {
-                    input_idx,
-                    fqdn,
-                    fl: Some(fl),
-                    ordinal: 0,
-                    pending: QueryFate {
-                        cost_ns: 0,
-                        dropped: false,
-                    },
-                    trace,
-                });
-                let scheduled = schedule(&mut slots[slot], &mut q, slot, &mut timeouts);
-                debug_assert!(scheduled, "a crawl begins with its DNS query pending");
-                inflight += 1;
-                peak_inflight = peak_inflight.max(inflight);
-            }
-            // Drain the next completion.
-            let Some((_at, slot)) = q.pop() else {
-                debug_assert_eq!(outcomes.len(), bucket.len(), "queue dry with work left");
-                break;
-            };
-            let task = &mut slots[slot];
-            let fate = task.pending;
-            task.fl
-                .as_mut()
-                .expect("completion for a harvested task")
-                .step(resolver, web, fate.dropped, fate.cost_ns);
-            if !schedule(task, &mut q, slot, &mut timeouts) {
-                harvest(task, store, &mut outcomes);
-                inflight -= 1;
-            }
-        }
-
         self.m_timeouts.add(timeouts);
         BucketCrawl {
             outcomes,
-            peak_inflight: peak_inflight as u64,
-            makespan_ns: q.now().as_nanos(),
+            makespan_ns: slots.makespan_ns,
         }
     }
 }
 
-/// One shard event loop's products: outcomes tagged with input indices plus
-/// the loop's telemetry.
+/// One shard's products: outcomes tagged with input indices plus the
+/// shard's virtual makespan.
 struct BucketCrawl {
     outcomes: Vec<(usize, CrawlOutcome)>,
-    peak_inflight: u64,
     makespan_ns: u64,
+}
+
+/// List scheduling of a shard's crawls over a fixed number of in-flight
+/// slots, in virtual time. A crawl is admitted when a slot is free: at 0
+/// while fewer crawls than slots have started, and otherwise when the
+/// earliest running crawl finishes. Because a crawl's waits run back to
+/// back, this is exactly the admission schedule of an event loop that
+/// interleaves up to `slots` crawls and pops completions in time order.
+struct Slots {
+    slots: usize,
+    /// Finish times of the crawls holding a slot (min-heap).
+    finish_ns: BinaryHeap<Reverse<u64>>,
+    /// Latest finish time so far.
+    makespan_ns: u64,
+}
+
+impl Slots {
+    fn new(slots: usize) -> Self {
+        Slots {
+            slots,
+            finish_ns: BinaryHeap::new(),
+            makespan_ns: 0,
+        }
+    }
+
+    /// Take a slot for the next crawl; returns its admission time. Pair
+    /// every call with one [`Slots::finish`].
+    fn admit(&mut self) -> u64 {
+        if self.finish_ns.len() < self.slots {
+            0
+        } else {
+            self.finish_ns.pop().map_or(0, |Reverse(t)| t)
+        }
+    }
+
+    /// The crawl admitted last finishes at `at_ns`.
+    fn finish(&mut self, at_ns: u64) {
+        self.finish_ns.push(Reverse(at_ns));
+        self.makespan_ns = self.makespan_ns.max(at_ns);
+    }
+}
+
+/// Prices one crawl's network waits: maps each wait to a [`QueryClass`],
+/// draws its fate from the latency model under the key
+/// `net/{fqdn}/{day}/{ordinal}` (the ordinal counts the crawl's waits,
+/// retries included), charges it to the crawl's virtual time, and emits
+/// its causal child span when the crawl is traced.
+struct WaitPricer<'a> {
+    /// `None` when the model is free: every wait costs 0 and none is lost.
+    latency: Option<&'a LatencyModel>,
+    tree: &'a RngTree,
+    fqdn: &'a Name,
+    day: i32,
+    trace: Option<obs::TraceCtx>,
+    ordinal: u64,
+    /// The index request was made, so a further connect opens the sitemap
+    /// fetch.
+    index_fetched: bool,
+    elapsed_ns: u64,
+    dns_elapsed_ns: u64,
+    timeouts: u64,
+}
+
+impl<'a> WaitPricer<'a> {
+    fn new(
+        latency: Option<&'a LatencyModel>,
+        tree: &'a RngTree,
+        fqdn: &'a Name,
+        day: i32,
+        trace: Option<obs::TraceCtx>,
+    ) -> Self {
+        WaitPricer {
+            latency,
+            tree,
+            fqdn,
+            day,
+            trace,
+            ordinal: 0,
+            index_fetched: false,
+            elapsed_ns: 0,
+            dns_elapsed_ns: 0,
+            timeouts: 0,
+        }
+    }
+
+    /// Price `wait` addressed to `target`; returns whether it was lost.
+    fn wait(&mut self, wait: CrawlWait, target: &Name) -> bool {
+        let (cost_ns, dropped) = match self.latency {
+            None => (0, false),
+            Some(latency) => {
+                let class = match wait {
+                    CrawlWait::Dns => QueryClass::Dns,
+                    CrawlWait::Connect => QueryClass::Connect,
+                    CrawlWait::Index | CrawlWait::Sitemap => QueryClass::Http,
+                };
+                let key = format!("net/{}/{}/{}", self.fqdn, self.day, self.ordinal);
+                let fate = latency.sample(self.tree, &key, &target.to_string(), class);
+                (fate.cost_ns, fate.dropped)
+            }
+        };
+        self.timeouts += u64::from(dropped);
+        if let Some(root) = &self.trace {
+            // Each phase has its own span-id namespace: the DNS chain (the
+            // DNS waits come first, so the ordinal is the attempt number),
+            // the index fetch (connect 0, request 1) and the sitemap fetch.
+            let (salt, index, name, arg) = match wait {
+                CrawlWait::Dns => (SALT_DNS, self.ordinal, "dns.query", "qname"),
+                CrawlWait::Connect if self.index_fetched => {
+                    (SALT_SITEMAP, 0, "probe.connect", "host")
+                }
+                CrawlWait::Connect => (SALT_INDEX, 0, "probe.connect", "host"),
+                CrawlWait::Index => (SALT_INDEX, 1, "probe.request", "host"),
+                CrawlWait::Sitemap => (SALT_SITEMAP, 1, "probe.request", "host"),
+            };
+            let mut args = vec![(arg, obs::span::ArgValue::Str(target.to_string()))];
+            if wait == CrawlWait::Dns {
+                args.push(("dropped", obs::span::ArgValue::I64(dropped as i64)));
+            }
+            root.emit_child(
+                salt,
+                index,
+                name,
+                root.base_ns + self.elapsed_ns,
+                cost_ns,
+                args,
+            );
+        }
+        match wait {
+            CrawlWait::Dns => self.dns_elapsed_ns += cost_ns,
+            CrawlWait::Index => self.index_fetched = true,
+            _ => {}
+        }
+        self.ordinal += 1;
+        self.elapsed_ns += cost_ns;
+        dropped
+    }
 }
 
 /// The weekly-crawl stage: wraps [`CrawlExecutor`] and leaves the round's
@@ -430,6 +464,45 @@ mod tests {
             zs.insert(pz.clone());
         }
         (platform, zs, monitored)
+    }
+
+    /// Admit crawls of the given durations in order; returns their
+    /// admission times and the makespan.
+    fn schedule(slots: usize, durations: &[u64]) -> (Vec<u64>, u64) {
+        let mut s = Slots::new(slots);
+        let admitted = durations
+            .iter()
+            .map(|d| {
+                let at = s.admit();
+                s.finish(at + d);
+                at
+            })
+            .collect();
+        (admitted, s.makespan_ns)
+    }
+
+    #[test]
+    fn slot_scheduler_admits_at_the_earliest_finish() {
+        let durations = [5, 3, 5, 2, 4, 1, 3];
+        // One slot runs the crawls back to back.
+        let (admitted, makespan) = schedule(1, &durations);
+        assert_eq!(admitted, [0, 5, 8, 13, 15, 19, 20]);
+        assert_eq!(makespan, durations.iter().sum::<u64>());
+        // With a slot per crawl every crawl starts at once.
+        for slots in [durations.len(), durations.len() + 5] {
+            let (admitted, makespan) = schedule(slots, &durations);
+            assert!(admitted.iter().all(|&t| t == 0));
+            assert_eq!(makespan, 5);
+        }
+        // Three slots, worked by hand. The first three start at 0 and end
+        // at 5, 3, 5. The fourth takes the slot freed at 3 and ends at 5,
+        // so three slots free up at 5: the next three all start at 5 (ends
+        // 9, 6, 8).
+        let (admitted, makespan) = schedule(3, &durations);
+        assert_eq!(admitted, [0, 0, 0, 3, 5, 5, 5]);
+        assert_eq!(makespan, 9);
+        // No crawls, no virtual time.
+        assert_eq!(schedule(3, &[]), (vec![], 0));
     }
 
     #[test]

@@ -297,10 +297,9 @@ proptest! {
             let fqdn = format!("prop{i}.example");
             let tid = obs::trace_id(&fqdn, *day);
             let ctx = TraceCtx::root(tid, *base_ns, *day);
-            let dns = ctx.child(SALT_DNS, *base_ns);
             let mut elapsed = 0u64;
             for (j, (gap, dur)) in waits.iter().enumerate() {
-                dns.emit_child(j as u64, "dns.query", base_ns + elapsed + gap, *dur, Vec::new());
+                ctx.emit_child(SALT_DNS, j as u64, "dns.query", base_ns + elapsed + gap, *dur, Vec::new());
                 elapsed += gap + dur;
             }
             obs::causal::emit(CausalSpan {

@@ -31,6 +31,6 @@ pub use intern::{Interner, LabelId};
 pub use message::{Header, Message, Opcode, Question, Rcode};
 pub use name::{Name, NameError};
 pub use record::{CaaRecord, RecordClass, RecordData, RecordType, ResourceRecord, Soa};
-pub use resolver::{ResolutionInFlight, ResolutionOutcome, Resolver};
+pub use resolver::{ResolutionOutcome, Resolver};
 pub use server::Authority;
 pub use zone::{Zone, ZoneSet};

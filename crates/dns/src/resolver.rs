@@ -6,7 +6,9 @@
 //! negative outcome (NXDOMAIN / NODATA / SERVFAIL). The resolver queries an
 //! [`Authority`] through the [`Transport`] trait and keeps no state between
 //! resolutions: every call observes the live DNS state, as each monitoring
-//! round of the paper does.
+//! round of the paper does. [`Resolver::resolve_with`] is the same loop
+//! with a hook asked before every send, which the crawl uses to price each
+//! query and to drop it under a lossy latency profile.
 
 use crate::message::{Message, Rcode};
 use crate::name::Name;
@@ -57,11 +59,6 @@ pub struct ResolutionOutcome {
     pub cname_chain: Vec<Name>,
     /// Terminal A records (empty on negative outcomes).
     pub addresses: Vec<Ipv4Addr>,
-    /// Simulated time the resolution consumed, summed over every query of
-    /// the chain (retries and timeout budgets included). Zero under the
-    /// blocking wrapper and under the zero-latency profile — timing
-    /// telemetry, never an input to any result.
-    pub sim_elapsed_ns: u64,
 }
 
 impl ResolutionOutcome {
@@ -86,74 +83,7 @@ impl ResolutionOutcome {
     }
 }
 
-/// One A-resolution in flight: the submit/poll form of
-/// [`Resolver::resolve_a`]. The machine has at most **one query pending at
-/// a time**; each [`Resolver::step`] completes that query and either readies
-/// the next (CNAME hop, or retry after a drop) or finishes. The event-driven
-/// crawl schedules each pending query on its completion queue; the blocking
-/// wrapper completes them inline — both traverse exactly the same states.
-#[derive(Debug)]
-pub struct ResolutionInFlight {
-    /// The query on the wire awaiting its completion; `None` once done.
-    pending: Option<Message>,
-    chain: Vec<Name>,
-    seen: Vec<Name>,
-    current: Name,
-    addresses: Vec<Ipv4Addr>,
-    rcode: Rcode,
-    /// CNAME hops still permitted.
-    hops_left: usize,
-    /// Attempts left for the *current* query before SERVFAIL.
-    attempts_left: u32,
-    /// Simulated nanoseconds consumed so far.
-    elapsed_ns: u64,
-    /// Causal trace context + next child-span index, when this resolution's
-    /// trace is sampled. Pure telemetry: never read by resolution logic.
-    trace: Option<(obs::TraceCtx, u64)>,
-}
-
-impl ResolutionInFlight {
-    /// Attach a causal trace context (the crawl's, re-based to this
-    /// machine's start). Each completed query then emits a `dns.query`
-    /// child span stamped in virtual time.
-    pub fn set_trace(&mut self, ctx: obs::TraceCtx) {
-        self.trace = Some((ctx, 0));
-    }
-
-    /// The name the pending query asks about (the current CNAME hop) — what
-    /// a latency model prices the exchange against.
-    pub fn pending_qname(&self) -> Option<&Name> {
-        self.pending.as_ref().map(|_| &self.current)
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.pending.is_none()
-    }
-
-    /// Simulated time consumed so far.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.elapsed_ns
-    }
-
-    /// The finished resolution's outcome.
-    pub fn into_outcome(self) -> ResolutionOutcome {
-        debug_assert!(self.is_done(), "harvesting a resolution still in flight");
-        ResolutionOutcome {
-            rcode: self.rcode,
-            cname_chain: self.chain,
-            addresses: self.addresses,
-            sim_elapsed_ns: self.elapsed_ns,
-        }
-    }
-
-    /// Ready the next query for the current name with a fresh retry budget.
-    fn ask_current(&mut self) {
-        self.attempts_left = MAX_QUERY_ATTEMPTS;
-        self.pending = Some(Message::query(self.current.clone(), RecordType::A));
-    }
-}
-
-/// A stub resolver: a transport plus the per-name state machine.
+/// A stub resolver over a transport.
 pub struct Resolver<T: Transport> {
     transport: T,
 }
@@ -167,108 +97,73 @@ impl<T: Transport> Resolver<T> {
     /// study benchmark's crawl sampler still calls it.
     pub fn flush_cache(&self) {}
 
-    /// Resolve the A records for `name`, chasing CNAME chains with loop
-    /// detection. The time parameter is unused: the answer is whatever the
-    /// transport holds when it is asked.
-    ///
-    /// Thin blocking wrapper over the submit/poll machine: every query
-    /// completes instantly and in submission order, which is exactly the
-    /// schedule the event-driven crawl produces under the zero-latency
-    /// profile.
+    /// Resolve the A records for `name` with no query ever lost. The time
+    /// parameter is unused: the answer is whatever the transport holds when
+    /// it is asked.
     pub fn resolve_a(&self, name: &Name, _now: SimTime) -> ResolutionOutcome {
-        let mut fl = self.begin(name);
-        while !fl.is_done() {
-            self.step(&mut fl, false, 0);
-        }
-        fl.into_outcome()
+        self.resolve_with(name, |_| false)
     }
 
-    /// Start resolving `name`: readies the first query. Drive the returned
-    /// machine with [`Self::step`] until [`ResolutionInFlight::is_done`],
-    /// then harvest it with [`ResolutionInFlight::into_outcome`].
-    pub fn begin(&self, name: &Name) -> ResolutionInFlight {
-        let mut fl = ResolutionInFlight {
-            pending: None,
-            chain: Vec::new(),
-            seen: vec![name.clone()],
-            current: name.clone(),
-            addresses: Vec::new(),
+    /// Resolve the A records for `name`, chasing CNAME chains with loop
+    /// detection. `lost(qname)` is asked once per attempt, before the query
+    /// goes out, and returns true when that attempt is dropped on the wire
+    /// (the crawl prices the wait there). A name gets three attempts; when
+    /// all are lost the chain ends in SERVFAIL. Each CNAME hop starts with a
+    /// fresh budget.
+    pub fn resolve_with(
+        &self,
+        name: &Name,
+        mut lost: impl FnMut(&Name) -> bool,
+    ) -> ResolutionOutcome {
+        let mut out = ResolutionOutcome {
             rcode: Rcode::NoError,
-            hops_left: MAX_CHAIN,
-            attempts_left: 0,
-            elapsed_ns: 0,
-            trace: None,
+            cname_chain: Vec::new(),
+            addresses: Vec::new(),
         };
-        fl.ask_current();
-        fl
-    }
-
-    /// Complete the machine's pending query: send it over the transport
-    /// unless it was `dropped` on the wire, and charge `cost_ns` of
-    /// simulated time for the attempt. Readies the next query (CNAME hop or
-    /// retry) or finishes the chain.
-    pub fn step(&self, fl: &mut ResolutionInFlight, dropped: bool, cost_ns: u64) {
-        let Some(query) = fl.pending.take() else {
-            return; // already done; nothing in flight to complete
-        };
-        if let Some((ctx, index)) = &mut fl.trace {
-            let start_ns = ctx.base_ns + fl.elapsed_ns;
-            ctx.emit_child(
-                *index,
-                "dns.query",
-                start_ns,
-                cost_ns,
-                vec![
-                    ("qname", obs::span::ArgValue::Str(fl.current.to_string())),
-                    ("dropped", obs::span::ArgValue::I64(dropped as i64)),
-                ],
-            );
-            *index += 1;
-        }
-        fl.elapsed_ns += cost_ns;
-        if dropped {
-            // Burn one attempt, retry the same name or give up.
-            fl.attempts_left -= 1;
-            if fl.attempts_left == 0 {
-                fl.rcode = Rcode::ServFail;
-            } else {
-                fl.pending = Some(query);
-            }
-            return;
-        }
-        let resp = self.transport.exchange(&query);
-        fl.rcode = resp.header.rcode;
-        if fl.rcode == Rcode::Refused || fl.rcode == Rcode::ServFail {
-            return;
-        }
-        let mut progressed = false;
-        for rr in &resp.answers {
-            match &rr.data {
-                RecordData::A(ip) => {
-                    fl.addresses.push(*ip);
+        let mut current = name.clone();
+        let mut hops_left = MAX_CHAIN;
+        loop {
+            let mut attempts = 0;
+            while lost(&current) {
+                attempts += 1;
+                if attempts == MAX_QUERY_ATTEMPTS {
+                    out.rcode = Rcode::ServFail;
+                    return out;
                 }
-                RecordData::Cname(target) => {
-                    if fl.seen.contains(target) {
-                        // CNAME loop crossing authorities.
-                        fl.rcode = Rcode::ServFail;
-                        return;
+            }
+            let resp = self
+                .transport
+                .exchange(&Message::query(current.clone(), RecordType::A));
+            out.rcode = resp.header.rcode;
+            if out.rcode == Rcode::Refused || out.rcode == Rcode::ServFail {
+                return out;
+            }
+            let mut progressed = false;
+            for rr in &resp.answers {
+                match &rr.data {
+                    RecordData::A(ip) => out.addresses.push(*ip),
+                    RecordData::Cname(target) => {
+                        if *target == *name || out.cname_chain.contains(target) {
+                            // CNAME loop crossing authorities.
+                            out.rcode = Rcode::ServFail;
+                            return out;
+                        }
+                        out.cname_chain.push(target.clone());
+                        current = target.clone();
+                        progressed = true;
                     }
-                    fl.chain.push(target.clone());
-                    fl.seen.push(target.clone());
-                    fl.current = target.clone();
-                    progressed = true;
+                    _ => {}
                 }
-                _ => {}
             }
+            if !out.addresses.is_empty()
+                || out.rcode == Rcode::NxDomain
+                || !progressed
+                || hops_left == 0
+            {
+                return out;
+            }
+            hops_left -= 1;
         }
-        if !fl.addresses.is_empty() || fl.rcode == Rcode::NxDomain || !progressed {
-            return;
-        }
-        if fl.hops_left == 0 {
-            return; // chain budget exhausted
-        }
-        fl.hops_left -= 1;
-        fl.ask_current();
     }
 
     /// Fetch records of an arbitrary type at a single name (no chain
@@ -462,7 +357,7 @@ mod tests {
         assert!(!out.is_resolvable());
     }
 
-    /// Drive one resolution by hand, as the crawl does. `sent` counts the
+    /// Resolve with a scripted hook, as the crawl does. `sent` counts the
     /// sends across calls; a send whose ordinal is in `drops` is lost.
     fn resolve_dropping<T: Transport>(
         r: &Resolver<T>,
@@ -470,12 +365,10 @@ mod tests {
         drops: &[u64],
         sent: &mut u64,
     ) -> ResolutionOutcome {
-        let mut fl = r.begin(&n(name));
-        while !fl.is_done() {
+        r.resolve_with(&n(name), |_| {
             *sent += 1;
-            r.step(&mut fl, drops.contains(sent), 0);
-        }
-        fl.into_outcome()
+            drops.contains(sent)
+        })
     }
 
     #[test]
@@ -563,40 +456,34 @@ mod tests {
     }
 
     #[test]
-    fn machine_accumulates_elapsed_time() {
-        // Drive the submit/poll machine by hand, charging a modeled cost per
-        // completion: a drop burns the full timeout budget, answers their RTT.
+    fn hook_accumulates_elapsed_time() {
+        // Charge a modeled cost per send: a drop burns the full timeout
+        // budget, answers their RTT. The hook sees each attempt's qname.
         let r = Resolver::new(SplitTransport::new());
-        let mut fl = r.begin(&n("shop.example.com"));
         let mut sends = [
             (true, 5_000_000_000u64),
             (false, 20_000_000),
             (false, 25_000_000),
         ]
         .into_iter();
-        while !fl.is_done() {
-            assert!(fl.pending_qname().is_some());
-            let (dropped, cost_ns) = sends.next().expect("≤3 completions");
-            r.step(&mut fl, dropped, cost_ns);
-        }
-        let out = fl.into_outcome();
+        let mut asked = Vec::new();
+        let mut elapsed_ns = 0;
+        let out = r.resolve_with(&n("shop.example.com"), |qname| {
+            let (dropped, cost_ns) = sends.next().expect("≤3 sends");
+            asked.push(qname.clone());
+            elapsed_ns += cost_ns;
+            dropped
+        });
         assert!(out.is_resolvable());
         // Dropped hop-1 attempt + answered hop-1 retry + answered hop 2.
-        assert_eq!(out.sim_elapsed_ns, 5_000_000_000 + 20_000_000 + 25_000_000);
-    }
-
-    #[test]
-    fn blocking_wrapper_matches_machine() {
-        // The blocking API and a hand-driven machine traverse identical
-        // states: same outcome, field for field.
-        let r = Resolver::new(authority());
-        for name in ["www.example.com", "shop.example.com", "nope.example.com"] {
-            let blocking = r.resolve_a(&n(name), SimTime(0));
-            let mut fl = r.begin(&n(name));
-            while !fl.is_done() {
-                r.step(&mut fl, false, 0);
-            }
-            assert_eq!(blocking, fl.into_outcome(), "{name}");
-        }
+        assert_eq!(
+            asked,
+            [
+                n("shop.example.com"),
+                n("shop.example.com"),
+                n("shop-prod.azurewebsites.net")
+            ]
+        );
+        assert_eq!(elapsed_ns, 5_000_000_000 + 20_000_000 + 25_000_000);
     }
 }

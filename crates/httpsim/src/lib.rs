@@ -18,4 +18,4 @@ pub mod probe;
 
 pub use headers::HeaderMap;
 pub use message::{Request, Response, StatusCode};
-pub use probe::{Endpoint, ProbeInFlight, ProbeKind, ProbeResult, ProbeWait};
+pub use probe::{Endpoint, ProbeKind, ProbeResult};

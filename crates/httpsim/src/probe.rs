@@ -94,163 +94,7 @@ impl<E: Endpoint + ?Sized> Endpoint for &E {
     }
 }
 
-/// The network operation a staged probe is waiting on. Mirrors
-/// [`simcore::QueryClass`] without depending on it: `httpsim` stays a leaf
-/// crate; the crawl driver maps these onto its latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeWait {
-    /// Transport-level step: ICMP echo, TCP handshake, or the HTTP
-    /// connection establishment — all three probe kinds share this phase.
-    Connect,
-    /// Application-level step: the HTTP request/response on the established
-    /// connection (HTTP probes only).
-    Request,
-}
-
-enum ProbePhase {
-    Connect,
-    Request,
-    Done(ProbeResult),
-}
-
-/// One probe in flight: the submit/poll form of [`probe`]. Every kind
-/// starts with a shared connect-phase event; only `Http` has a second,
-/// request-phase event. Each [`ProbeInFlight::step`] performs exactly the
-/// endpoint interaction the pending phase models, so an event-driven caller
-/// prices the wait (via [`ProbeInFlight::pending`]) and steps on
-/// completion, while the blocking [`probe`] steps inline.
-pub struct ProbeInFlight {
-    kind: ProbeKind,
-    ip: Ipv4Addr,
-    host: String,
-    /// Request path for HTTP probes (default `/`).
-    path: &'static str,
-    phase: ProbePhase,
-    /// Simulated nanoseconds consumed so far (telemetry only).
-    elapsed_ns: u64,
-    /// Causal trace context + next child-span index, when this probe's
-    /// trace is sampled. Pure telemetry: never read by probe logic.
-    trace: Option<(obs::TraceCtx, u64)>,
-}
-
-impl ProbeInFlight {
-    pub fn new(kind: ProbeKind, ip: Ipv4Addr, host: impl Into<String>) -> Self {
-        ProbeInFlight {
-            kind,
-            ip,
-            host: host.into(),
-            path: "/",
-            phase: ProbePhase::Connect,
-            elapsed_ns: 0,
-            trace: None,
-        }
-    }
-
-    /// Use `path` for the request phase instead of `/` (e.g.
-    /// `/sitemap.xml`).
-    pub fn with_path(mut self, path: &'static str) -> Self {
-        self.path = path;
-        self
-    }
-
-    /// Attach a causal trace context (re-based to this probe's start).
-    /// Each timed step then emits a `probe.connect` / `probe.request`
-    /// child span stamped in virtual time.
-    pub fn set_trace(&mut self, ctx: obs::TraceCtx) {
-        self.trace = Some((ctx, 0));
-    }
-
-    /// What the probe is currently waiting on (`None` once done).
-    pub fn pending(&self) -> Option<ProbeWait> {
-        match self.phase {
-            ProbePhase::Connect => Some(ProbeWait::Connect),
-            ProbePhase::Request => Some(ProbeWait::Request),
-            ProbePhase::Done(_) => None,
-        }
-    }
-
-    pub fn is_done(&self) -> bool {
-        matches!(self.phase, ProbePhase::Done(_))
-    }
-
-    /// Complete the pending phase against the endpoint.
-    pub fn step<E: Endpoint + ?Sized>(&mut self, endpoint: &E, now: SimTime) {
-        self.phase = match &self.phase {
-            // The shared connect-phase event. ICMP and TCP probes conclude
-            // here; HTTP probes proceed to the request phase (connection
-            // failure surfaces there, preserving `http_serve`'s None
-            // semantics for endpoints whose TCP and HTTP views disagree).
-            ProbePhase::Connect => match self.kind {
-                ProbeKind::IcmpPing => {
-                    ProbePhase::Done(reachability(endpoint.icmp_responds(self.ip, now)))
-                }
-                ProbeKind::TcpConnect(port) => {
-                    ProbePhase::Done(reachability(endpoint.tcp_open(self.ip, port, now)))
-                }
-                ProbeKind::Http { .. } => ProbePhase::Request,
-            },
-            ProbePhase::Request => {
-                let https = matches!(self.kind, ProbeKind::Http { https: true });
-                let req = if https {
-                    Request::get_https(&self.host, self.path)
-                } else {
-                    Request::get(&self.host, self.path)
-                };
-                ProbePhase::Done(match endpoint.http_serve(self.ip, &req, now) {
-                    Some(resp) => ProbeResult::HttpResponse(resp),
-                    None => ProbeResult::ConnectionFailed,
-                })
-            }
-            ProbePhase::Done(r) => ProbePhase::Done(r.clone()),
-        };
-    }
-
-    /// [`Self::step`], charging `cost_ns` of simulated time to the phase
-    /// just completed and emitting its causal child span (when traced).
-    /// The event-driven crawl uses this; the blocking [`probe`] driver
-    /// keeps using the free-running `step`.
-    pub fn step_timed<E: Endpoint + ?Sized>(&mut self, endpoint: &E, now: SimTime, cost_ns: u64) {
-        let name = match self.phase {
-            ProbePhase::Connect => "probe.connect",
-            ProbePhase::Request => "probe.request",
-            ProbePhase::Done(_) => {
-                return;
-            }
-        };
-        if let Some((ctx, index)) = &mut self.trace {
-            let start_ns = ctx.base_ns + self.elapsed_ns;
-            ctx.emit_child(
-                *index,
-                name,
-                start_ns,
-                cost_ns,
-                vec![("host", obs::span::ArgValue::Str(self.host.clone()))],
-            );
-            *index += 1;
-        }
-        self.elapsed_ns += cost_ns;
-        self.step(endpoint, now);
-    }
-
-    /// Harvest the result of a completed probe.
-    pub fn into_result(self) -> ProbeResult {
-        match self.phase {
-            ProbePhase::Done(r) => r,
-            _ => panic!("probe still in flight"),
-        }
-    }
-}
-
-fn reachability(alive: bool) -> ProbeResult {
-    if alive {
-        ProbeResult::Reachable
-    } else {
-        ProbeResult::Unreachable
-    }
-}
-
-/// Run one probe of `kind` against `ip` for the FQDN `host` — the blocking
-/// driver of [`ProbeInFlight`].
+/// Run one probe of `kind` against `ip` for the FQDN `host`.
 pub fn probe<E: Endpoint + ?Sized>(
     endpoint: &E,
     kind: ProbeKind,
@@ -258,11 +102,28 @@ pub fn probe<E: Endpoint + ?Sized>(
     host: &str,
     now: SimTime,
 ) -> ProbeResult {
-    let mut fl = ProbeInFlight::new(kind, ip, host);
-    while !fl.is_done() {
-        fl.step(endpoint, now);
+    let reachability = |alive| {
+        if alive {
+            ProbeResult::Reachable
+        } else {
+            ProbeResult::Unreachable
+        }
+    };
+    match kind {
+        ProbeKind::IcmpPing => reachability(endpoint.icmp_responds(ip, now)),
+        ProbeKind::TcpConnect(port) => reachability(endpoint.tcp_open(ip, port, now)),
+        ProbeKind::Http { https } => {
+            let req = if https {
+                Request::get_https(host, "/")
+            } else {
+                Request::get(host, "/")
+            };
+            match endpoint.http_serve(ip, &req, now) {
+                Some(resp) => ProbeResult::HttpResponse(resp),
+                None => ProbeResult::ConnectionFailed,
+            }
+        }
     }
-    fl.into_result()
 }
 
 #[cfg(test)]
@@ -354,37 +215,6 @@ mod tests {
         );
         assert_eq!(r, ProbeResult::ConnectionFailed);
         assert!(!r.considers_alive());
-    }
-
-    #[test]
-    fn staged_probe_phases() {
-        let fe = VhostFrontEnd {
-            ip: Ipv4Addr::new(20, 1, 1, 1),
-            hosted: vec!["alive.azurewebsites.net".into()],
-        };
-        let now = SimTime(0);
-        // ICMP and TCP conclude on the shared connect-phase event.
-        for kind in [ProbeKind::IcmpPing, ProbeKind::TcpConnect(443)] {
-            let mut fl = ProbeInFlight::new(kind, fe.ip, "alive.azurewebsites.net");
-            assert_eq!(fl.pending(), Some(ProbeWait::Connect));
-            fl.step(&fe, now);
-            assert!(fl.is_done());
-        }
-        // HTTP takes connect then request.
-        let mut fl = ProbeInFlight::new(
-            ProbeKind::Http { https: false },
-            fe.ip,
-            "alive.azurewebsites.net",
-        );
-        assert_eq!(fl.pending(), Some(ProbeWait::Connect));
-        fl.step(&fe, now);
-        assert_eq!(fl.pending(), Some(ProbeWait::Request));
-        fl.step(&fe, now);
-        assert!(fl.is_done());
-        match fl.into_result() {
-            ProbeResult::HttpResponse(r) => assert!(r.status.is_success()),
-            other => panic!("expected response, got {other:?}"),
-        }
     }
 
     #[test]

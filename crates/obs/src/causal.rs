@@ -1,17 +1,17 @@
-//! Causal, **virtual-time** tracing across the submit/poll state machines.
+//! Causal, **virtual-time** tracing of each crawl's network waits.
 //!
 //! Wall-clock spans ([`crate::span`]) answer "where does the *process* spend
 //! time"; causal spans answer "where does a *crawl* spend simulated time".
-//! Each crawl admitted to a shard event loop gets a deterministic
-//! [`TraceId`] keyed exactly like the RNG streams (`trace/{fqdn}/{day}`),
-//! and every state machine it passes through — `dns::ResolutionInFlight`,
-//! `httpsim::ProbeInFlight`, `core::monitor::CrawlInFlight` — emits child
-//! spans stamped in simulated nanoseconds from the completion queue's
-//! `NetTime` clock. The root span decomposes the crawl into **queue-wait**
-//! (virtual time between round start and admission to an in-flight slot)
-//! and **service** (the sum of priced network waits); because a task's
-//! events are contiguous in virtual time, the decomposition is exact:
-//! `queue_wait + service == total`, span for span.
+//! Each crawl a shard admits gets a deterministic [`TraceId`] keyed exactly
+//! like the RNG streams (`trace/{fqdn}/{day}`), and the crawl's pricing
+//! hook (`core::pipeline::crawl`) emits one child span per priced wait —
+//! each DNS attempt, each connect, each HTTP request — stamped in
+//! simulated nanoseconds from the crawl's admission time. The root span
+//! decomposes the crawl into **queue-wait** (virtual time between round
+//! start and admission to an in-flight slot) and **service** (the sum of
+//! priced network waits); because a crawl's waits are contiguous in
+//! virtual time, the decomposition is exact: `queue_wait + service ==
+//! total`, span for span.
 //!
 //! Determinism contract: nothing here can perturb results. The trace id is
 //! a pure hash of `(fqdn, day)` — no RNG stream is touched, derived, or
@@ -90,8 +90,9 @@ pub fn sampled(id: TraceId) -> bool {
     causal_enabled() && id.0.is_multiple_of(trace_sample())
 }
 
-/// Span-id salts: one namespace per machine so the two `ProbeInFlight`
-/// instances of a crawl (index, sitemap) can never collide.
+/// Span-id salts: one namespace per phase of a crawl — the DNS chain, the
+/// index fetch and the sitemap fetch — so the two fetches' connect and
+/// request spans (indices 0 and 1 in each) can never collide.
 pub const SALT_ROOT: u64 = 0;
 pub const SALT_DNS: u64 = 1;
 pub const SALT_INDEX: u64 = 2;
@@ -104,18 +105,16 @@ pub fn span_id(trace: TraceId, salt: u64, index: u64) -> u64 {
     fnv1a(h, &index.to_le_bytes())
 }
 
-/// The causal context one machine hands the next: everything a child span
-/// needs to link itself into the trace. `base_ns` is the virtual instant
-/// the machine started at; children stamp `base_ns + elapsed-so-far`.
+/// The causal context of one traced crawl: everything a child span needs
+/// to link itself into the trace. `base_ns` is the virtual instant the
+/// crawl was admitted at; its waits stamp `base_ns + elapsed-so-far`.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceCtx {
     pub trace: TraceId,
     /// Span id of the enclosing (root) span.
     pub parent: u64,
-    /// Virtual start of this machine's window.
+    /// Virtual admission time of the crawl.
     pub base_ns: u64,
-    /// Span-id namespace for this machine's children.
-    pub salt: u64,
     /// Simulated day of the round (groups traces per round).
     pub day: i64,
 }
@@ -127,25 +126,16 @@ impl TraceCtx {
             trace,
             parent: span_id(trace, SALT_ROOT, 0),
             base_ns,
-            salt: SALT_ROOT,
             day,
         }
     }
 
-    /// Derive the context for a child machine starting at `base_ns` in the
-    /// span-id namespace `salt`. The parent link stays the root span.
-    pub fn child(&self, salt: u64, base_ns: u64) -> TraceCtx {
-        TraceCtx {
-            salt,
-            base_ns,
-            ..*self
-        }
-    }
-
-    /// Emit the `index`-th child span of this context: one completed
-    /// network wait of `dur_ns` starting at `start_ns` (both virtual).
+    /// Emit the `index`-th child span in the span-id namespace `salt`: one
+    /// completed network wait of `dur_ns` starting at `start_ns` (both
+    /// virtual).
     pub fn emit_child(
         &self,
+        salt: u64,
         index: u64,
         name: &'static str,
         start_ns: u64,
@@ -154,7 +144,7 @@ impl TraceCtx {
     ) {
         emit(CausalSpan {
             trace: self.trace,
-            span_id: span_id(self.trace, self.salt, index),
+            span_id: span_id(self.trace, salt, index),
             parent: Some(self.parent),
             name,
             fqdn: String::new(),
@@ -202,7 +192,7 @@ fn sink() -> MutexGuard<'static, Vec<CausalSpan>> {
 }
 
 /// Record one completed span in the global sink. Callers gate on
-/// [`sampled`] (a machine only carries a [`TraceCtx`] when its trace was
+/// [`sampled`] (a crawl only carries a [`TraceCtx`] when its trace was
 /// kept), so this is unconditional.
 pub fn emit(span: CausalSpan) {
     sink().push(span);

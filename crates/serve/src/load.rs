@@ -1,11 +1,10 @@
 //! In-process load driver: thousands of concurrent clients over one event
 //! loop.
 //!
-//! Mirrors the event-driven crawl substrate (DESIGN.md §10): each simulated
-//! client is a submit/complete pair on a [`CompletionQueue`], with the
-//! round-trip priced by a keyed-RNG [`LatencyModel`] draw — so one driver
-//! thread interleaves thousands of *outstanding* queries exactly the way
-//! one crawl worker sustains ≥1,000 in-flight crawls. On submit the query
+//! Uses the crawl's latency model (DESIGN.md §10): each simulated client
+//! is a submit/complete pair on a [`CompletionQueue`], with the round-trip
+//! priced by a keyed-RNG [`LatencyModel`] draw — so one driver thread
+//! interleaves thousands of *outstanding* queries. On submit the query
 //! executes against the live [`ServeHandle`] (wall-clock timed — that is
 //! the real read-path latency under whatever contention the committing
 //! rounds produce); completion frees the client to submit its next one.

@@ -5,7 +5,7 @@
 //! scheduled for the same instant fire in insertion order (deterministic
 //! FIFO within an instant). Two clocks use it: the day-granular [`SimTime`]
 //! world queue, and the nanosecond-granular [`crate::net::NetTime`]
-//! completion queue the event-driven crawl drains — both inherit the same
+//! completion queue the serve load driver drains — both inherit the same
 //! `(fire_time, seq)` ordering contract, which is what makes completion
 //! order a pure function of the schedule and never of thread timing.
 

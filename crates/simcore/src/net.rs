@@ -1,17 +1,18 @@
 //! Modeled network time and per-query latency.
 //!
 //! The paper's crawl (§3.1, Algorithm 1) is a real network measurement whose
-//! throughput is bounded by round-trip latency and concurrency, not CPU. The
-//! simulated transports used to be synchronous call-and-return, which made
-//! crawl throughput a pure function of thread count. This module supplies
-//! the missing dimension: a **nanosecond-granular virtual clock**
-//! ([`NetTime`]) that runs *within* one crawl round (orthogonal to the
-//! day-granular [`crate::SimTime`] world clock), a [`CompletionQueue`] that
-//! drains pending network operations in deterministic `(fire_time, seq)`
-//! order, and a [`LatencyModel`] that prices every query from a keyed RNG
-//! stream — base RTT + jitter + per-platform multipliers + loss/timeout
-//! injection — so latency draws are a pure function of *(fqdn, day, event
-//! ordinal)* and never of which thread issued the query.
+//! throughput is bounded by round-trip latency and concurrency, not CPU.
+//! The simulated transports answer instantly, so this module supplies the
+//! missing dimension: a **nanosecond-granular virtual clock** ([`NetTime`])
+//! that runs *within* one crawl round (orthogonal to the day-granular
+//! [`crate::SimTime`] world clock), and a [`LatencyModel`] that prices every
+//! network wait from a keyed RNG stream — base RTT + jitter + per-platform
+//! multipliers + loss/timeout injection — so latency draws are a pure
+//! function of *(fqdn, day, wait ordinal)* and never of which thread made
+//! the wait. The crawl sums a crawl's priced waits and admits crawls from a
+//! slot scheduler, which needs no queue; [`CompletionQueue`] drains pending
+//! operations in deterministic `(fire_time, seq)` order for the serve load
+//! driver, whose simulated clients do interleave.
 
 use crate::events::{EventQueue, QueueTime};
 use crate::rng::RngTree;
@@ -75,11 +76,11 @@ impl fmt::Display for NetTime {
     }
 }
 
-/// The deterministic completion queue the event-driven crawl drains: the
-/// same `(fire_time, seq)` discipline as the world's [`EventQueue`], on the
-/// network clock. Same-instant completions pop in submission order, so a
-/// zero-latency profile reproduces the synchronous call-and-return schedule
-/// exactly.
+/// A deterministic completion queue on the network clock: the same
+/// `(fire_time, seq)` discipline as the world's [`EventQueue`].
+/// Same-instant completions pop in submission order, so under a
+/// zero-latency profile completion order is submission order. The serve
+/// load driver paces its simulated clients with it.
 pub type CompletionQueue<E> = EventQueue<E, NetTime>;
 
 /// The kind of network operation being priced. The three probe techniques
@@ -134,8 +135,8 @@ const MS: u64 = 1_000_000;
 
 impl LatencyProfile {
     /// The zero-latency profile (the default): every operation completes
-    /// instantly and nothing is ever dropped, so the event-driven crawl's
-    /// completion order degenerates to submission order.
+    /// instantly and nothing is ever dropped, so every crawl takes no
+    /// virtual time and the round's makespan is 0.
     pub fn zero() -> Self {
         LatencyProfile {
             name: "zero".into(),
@@ -226,7 +227,7 @@ pub struct LatencyModel {
 }
 
 impl Default for LatencyModel {
-    /// The **zero** profile: the event-driven crawl on a degenerate clock.
+    /// The **zero** profile: every wait free, on a degenerate clock.
     fn default() -> Self {
         LatencyModel::new(LatencyProfile::zero())
     }
@@ -261,7 +262,7 @@ impl LatencyModel {
 
     /// Price one attempt. `stream_key` must identify the *logical* attempt —
     /// the pipeline uses `net/{fqdn}/{day}/{ordinal}` where `ordinal` counts
-    /// the crawl task's network events (retries included) — so the draw is a
+    /// the crawl's network waits (retries included) — so the draw is a
     /// pure function of content, invariant under any thread schedule.
     /// `target` is the name the operation is addressed to (the DNS qname of
     /// the current CNAME hop, or the HTTP host), matched against the

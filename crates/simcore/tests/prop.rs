@@ -1,5 +1,5 @@
 //! Property tests for the discrete-event queue — the determinism tiebreaker
-//! the completion queue leans on. Two invariants: (1) events scheduled for
+//! the world queue and the serve load driver's completion queue lean on. Two invariants: (1) events scheduled for
 //! the same instant pop in insertion order (FIFO within an instant), and
 //! (2) no interleaving of schedules and pops ever yields a pop whose time
 //! precedes an earlier pop (time never inverts).
