@@ -119,8 +119,8 @@ impl ShardedExecutor {
     /// Items land in bucket `shard_of(item)`, which must be a pure function
     /// of item content below `buckets`, so the same item always lands in the
     /// same bucket no matter how many workers run. Use this when a pass works
-    /// per group (the crawl's per-shard event loops): each bucket's result is
-    /// computed in parallel and the caller merges them in a fixed order.
+    /// per group (the crawl's per-shard slot schedules): each bucket's result
+    /// is computed in parallel and the caller merges them in a fixed order.
     pub fn fold_buckets<T, B, FS, FW>(
         &self,
         items: &[T],

@@ -29,7 +29,7 @@
 //! (signature matching, validation, content classification) all fan out
 //! through the shared [`ShardedExecutor`]. Three invariants make every
 //! parallel stage's output independent of the thread count: the crawl's
-//! per-shard event loops are partitioned by the stable
+//! shards are partitioned by the stable
 //! [`crate::snapshot::fqdn_shard`] hash (never by iteration order), results
 //! are re-assembled in the input's canonical order (or shard order) before
 //! any downstream stage sees them, and any randomness a task consumes

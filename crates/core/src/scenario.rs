@@ -54,7 +54,7 @@ pub struct ScenarioConfig {
     /// model). Keyed per (FQDN, day), so also thread-count-invariant.
     #[serde(default)]
     pub crawl_failure_rate: f64,
-    /// Network latency profile for the event-driven crawl (one of
+    /// Network latency profile pricing the crawl's waits (one of
     /// [`simcore::LatencyProfile::NAMES`]; empty means the default `zero`
     /// profile). `zero`, `datacenter` and `wan` only move virtual time and
     /// cannot change results; `lossy` injects deterministic, thread-count-invariant query

@@ -1,5 +1,5 @@
 //! The virtual-time determinism contract (DESIGN.md §10), end to end:
-//! switching the event-driven crawl between the loss-free latency profiles
+//! switching the crawl between the loss-free latency profiles
 //! (`zero`, `datacenter`, `wan`) moves **only timing telemetry** — the
 //! serialized `StudyResults` match the committed golden digest
 //! (`tests/fixtures/intern_eq/`) under every one of them.

@@ -143,7 +143,7 @@ impl<T: Transport> Resolver<T> {
                 match &rr.data {
                     RecordData::A(ip) => out.addresses.push(*ip),
                     RecordData::Cname(target) => {
-                        if *target == *name || out.cname_chain.contains(target) {
+                        if target == name || out.cname_chain.contains(target) {
                             // CNAME loop crossing authorities.
                             out.rcode = Rcode::ServFail;
                             return out;
