@@ -101,7 +101,7 @@ fn main() {
             .map(|fqdn| {
                 let prev = store.latest(fqdn);
                 let snap = Crawler::sample(fqdn, &resolver, web, prev, SimTime(7));
-                let change = prev.and_then(|p| diff_record(p, snap.clone()));
+                let change = prev.and_then(|p| diff_record(p, &snap));
                 (snap, change)
             })
             .collect();

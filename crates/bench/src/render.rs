@@ -698,7 +698,7 @@ pub fn hsts(r: &StudyResults) -> String {
         if let Some(resp) = httpsim::Endpoint::http_serve(
             &web,
             ip,
-            &httpsim::Request::get(&apex.to_string(), "/"),
+            &httpsim::Request::get(apex.to_string(), "/"),
             SimTime::monitor_end(),
         ) {
             responding += 1;

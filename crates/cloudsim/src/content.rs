@@ -6,7 +6,7 @@
 //! rather than materializing terabytes), response headers, and robots.txt /
 //! .htaccess (the cloaking machinery of §5.2.1).
 
-use httpsim::{Request, Response, StatusCode};
+use httpsim::{Body, Request, Response};
 use serde::{Deserialize, Serialize};
 
 /// Sitemap metadata plus a small representative sample. The monitoring
@@ -43,11 +43,12 @@ pub struct PageStats {
 }
 
 /// Everything a resource serves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SiteContent {
     /// The index HTML (may be an "under maintenance" shell page; the abuse
-    /// often hides thousands of pages behind an innocuous index — §3).
-    pub index_html: String,
+    /// often hides thousands of pages behind an innocuous index — §3),
+    /// shared by every response that serves it and hashed at most once.
+    pub index_html: Body,
     pub sitemap: Option<Sitemap>,
     pub pages: PageStats,
     /// A representative non-index page (what a crawler following the sitemap
@@ -68,7 +69,8 @@ impl SiteContent {
         SiteContent {
             index_html: format!(
                 "<html><head><title>{text}</title></head><body><h1>{text}</h1></body></html>"
-            ),
+            )
+            .into(),
             language: "en".into(),
             ..Default::default()
         }
@@ -76,29 +78,24 @@ impl SiteContent {
 
     /// Serve a request path against this content.
     pub fn serve(&self, req: &Request) -> Response {
-        let mut resp = match req.path.as_str() {
-            "/" | "/index.html" => Response::ok_html(self.index_html.clone()),
+        let mut resp = match req.path {
+            "/" | "/index.html" => Response::ok(self.index_html.clone()),
             "/sitemap.xml" => match &self.sitemap {
                 Some(sm) => {
-                    let mut r = Response::ok_xml(sm.sample_xml.clone());
+                    let mut r = Response::ok(sm.sample_xml.as_str());
                     // Advertise the true size so the monitor's size-diff
                     // logic sees what a full download would have seen.
-                    r.headers.set("Content-Length", sm.bytes.to_string());
+                    r.content_length = sm.bytes;
                     r
                 }
                 None => Response::not_found("<html><body>no sitemap</body></html>"),
             },
             "/robots.txt" => match &self.robots_txt {
-                Some(txt) => {
-                    let mut r = Response::new(StatusCode::OK);
-                    r.headers.set("Content-Type", "text/plain");
-                    r.body = txt.clone().into_bytes();
-                    r
-                }
+                Some(txt) => Response::ok(txt.as_str()),
                 None => Response::not_found("not found"),
             },
             _ => match &self.sample_page {
-                Some(page) if self.pages.count > 0 => Response::ok_html(page.clone()),
+                Some(page) if self.pages.count > 0 => Response::ok(page.as_str()),
                 _ => Response::not_found("<html><body>404</body></html>"),
             },
         };
@@ -112,15 +109,27 @@ impl SiteContent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use httpsim::StatusCode;
 
     #[test]
     fn serves_index_and_404() {
         let c = SiteContent::placeholder("hello");
         let r = c.serve(&Request::get("x", "/"));
         assert_eq!(r.status, StatusCode::OK);
-        assert!(r.body_text().contains("hello"));
+        assert!(r.body.as_str().contains("hello"));
         let r = c.serve(&Request::get("x", "/nope.html"));
         assert_eq!(r.status, StatusCode::NOT_FOUND);
+    }
+
+    #[test]
+    fn index_body_is_shared_not_copied() {
+        let c = SiteContent::placeholder("hello");
+        let a = c.serve(&Request::get("x", "/"));
+        let b = c.serve(&Request::get("y", "/index.html"));
+        assert_eq!(a.body.as_ptr(), c.index_html.as_ptr());
+        assert_eq!(b.body.as_ptr(), c.index_html.as_ptr());
+        assert_eq!(a.body.fnv(), simcore::fnv1a(&b.body));
+        assert_eq!(a.content_length, c.index_html.len() as u64);
     }
 
     #[test]
@@ -129,8 +138,8 @@ mod tests {
         c.sitemap = Some(Sitemap::synthetic(10_000, "<urlset/>".into()));
         let r = c.serve(&Request::get("x", "/sitemap.xml"));
         assert_eq!(r.status, StatusCode::OK);
-        let cl: u64 = r.headers.get("content-length").unwrap().parse().unwrap();
-        assert_eq!(cl, 120 + 10_000 * 80);
+        assert_eq!(r.content_length, 120 + 10_000 * 80);
+        assert_eq!(r.body.as_str(), "<urlset/>");
     }
 
     #[test]
@@ -143,7 +152,7 @@ mod tests {
         c.sample_page = Some("<html><body>doorway</body></html>".into());
         let r = c.serve(&Request::get("x", "/page-xyz.html"));
         assert_eq!(r.status, StatusCode::OK);
-        assert!(r.body_text().contains("doorway"));
+        assert!(r.body.as_str().contains("doorway"));
     }
 
     #[test]
@@ -164,6 +173,6 @@ mod tests {
         c.robots_txt = Some("User-agent: *\nDisallow: /admin".into());
         let r = c.serve(&Request::get("x", "/robots.txt"));
         assert_eq!(r.status, StatusCode::OK);
-        assert!(r.body_text().contains("Disallow"));
+        assert!(r.body.as_str().contains("Disallow"));
     }
 }

@@ -15,16 +15,17 @@
 
 use crate::content::SiteContent;
 use crate::ip::{IpPool, IpRangeTable};
-use crate::provider::{spec, NamingModel, ServiceId, ServiceSpec, CATALOG};
+use crate::provider::{spec, NamingModel, ProviderId, ServiceId, ServiceSpec, CATALOG};
 use crate::resource::{AccountId, Resource, ResourceId, ResourceState};
 use dns::{Name, RecordData, ResourceRecord, Zone, ZoneSet};
-use httpsim::{Endpoint, Request, Response, StatusCode};
+use httpsim::{Body, Endpoint, Request, Response};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use simcore::rng::splitmix64;
-use simcore::SimTime;
+use simcore::{fnv1a, SimTime};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::LazyLock;
 
 /// Platform-wide policy knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -251,7 +252,7 @@ impl CloudPlatform {
                     .generated_fqdn(&name, region)
                     .map_err(|_| RegisterError::InvalidName)?;
                 let fes = &self.front_ends[&service];
-                let ip = fes[(splitmix64(hash_str(&name)) % fes.len() as u64) as usize];
+                let ip = fes[(splitmix64(fnv1a(name.as_bytes())) % fes.len() as u64) as usize];
                 self.active_names.insert(key, id);
                 Resource {
                     id,
@@ -401,30 +402,13 @@ impl CloudPlatform {
     /// Provider default page served when a front end receives a Host header
     /// it cannot route — the fingerprint takeover scanners look for.
     fn default_error_page(service: ServiceId) -> Response {
-        let body = match spec(service).provider {
-            crate::provider::ProviderId::Azure => {
-                "<html><head><title>404 Web Site not found</title></head><body>\
-                 <h1>404 Web Site not found.</h1>\
-                 <p>The web app you have attempted to reach is not available.</p></body></html>"
-            }
-            crate::provider::ProviderId::Aws => {
-                "<html><head><title>404 Not Found</title></head><body>\
-                 <h1>404 Not Found</h1><ul><li>Code: NoSuchBucket</li>\
-                 <li>Message: The specified bucket does not exist</li></ul></body></html>"
-            }
-            crate::provider::ProviderId::Heroku => {
-                "<html><head><title>No such app</title></head><body>\
-                 <h1>There's nothing here, yet.</h1></body></html>"
-            }
-            _ => {
-                "<html><head><title>Not Found</title></head><body>\
-                 <h1>Site not found</h1></body></html>"
-            }
+        let page = match spec(service).provider {
+            ProviderId::Azure => 0,
+            ProviderId::Aws => 1,
+            ProviderId::Heroku => 2,
+            _ => 3,
         };
-        let mut r = Response::new(StatusCode::NOT_FOUND);
-        r.headers.set("Content-Type", "text/html; charset=utf-8");
-        r.body = body.as_bytes().to_vec();
-        r
+        Response::not_found(ERROR_PAGES[page].clone())
     }
 
     fn is_front_end(&self, ip: Ipv4Addr) -> Option<ServiceId> {
@@ -437,14 +421,23 @@ impl CloudPlatform {
     }
 }
 
-fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
+/// The provider error pages (Azure, AWS, Heroku, every other provider),
+/// built and hashed once and shared by every response that serves one.
+static ERROR_PAGES: LazyLock<[Body; 4]> = LazyLock::new(|| {
+    [
+        "<html><head><title>404 Web Site not found</title></head><body>\
+         <h1>404 Web Site not found.</h1>\
+         <p>The web app you have attempted to reach is not available.</p></body></html>",
+        "<html><head><title>404 Not Found</title></head><body>\
+         <h1>404 Not Found</h1><ul><li>Code: NoSuchBucket</li>\
+         <li>Message: The specified bucket does not exist</li></ul></body></html>",
+        "<html><head><title>No such app</title></head><body>\
+         <h1>There's nothing here, yet.</h1></body></html>",
+        "<html><head><title>Not Found</title></head><body>\
+         <h1>Site not found</h1></body></html>",
+    ]
+    .map(Body::from)
+});
 
 impl Endpoint for CloudPlatform {
     fn icmp_responds(&self, ip: Ipv4Addr, _now: SimTime) -> bool {
@@ -475,7 +468,7 @@ impl Endpoint for CloudPlatform {
         // Dedicated-IP resources serve regardless of Host.
         if let Some(res) = self.resource_by_ip(ip) {
             if request.https {
-                let host: Name = request.host()?.parse().ok()?;
+                let host: Name = request.host.parse().ok()?;
                 if !res.serves_https_for(&host) {
                     return None; // TLS handshake failure
                 }
@@ -486,7 +479,7 @@ impl Endpoint for CloudPlatform {
         // tcp_open() percentage models *probe* observations of §2, not the
         // data path: front ends serve HTTP regardless.)
         let service = self.is_front_end(ip)?;
-        let Some(host) = request.host().and_then(|h| Name::parse(h).ok()) else {
+        let Ok(host) = Name::parse(&request.host) else {
             return Some(Self::default_error_page(service));
         };
         match self
@@ -514,6 +507,7 @@ impl Endpoint for CloudPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use httpsim::StatusCode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -809,18 +803,18 @@ mod tests {
         let resp = p
             .http_serve(ip, &Request::get("contoso.azurewebsites.net", "/"), now)
             .unwrap();
-        assert!(resp.body_text().contains("Contoso Shop"));
+        assert!(resp.body.as_str().contains("Contoso Shop"));
         // Custom domain routes to the same content.
         let resp = p
             .http_serve(ip, &Request::get("shop.contoso.com", "/"), now)
             .unwrap();
-        assert!(resp.body_text().contains("Contoso Shop"));
+        assert!(resp.body.as_str().contains("Contoso Shop"));
         // Unknown host gets the provider 404 fingerprint.
         let resp = p
             .http_serve(ip, &Request::get("gone.azurewebsites.net", "/"), now)
             .unwrap();
         assert_eq!(resp.status, StatusCode::NOT_FOUND);
-        assert!(resp.body_text().contains("not available"));
+        assert!(resp.body.as_str().contains("not available"));
     }
 
     #[test]
@@ -879,7 +873,12 @@ mod tests {
             .http_serve(ip, &Request::get("app1.herokuapp.com", "/"), SimTime(2))
             .unwrap();
         assert_eq!(resp.status, StatusCode::NOT_FOUND);
-        assert!(resp.body_text().contains("nothing here"));
+        assert!(resp.body.as_str().contains("nothing here"));
+        // Every unroutable host gets the one shared error page.
+        let other = p
+            .http_serve(ip, &Request::get("app2.herokuapp.com", "/"), SimTime(2))
+            .unwrap();
+        assert_eq!(other.body.as_ptr(), resp.body.as_ptr());
     }
 
     #[test]
@@ -901,7 +900,7 @@ mod tests {
         let resp = p
             .http_serve(ip, &Request::get("www.anything.com", "/"), SimTime(0))
             .unwrap();
-        assert!(resp.body_text().contains("VM site"));
+        assert!(resp.body.as_str().contains("VM site"));
         assert!(p.icmp_responds(ip, SimTime(0)));
         assert!(p.tcp_open(ip, 80, SimTime(0)));
         assert!(!p.tcp_open(ip, 22, SimTime(0)));

@@ -48,7 +48,7 @@ pub enum ResourceState {
 }
 
 /// A provisioned cloud resource.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Resource {
     pub id: ResourceId,
     pub service: ServiceId,

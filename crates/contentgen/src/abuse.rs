@@ -190,7 +190,7 @@ pub fn build_abuse_site<R: Rng + ?Sized>(spec: &AbuseSpec, host: &str, rng: &mut
     };
 
     SiteContent {
-        index_html,
+        index_html: index_html.into(),
         sitemap: Some(Sitemap {
             entries: spec.page_count,
             bytes: 120 + spec.page_count * 80,
@@ -355,13 +355,13 @@ mod tests {
     fn doorway_site_carries_keywords_and_identifiers() {
         let mut rng = StdRng::seed_from_u64(1);
         let s = build_abuse_site(&spec(SeoTechnique::DoorwayPages), "h.victim.com", &mut rng);
-        let kws = extract::meta_keywords(&s.index_html);
+        let kws = extract::meta_keywords(s.index_html.as_str());
         assert!(kws.contains(&"slot".to_string()));
-        let ids = extract::identifiers(&s.index_html);
+        let ids = extract::identifiers(s.index_html.as_str());
         assert_eq!(ids.phones, vec!["6281234567890"]);
         assert_eq!(ids.social, vec!["t.me/slotgacor88"]);
         assert!(!ids.ips.is_empty());
-        assert!(s.index_html.contains("ref=REF777"));
+        assert!(s.index_html.as_str().contains("ref=REF777"));
         assert_eq!(s.language, "id");
         assert_eq!(s.pages.count, 31_810);
         assert_eq!(s.sitemap.as_ref().unwrap().entries, 31_810);
@@ -374,8 +374,8 @@ mod tests {
         sp.maintenance_shell_lang = Some("en".into());
         let s = build_abuse_site(&sp, "h.victim.com", &mut rng);
         // Index is innocuous...
-        assert!(s.index_html.contains("maintenance"));
-        assert!(extract::identifiers(&s.index_html).is_empty());
+        assert!(s.index_html.as_str().contains("maintenance"));
+        assert!(extract::identifiers(s.index_html.as_str()).is_empty());
         // ...but thousands of pages hide behind it.
         assert!(s.pages.count > 10_000);
         assert!(!extract::identifiers(s.sample_page.as_ref().unwrap()).is_empty());
@@ -415,8 +415,8 @@ mod tests {
         let mut sp = spec(SeoTechnique::ClickJacking);
         sp.topic = AbuseTopic::Adult;
         let s = build_abuse_site(&sp, "h.victim.com", &mut rng);
-        assert!(s.index_html.contains("addEventListener('click'"));
-        assert!(s.index_html.contains("preventDefault"));
+        assert!(s.index_html.as_str().contains("addEventListener('click'"));
+        assert!(s.index_html.as_str().contains("preventDefault"));
         assert_eq!(s.language, "en");
     }
 
@@ -426,9 +426,9 @@ mod tests {
         let mut sp = spec(SeoTechnique::KeywordStuffing);
         sp.use_meta_keywords = false;
         let s = build_abuse_site(&sp, "h.victim.com", &mut rng);
-        assert!(extract::meta_keywords(&s.index_html).is_empty());
+        assert!(extract::meta_keywords(s.index_html.as_str()).is_empty());
         // Content keywords are still present in the body.
-        let toks = extract::tokens(&s.index_html);
+        let toks = extract::tokens(s.index_html.as_str());
         assert!(toks
             .iter()
             .any(|t| t == "slot" || t == "judi" || t == "gacor"));

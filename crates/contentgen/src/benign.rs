@@ -65,7 +65,7 @@ pub fn benign_site<R: Rng + ?Sized>(
         .map(|i| format!("page-{i}.html"))
         .collect();
     SiteContent {
-        index_html: doc.render(),
+        index_html: doc.render().into(),
         sitemap: Some(Sitemap {
             entries: page_count,
             bytes: 120 + page_count * 80,
@@ -117,7 +117,7 @@ pub fn benign_topical_site<R: Rng + ?Sized>(
     let page_count = rng.gen_range(30..300);
     let pages: Vec<String> = (0..10).map(|i| format!("story-{i}.html")).collect();
     SiteContent {
-        index_html: doc.render(),
+        index_html: doc.render().into(),
         sitemap: Some(Sitemap {
             entries: page_count,
             bytes: 120 + page_count * 80,
@@ -155,7 +155,7 @@ pub fn parked_site(provider: &str, rotation: u32) -> SiteContent {
         .paragraph(format!("Parking services provided by {provider}."))
         .link("/listings.html", "Sponsored listings");
     SiteContent {
-        index_html: doc.render(),
+        index_html: doc.render().into(),
         sitemap: None,
         pages: PageStats::default(),
         sample_page: None,
@@ -198,10 +198,10 @@ mod tests {
             "www.contoso.com",
             &mut rng,
         );
-        assert!(s.index_html.contains("Contoso"));
+        assert!(s.index_html.as_str().contains("Contoso"));
         let has_sector_word = sector_words("Financials")
             .iter()
-            .any(|w| s.index_html.contains(w));
+            .any(|w| s.index_html.as_str().contains(w));
         assert!(has_sector_word);
         assert!(s.sitemap.is_some());
         assert_eq!(s.language, "en");
@@ -217,7 +217,7 @@ mod tests {
             "blog.x.com",
             &mut rng,
         );
-        assert!(s.index_html.contains("WordPress"));
+        assert!(s.index_html.as_str().contains("WordPress"));
     }
 
     #[test]

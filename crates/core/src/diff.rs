@@ -82,9 +82,10 @@ pub fn diff(prev: &Snapshot, curr: &Snapshot) -> Vec<ChangeKind> {
     kinds
 }
 
-/// Build a [`ChangeRecord`] when anything changed.
-pub fn record(prev: &Snapshot, curr: Snapshot) -> Option<ChangeRecord> {
-    let kinds = diff(prev, &curr);
+/// Build a [`ChangeRecord`] when anything changed. `curr` is cloned into the
+/// record only then, so the common unchanged crawl copies nothing.
+pub fn record(prev: &Snapshot, curr: &Snapshot) -> Option<ChangeRecord> {
+    let kinds = diff(prev, curr);
     if kinds.is_empty() {
         return None;
     }
@@ -96,7 +97,7 @@ pub fn record(prev: &Snapshot, curr: Snapshot) -> Option<ChangeRecord> {
         before_sitemap_bytes: prev.sitemap_bytes,
         before_serving: prev.is_serving(),
         before_keywords: prev.page.keywords.clone(),
-        after: curr,
+        after: curr.clone(),
     })
 }
 
@@ -123,7 +124,7 @@ mod tests {
         let a = base(0);
         let b = base(7);
         assert!(diff(&a, &b).is_empty());
-        assert!(record(&a, b).is_none());
+        assert!(record(&a, &b).is_none());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! sitemap only when the index changed. DNS state is recorded either way.
 //! Content features are extracted lazily — only when the body hash differs
 //! from the previous snapshot — which is also how the real system avoided
-//! re-analyzing terabytes of unchanged HTML.
+//! re-analyzing terabytes of unchanged HTML. The hash itself comes with the
+//! served body ([`httpsim::Body::fnv`], computed once per written page), so
+//! an unchanged page costs no pass over its bytes.
 //!
 //! [`crawl`] is that procedure as one straight-line function. Every network
 //! wait it makes (each DNS attempt, each connect, each request) first goes
@@ -67,14 +69,15 @@ pub fn crawl<T: Transport, E: Endpoint + ?Sized>(
     }
 
     // Request 1: the index page.
-    let host = fqdn.to_string();
+    let mut request = Request::get(fqdn.to_string(), "/");
     wait(CrawlWait::Connect, fqdn);
     wait(CrawlWait::Index, fqdn);
     // `None` is no front end at the IP: the snapshot stays unreachable.
-    let Some(resp) = web.http_serve(ip, &Request::get(&host, "/"), now) else {
+    let Some(resp) = web.http_serve(ip, &request, now) else {
         return snap;
     };
-    let hash = body_hash(&resp.body);
+    let hash = resp.body.fnv();
+    debug_assert_eq!(hash, body_hash(&resp.body));
     snap.http_status = Some(resp.status.0);
     snap.index_hash = hash;
     snap.index_size = resp.body.len() as u32;
@@ -87,18 +90,15 @@ pub fn crawl<T: Transport, E: Endpoint + ?Sized>(
         }
         return snap;
     }
-    snap.ingest_content(&String::from_utf8_lossy(&resp.body), true);
+    snap.ingest_content(resp.body.as_str(), true);
 
     // Request 2: the sitemap (only when we need to look closer).
     wait(CrawlWait::Connect, fqdn);
     wait(CrawlWait::Sitemap, fqdn);
-    if let Some(sm) = web.http_serve(ip, &Request::get(&host, "/sitemap.xml"), now) {
+    request.path = "/sitemap.xml";
+    if let Some(sm) = web.http_serve(ip, &request, now) {
         if sm.status.is_success() {
-            snap.sitemap_bytes = sm
-                .headers
-                .get("Content-Length")
-                .and_then(|v| v.parse().ok())
-                .or(Some(sm.body.len() as u64));
+            snap.sitemap_bytes = Some(sm.content_length);
         }
     }
     snap
@@ -184,6 +184,57 @@ mod tests {
         assert_eq!(second.page.title, first.page.title);
         assert_eq!(second.sitemap_bytes, first.sitemap_bytes);
         assert!(second.html.is_none());
+    }
+
+    #[test]
+    fn index_hash_is_the_hash_of_the_served_bytes() {
+        // Content from each writer: the provisioning placeholder, a benign
+        // refresh, an attacker deploy, and the provider error page once the
+        // resource is released.
+        let (mut platform, resolver) = build();
+        let fqdn: Name = "shop.acme.com".parse().unwrap();
+        let res = platform
+            .resource_by_host(&"acme-shop.azurewebsites.net".parse().unwrap())
+            .unwrap();
+        let (id, ip) = (res.id, res.ip);
+        let mut rng = StdRng::seed_from_u64(5);
+        let benign = contentgen::benign_site(
+            contentgen::BenignKind::Corporate,
+            "ACME",
+            "Retail",
+            "shop.acme.com",
+            &mut rng,
+        );
+        let abuse = contentgen::abuse::build_abuse_site(
+            &contentgen::AbuseSpec {
+                topic: contentgen::AbuseTopic::Gambling,
+                technique: contentgen::SeoTechnique::DoorwayPages,
+                page_count: 500,
+                use_meta_keywords: true,
+                maintenance_shell_lang: None,
+                links: Default::default(),
+                network_peers: vec![],
+                template_keywords: vec![],
+            },
+            "shop.acme.com",
+            &mut rng,
+        );
+        let check = |platform: &CloudPlatform, status: u16| {
+            let served = platform
+                .http_serve(ip, &Request::get("shop.acme.com", "/"), SimTime(7))
+                .unwrap();
+            let snap = Crawler::sample(&fqdn, &resolver, platform, None, SimTime(7));
+            assert_eq!(snap.http_status, Some(status));
+            assert_eq!(snap.index_hash, body_hash(&served.body));
+            assert_eq!(snap.index_size as usize, served.body.len());
+        };
+        check(&platform, 200);
+        for content in [benign, abuse] {
+            platform.set_content(id, content);
+            check(&platform, 200);
+        }
+        platform.release(id, SimTime(7));
+        check(&platform, 404);
     }
 
     /// The org zone and the platform's zones behind separate authorities,

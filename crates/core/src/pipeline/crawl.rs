@@ -209,7 +209,7 @@ impl CrawlExecutor {
                     args: Vec::new(),
                 });
             }
-            let change = prev.and_then(|p| diff_record(p, snap.clone()));
+            let change = prev.and_then(|p| diff_record(p, &snap));
             outcomes.push((
                 input_idx,
                 CrawlOutcome {

@@ -96,18 +96,15 @@ impl WorldStage {
     /// did at R — the persistence layer records the digest in every
     /// checkpoint and refuses to resume on a mismatch.
     pub fn rng_cursor_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for cur in [
+        let mut bytes = [0u8; 24];
+        for (chunk, cur) in bytes.chunks_exact_mut(8).zip([
             self.benign_rng.cursor(),
             self.attacker_rng.cursor(),
             self.org_rng.cursor(),
-        ] {
-            for b in cur.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
+        ]) {
+            chunk.copy_from_slice(&cur.to_le_bytes());
         }
-        h
+        simcore::fnv1a(&bytes)
     }
 
     fn provision(&mut self, rs: &mut RunState, now: SimTime, idx: usize) {

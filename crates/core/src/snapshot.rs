@@ -238,12 +238,7 @@ impl Deserialize for Snapshot {
 
 /// FNV-1a body hash.
 pub fn body_hash(body: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in body {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    simcore::fnv1a(body)
 }
 
 /// Default shard count for [`SnapshotStore`]. Sixteen keeps per-shard maps

@@ -430,7 +430,7 @@ mod tests {
         let ip = w.origins.ip_of(&org.apex).unwrap();
         let resp = w
             .web()
-            .http_serve(ip, &Request::get(&org.apex.to_string(), "/"), SimTime(0))
+            .http_serve(ip, &Request::get(org.apex.to_string(), "/"), SimTime(0))
             .unwrap();
         assert!(resp.headers.contains("Strict-Transport-Security"));
     }
@@ -476,7 +476,7 @@ mod tests {
         let ip = w.platform.resource(rid).unwrap().ip;
         assert!(w
             .web()
-            .http_serve(ip, &Request::get_https(&sub.to_string(), "/"), t0)
+            .http_serve(ip, &Request::get_https(sub.to_string(), "/"), t0)
             .is_some());
     }
 

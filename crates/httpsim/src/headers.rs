@@ -1,11 +1,9 @@
 //! Case-insensitive, order-preserving HTTP header map.
 
-use serde::{Deserialize, Serialize};
-
 /// A multimap of HTTP headers. Lookup is case-insensitive and returns the
 /// first value in insertion order; [`HeaderMap::append`] keeps earlier
-/// values of the same name, [`HeaderMap::set`] replaces them.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// values of the same name.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeaderMap {
     entries: Vec<(String, String)>,
 }
@@ -20,12 +18,6 @@ impl HeaderMap {
         self.entries.push((name.into(), value.into()));
     }
 
-    /// Replace all values of `name` with a single value.
-    pub fn set(&mut self, name: &str, value: impl Into<String>) {
-        self.remove(name);
-        self.entries.push((name.to_string(), value.into()));
-    }
-
     /// First value of `name`, case-insensitive.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.entries
@@ -36,11 +28,6 @@ impl HeaderMap {
 
     pub fn contains(&self, name: &str) -> bool {
         self.get(name).is_some()
-    }
-
-    /// Remove all values of `name`.
-    fn remove(&mut self, name: &str) {
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
     }
 }
 
@@ -64,19 +51,5 @@ mod tests {
         h.append("Set-Cookie", "a=1");
         h.append("Set-Cookie", "b=2");
         assert_eq!(h.get("Set-Cookie"), Some("a=1"));
-    }
-
-    #[test]
-    fn set_replaces() {
-        let mut h = HeaderMap::new();
-        h.append("X", "1");
-        h.append("x", "2");
-        h.set("X", "3");
-        assert_eq!(h.get("x"), Some("3"));
-        assert_eq!(h, {
-            let mut one = HeaderMap::new();
-            one.append("X", "3");
-            one
-        });
     }
 }

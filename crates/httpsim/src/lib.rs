@@ -8,14 +8,17 @@
 //! weekly crawl and the liveness probe send and receive:
 //!
 //! - [`message`] — GET requests carrying the FQDN in `Host`, and responses,
+//! - [`body`] — immutable, shared response bodies, each hashed at most once,
 //! - [`headers`] — a case-insensitive, order-preserving header map,
 //! - [`probe`] — the three liveness probe types (ICMP / TCP / HTTP) whose
 //!   disagreement motivates the paper's collection design.
 
+pub mod body;
 pub mod headers;
 pub mod message;
 pub mod probe;
 
+pub use body::Body;
 pub use headers::HeaderMap;
 pub use message::{Request, Response, StatusCode};
 pub use probe::{Endpoint, ProbeKind, ProbeResult};

@@ -1,5 +1,7 @@
-//! HTTP/1.1 message model.
+//! HTTP/1.1 message model, cut down to the fields the crawl and the probes
+//! read.
 
+use crate::body::Body;
 use crate::headers::HeaderMap;
 use serde::{Deserialize, Serialize};
 
@@ -17,11 +19,12 @@ impl StatusCode {
 }
 
 /// An HTTP GET request — the only method the crawl and the probes send.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Request {
+    /// The `Host` the request names (virtual-hosting key).
+    pub host: String,
     /// Origin-form target, e.g. `/sitemap.xml`.
-    pub path: String,
-    pub headers: HeaderMap,
+    pub path: &'static str,
     /// Whether the request travelled over TLS. The platform completes the
     /// handshake only for its generated FQDN and custom domains bound to a
     /// certificate.
@@ -30,74 +33,53 @@ pub struct Request {
 
 impl Request {
     /// A GET for `path` at virtual host `host`.
-    pub fn get(host: &str, path: &str) -> Self {
-        let mut headers = HeaderMap::new();
-        headers.set("Host", host);
-        headers.set("User-Agent", "dangling-study/1.0");
+    pub fn get(host: impl Into<String>, path: &'static str) -> Self {
         Request {
-            path: path.to_string(),
-            headers,
+            host: host.into(),
+            path,
             https: false,
         }
     }
 
     /// Same as [`Request::get`] but over TLS.
-    pub fn get_https(host: &str, path: &str) -> Self {
-        let mut r = Self::get(host, path);
-        r.https = true;
-        r
-    }
-
-    /// The `Host` header (virtual-hosting key).
-    pub fn host(&self) -> Option<&str> {
-        self.headers.get("Host")
+    pub fn get_https(host: impl Into<String>, path: &'static str) -> Self {
+        Request {
+            https: true,
+            ..Self::get(host, path)
+        }
     }
 }
 
 /// An HTTP/1.1 response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     pub status: StatusCode,
+    /// The site's own extra headers (HSTS, …); the transport headers are
+    /// typed fields.
     pub headers: HeaderMap,
-    pub body: Vec<u8>,
+    pub body: Body,
+    /// Advertised size in bytes: the body's length, except for a sitemap,
+    /// which advertises the size of the whole file it samples.
+    pub content_length: u64,
 }
 
 impl Response {
-    pub fn new(status: StatusCode) -> Self {
+    pub fn new(status: StatusCode, body: impl Into<Body>) -> Self {
+        let body = body.into();
         Response {
             status,
             headers: HeaderMap::new(),
-            body: Vec::new(),
+            content_length: body.len() as u64,
+            body,
         }
     }
 
-    pub fn ok_html(body: impl Into<Vec<u8>>) -> Self {
-        let mut r = Response::new(StatusCode::OK);
-        r.headers.set("Content-Type", "text/html; charset=utf-8");
-        r.body = body.into();
-        r.headers.set("Content-Length", r.body.len().to_string());
-        r
+    pub fn ok(body: impl Into<Body>) -> Self {
+        Self::new(StatusCode::OK, body)
     }
 
-    pub fn ok_xml(body: impl Into<Vec<u8>>) -> Self {
-        let mut r = Response::new(StatusCode::OK);
-        r.headers.set("Content-Type", "application/xml");
-        r.body = body.into();
-        r.headers.set("Content-Length", r.body.len().to_string());
-        r
-    }
-
-    pub fn not_found(body: impl Into<Vec<u8>>) -> Self {
-        let mut r = Response::new(StatusCode::NOT_FOUND);
-        r.headers.set("Content-Type", "text/html; charset=utf-8");
-        r.body = body.into();
-        r.headers.set("Content-Length", r.body.len().to_string());
-        r
-    }
-
-    /// UTF-8 view of the body (lossy).
-    pub fn body_text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
+    pub fn not_found(body: impl Into<Body>) -> Self {
+        Self::new(StatusCode::NOT_FOUND, body)
     }
 }
 
@@ -114,7 +96,7 @@ mod tests {
     #[test]
     fn request_builders() {
         let r = Request::get("shop.example.com", "/");
-        assert_eq!(r.host(), Some("shop.example.com"));
+        assert_eq!(r.host, "shop.example.com");
         assert!(!r.https);
         let rs = Request::get_https("shop.example.com", "/");
         assert!(rs.https);
@@ -122,9 +104,9 @@ mod tests {
 
     #[test]
     fn response_builders() {
-        let r = Response::ok_html("<html></html>");
+        let r = Response::ok("<html></html>");
         assert_eq!(r.status, StatusCode::OK);
-        assert_eq!(r.headers.get("content-length"), Some("13"));
-        assert_eq!(r.body_text(), "<html></html>");
+        assert_eq!(r.content_length, 13);
+        assert_eq!(r.body.as_str(), "<html></html>");
     }
 }

@@ -31,7 +31,7 @@ pub enum ProbeKind {
 }
 
 /// What a probe observed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProbeResult {
     /// ICMP/TCP: reachable. Says nothing about the FQDN's service.
     Reachable,
@@ -153,9 +153,8 @@ mod tests {
             if ip != self.ip {
                 return None;
             }
-            let host = req.host()?;
-            if self.hosted.iter().any(|h| h == host) {
-                Some(Response::ok_html("<html>service</html>"))
+            if self.hosted.contains(&req.host) {
+                Some(Response::ok("<html>service</html>"))
             } else {
                 Some(Response::not_found("<html>no such app</html>"))
             }

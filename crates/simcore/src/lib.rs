@@ -28,3 +28,34 @@ pub use net::{CompletionQueue, LatencyModel, LatencyProfile, NetTime, QueryClass
 pub use rng::RngTree;
 pub use scale::Scale;
 pub use time::{Date, SimTime};
+
+/// FNV-1a over `bytes`: the workspace's one stable, non-cryptographic byte
+/// hash (site bodies, resource names, the RNG-cursor checkpoint digest). The
+/// multiplier is `0x1000_0000_01b3`, not the published 64-bit FNV prime
+/// `0x100_0000_01b3`; every copy in the workspace uses it. Its values are
+/// compared across runs and written into checkpoints, so the function must
+/// never change.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a;
+
+    #[test]
+    fn fnv1a_is_frozen() {
+        // Pin values: body hashes and checkpoint digests compare these
+        // across runs. (The published 64-bit FNV-1a of "a" would be
+        // 0xaf63dc4c8601ec8c; the workspace multiplier differs.)
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0xf8ac_2471_f739_67e8);
+        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
+    }
+}

@@ -62,12 +62,7 @@ impl VirusTotalModel {
 }
 
 fn hash_name(n: &Name) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in n.to_string().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    simcore::fnv1a(n.to_string().as_bytes())
 }
 
 #[cfg(test)]

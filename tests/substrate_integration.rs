@@ -215,10 +215,10 @@ fn https_requires_issuance() {
 
     // No cert: HTTPS fails, HTTP works.
     assert!(platform
-        .http_serve(ip, &Request::get_https(&host.to_string(), "/"), SimTime(0))
+        .http_serve(ip, &Request::get_https(host.to_string(), "/"), SimTime(0))
         .is_none());
     assert!(platform
-        .http_serve(ip, &Request::get(&host.to_string(), "/"), SimTime(0))
+        .http_serve(ip, &Request::get(host.to_string(), "/"), SimTime(0))
         .is_some());
 
     // Issue via certsim with control answered by the platform.
@@ -241,6 +241,6 @@ fn https_requires_issuance() {
     assert!(cert.is_single_san());
     platform.add_tls_host(rid, host.clone());
     assert!(platform
-        .http_serve(ip, &Request::get_https(&host.to_string(), "/"), SimTime(0))
+        .http_serve(ip, &Request::get_https(host.to_string(), "/"), SimTime(0))
         .is_some());
 }
