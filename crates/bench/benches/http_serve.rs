@@ -1,13 +1,16 @@
 //! Criterion bench: the crawl's HTTP step (`crawl.http_us`) on the
-//! studybench world's shape at the horizon (1/200 scale, 60 Fortune 1000 /
-//! 30 Global 500 orgs):
+//! studybench world (1/200 scale, 60 Fortune 1000 / 30 Global 500 orgs,
+//! seed 11):
 //!
-//! - 2,500 orgs, each with two subdomains bound as custom domains of cloud
-//!   resources that serve a generated benign site;
-//! - one cloud resource in four released, so its subdomain reaches the
-//!   front end with a Host nothing routes (the provider error page);
-//! - every org apex served by a non-cloud origin, one in three with an HSTS
-//!   header.
+//! - the cloud rows take the `dns_resolver` bench's horizon shape: 2,500
+//!   orgs, each with two subdomains bound as custom domains of cloud
+//!   resources that serve a generated benign site, and one resource in four
+//!   released, so its subdomain reaches the front end with a Host nothing
+//!   routes (the provider error page);
+//! - the apex row is the studybench world's own apex origins, built by
+//!   `World::new` from the generated population: every org apex on a
+//!   non-cloud origin, parked apexes serving the registrar's parking page
+//!   and HSTS headers where the population adopted them.
 //!
 //! Each row runs, per FQDN, exactly what `monitor::crawl` does between
 //! resolving and comparing: format the FQDN into the request's `Host`, serve
@@ -17,19 +20,19 @@ use cloudsim::{AccountId, CloudPlatform, NamingModel, PlatformConfig, ServiceId}
 use contentgen::BenignKind;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dangling_core::world::{OriginServers, WorldWeb};
+use dangling_core::{ScenarioConfig, World};
 use dns::Name;
 use httpsim::{Endpoint, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simcore::SimTime;
+use simcore::{RngTree, SimTime};
 use std::net::Ipv4Addr;
+use worldgen::Population;
 
 const ORGS: usize = 2_500;
 /// Every `DANGLING_EVERY`-th cloud resource is released after its
 /// subdomain is bound.
 const DANGLING_EVERY: usize = 4;
-/// Every `HSTS_EVERY`-th apex origin sets Strict-Transport-Security.
-const HSTS_EVERY: usize = 3;
 
 struct HttpWorld {
     platform: CloudPlatform,
@@ -42,17 +45,37 @@ struct HttpWorld {
     apexes: Vec<(Name, Ipv4Addr)>,
 }
 
+/// The studybench world's apex origins (`studybench`'s `STUDY` sizing),
+/// with each apex and the IP its A record names.
+fn study_origins() -> (OriginServers, Vec<(Name, Ipv4Addr)>) {
+    let mut cfg = ScenarioConfig::at_scale(200);
+    cfg.world.n_fortune1000 = 60;
+    cfg.world.n_global500 = 30;
+    cfg.seed = 11;
+    let tree = RngTree::new(cfg.seed);
+    let population = Population::generate(cfg.world, &tree);
+    // Campaigns play no part in the origins World::new builds.
+    let world = World::new(population, Vec::new(), cfg.platform, tree);
+    let apexes = world
+        .population
+        .orgs
+        .iter()
+        .map(|o| (o.apex.clone(), world.origins.ip_of(&o.apex).unwrap()))
+        .collect();
+    (world.origins, apexes)
+}
+
 fn build() -> HttpWorld {
     let mut rng = StdRng::seed_from_u64(1);
     let mut platform = CloudPlatform::new(PlatformConfig::default());
-    let mut origins = OriginServers::default();
+    let (origins, apexes) = study_origins();
     let services: Vec<ServiceId> = ServiceId::all()
         .iter()
         .copied()
         .filter(|&s| cloudsim::provider::spec(s).naming != NamingModel::IpPool)
         .collect();
     let sectors = worldgen::sectors();
-    let (mut routed, mut released, mut apexes) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut routed, mut released) = (Vec::new(), Vec::new());
     let mut k = 0;
     for i in 0..ORGS {
         let org_name = format!("Org {i}");
@@ -86,22 +109,6 @@ fn build() -> HttpWorld {
             }
             k += 1;
         }
-        let ip = Ipv4Addr::new(93, 184, (i >> 8) as u8, i as u8);
-        let mut content = contentgen::benign_site(
-            BenignKind::Corporate,
-            &org_name,
-            sector,
-            &apex.to_string(),
-            &mut rng,
-        );
-        if i % HSTS_EVERY == 0 {
-            content.extra_headers.push((
-                "Strict-Transport-Security".into(),
-                "max-age=31536000; includeSubDomains".into(),
-            ));
-        }
-        origins.host(apex.clone(), ip, content);
-        apexes.push((apex, ip));
     }
     HttpWorld {
         platform,

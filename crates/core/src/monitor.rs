@@ -14,7 +14,7 @@
 //! the wait in virtual time; [`Crawler::sample`] passes a hook that charges
 //! nothing.
 
-use crate::snapshot::{body_hash, Snapshot};
+use crate::snapshot::Snapshot;
 use dns::resolver::Transport;
 use dns::{Name, Resolver};
 use httpsim::{Endpoint, Request};
@@ -77,7 +77,7 @@ pub fn crawl<T: Transport, E: Endpoint + ?Sized>(
         return snap;
     };
     let hash = resp.body.fnv();
-    debug_assert_eq!(hash, body_hash(&resp.body));
+    debug_assert_eq!(hash, simcore::fnv1a(&resp.body));
     snap.http_status = Some(resp.status.0);
     snap.index_hash = hash;
     snap.index_size = resp.body.len() as u32;
@@ -225,7 +225,7 @@ mod tests {
                 .unwrap();
             let snap = Crawler::sample(&fqdn, &resolver, platform, None, SimTime(7));
             assert_eq!(snap.http_status, Some(status));
-            assert_eq!(snap.index_hash, body_hash(&served.body));
+            assert_eq!(snap.index_hash, simcore::fnv1a(&served.body));
             assert_eq!(snap.index_size as usize, served.body.len());
         };
         check(&platform, 200);

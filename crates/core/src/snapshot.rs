@@ -236,11 +236,6 @@ impl Deserialize for Snapshot {
     }
 }
 
-/// FNV-1a body hash.
-pub fn body_hash(body: &[u8]) -> u64 {
-    simcore::fnv1a(body)
-}
-
 /// Default shard count for [`SnapshotStore`]. Sixteen keeps per-shard maps
 /// small at production scale while staying cheap at test scale.
 pub const DEFAULT_SHARDS: usize = 16;
@@ -487,8 +482,8 @@ mod tests {
 
     #[test]
     fn body_hash_distinguishes() {
-        assert_ne!(body_hash(b"a"), body_hash(b"b"));
-        assert_eq!(body_hash(b"same"), body_hash(b"same"));
+        assert_ne!(simcore::fnv1a(b"a"), simcore::fnv1a(b"b"));
+        assert_eq!(simcore::fnv1a(b"same"), simcore::fnv1a(b"same"));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use dangling_core::capability::{capabilities, cookie_access, CookieAccess};
 use dangling_core::diff::{diff, ChangeKind};
 use dangling_core::keywords::{cluster_key, extract_keywords, overlap, rank_tokens};
 use dangling_core::signature::Signature;
-use dangling_core::snapshot::{body_hash, Snapshot};
+use dangling_core::snapshot::Snapshot;
 use dns::{Name, Rcode};
 use proptest::prelude::*;
 use simcore::SimTime;
@@ -192,16 +192,16 @@ proptest! {
         prop_assert_eq!(back, s);
     }
 
-    /// body_hash is deterministic and collision-free on short distinct inputs
+    /// The body hash (`simcore::fnv1a`) is deterministic and collision-free on short distinct inputs
     /// differing in one byte.
     #[test]
     fn body_hash_sensitivity(data in proptest::collection::vec(any::<u8>(), 1..128), idx in any::<prop::sample::Index>()) {
-        let h1 = body_hash(&data);
-        prop_assert_eq!(h1, body_hash(&data));
+        let h1 = simcore::fnv1a(&data);
+        prop_assert_eq!(h1, simcore::fnv1a(&data));
         let mut flipped = data.clone();
         let i = idx.index(flipped.len());
         flipped[i] ^= 0xFF;
-        prop_assert_ne!(h1, body_hash(&flipped));
+        prop_assert_ne!(h1, simcore::fnv1a(&flipped));
     }
 
     /// rank_tokens respects k and never returns stopword-class junk tokens.

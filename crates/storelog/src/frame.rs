@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn fnv_is_frozen() {
         // The workspace FNV variant (same offset basis and multiplier as
-        // `core::snapshot::body_hash`). Pin one value: these checksums are
+        // `simcore::fnv1a`, the body hash). Pin one value: these checksums are
         // on disk, so the function must never change.
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64(b"a"), {
