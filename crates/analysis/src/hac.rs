@@ -152,10 +152,6 @@ impl Dendrogram {
         Dendrogram { n, merges }
     }
 
-    pub fn leaf_count(&self) -> usize {
-        self.n
-    }
-
     pub fn merges(&self) -> &[Merge] {
         &self.merges
     }

@@ -6,11 +6,10 @@
 //! cargo run --release -p bench --bin repro -- --scale 100 --seed 42 all ablations
 //! ```
 
-use bench::{
-    render_target, run_study_cfg, run_study_cfg_persisted, run_study_cfg_persisted_sink,
-    run_study_cfg_sink, study_config_with_profile, ABLATIONS, TARGETS,
+use bench::{render_target, ABLATIONS, TARGETS};
+use dangling_core::{
+    compact_state_dir, infra, migrate_state_dir, PersistOptions, Scenario, ScenarioConfig,
 };
-use dangling_core::{compact_state_dir, infra, migrate_state_dir, PersistOptions};
 use std::cell::LazyCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -290,7 +289,10 @@ fn main() {
         },
         if serve_mode { ", serve mode" } else { "" }
     );
-    let cfg = study_config_with_profile(scale, seed, threads, &latency_profile);
+    let mut cfg = ScenarioConfig::at_scale(scale);
+    cfg.seed = seed;
+    cfg.crawl_threads = threads;
+    cfg.latency_profile = latency_profile;
 
     // The daemon pair plus a query thread replaying the script against
     // every published round. All of it is out-of-band: results stay
@@ -328,11 +330,15 @@ fn main() {
         (handle, script, stop, querier)
     });
 
+    let mut scenario = Scenario::new(cfg).incremental(incremental);
+    if let Some(sink) = sink_box {
+        scenario = scenario.round_sink(sink);
+    }
     let start = Instant::now();
     let results = match &state_dir {
-        None => match sink_box {
-            None => run_study_cfg(cfg, max_rounds, incremental),
-            Some(sink) => run_study_cfg_sink(cfg, max_rounds, incremental, sink),
+        None => match max_rounds {
+            Some(r) => scenario.max_rounds(r).run(),
+            None => scenario.run(),
         },
         Some(dir) => {
             let mut opts = PersistOptions::new(dir);
@@ -346,11 +352,7 @@ fn main() {
                     None => String::new(),
                 }
             );
-            let run = match sink_box {
-                None => run_study_cfg_persisted(cfg, &opts, incremental),
-                Some(sink) => run_study_cfg_persisted_sink(cfg, &opts, incremental, sink),
-            };
-            match run {
+            match scenario.run_persisted(&opts) {
                 Ok(r) => r,
                 Err(e) => {
                     obs::warn!("error: {e}");

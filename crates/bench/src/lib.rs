@@ -10,164 +10,8 @@ pub mod ablations;
 pub mod render;
 
 use dangling_core::infra::InfraReport;
-use dangling_core::{
-    PersistError, PersistOptions, RoundSink, Scenario, ScenarioConfig, StudyResults,
-};
+use dangling_core::StudyResults;
 use std::cell::LazyCell;
-
-/// Run the default study at the given scale/seed.
-pub fn run_study(scale_denominator: u32, seed: u64) -> StudyResults {
-    run_study_with(scale_denominator, seed, 1)
-}
-
-/// The study configuration the `repro` binary runs: the paper's scenario at
-/// `1/scale_denominator` scale with an explicit seed and crawl thread count.
-pub fn study_config(scale_denominator: u32, seed: u64, threads: usize) -> ScenarioConfig {
-    let mut cfg = ScenarioConfig::at_scale(scale_denominator);
-    cfg.seed = seed;
-    cfg.crawl_threads = threads;
-    cfg
-}
-
-/// [`study_config`] with an explicit crawl latency profile (one of
-/// [`simcore::LatencyProfile::NAMES`]); `repro --latency-profile` maps here.
-pub fn study_config_with_profile(
-    scale_denominator: u32,
-    seed: u64,
-    threads: usize,
-    latency_profile: &str,
-) -> ScenarioConfig {
-    let mut cfg = study_config(scale_denominator, seed, threads);
-    cfg.latency_profile = latency_profile.into();
-    cfg
-}
-
-/// Run an explicit configuration with the smoke-run bounds and retro-pass
-/// mode of the `repro` binary. The named entry points above delegate here.
-pub fn run_study_cfg(
-    cfg: ScenarioConfig,
-    max_rounds: Option<u64>,
-    incremental: bool,
-) -> StudyResults {
-    let mut scenario = Scenario::new(cfg).incremental(incremental);
-    if let Some(r) = max_rounds {
-        scenario = scenario.max_rounds(r);
-    }
-    scenario.run()
-}
-
-/// Run the default study with an explicit crawl thread count. Results are
-/// byte-identical for any `threads` (the pipeline's determinism contract);
-/// only wall-clock changes.
-pub fn run_study_with(scale_denominator: u32, seed: u64, threads: usize) -> StudyResults {
-    Scenario::new(study_config(scale_denominator, seed, threads)).run()
-}
-
-/// Like [`run_study_with`], but stopping after at most `max_rounds`
-/// monitoring rounds (the retrospective pass still runs). This is the
-/// smoke-run entry point: `repro --rounds N` without `--persist` maps here.
-pub fn run_study_rounds(
-    scale_denominator: u32,
-    seed: u64,
-    threads: usize,
-    max_rounds: Option<u64>,
-) -> StudyResults {
-    run_study_rounds_incremental(scale_denominator, seed, threads, max_rounds, false)
-}
-
-/// [`run_study_rounds`] with the retro fold's cadence explicit: with
-/// `incremental` the §3.2 signature fold also runs every round and emits
-/// advisory per-round state; without it the fold ingests the whole change
-/// log at the horizon. It emits once at the horizon either way, so results
-/// are byte-identical (the golden digest in `intern_equivalence` pins
-/// both); `repro --incremental` maps here.
-pub fn run_study_rounds_incremental(
-    scale_denominator: u32,
-    seed: u64,
-    threads: usize,
-    max_rounds: Option<u64>,
-    incremental: bool,
-) -> StudyResults {
-    run_study_cfg(
-        study_config(scale_denominator, seed, threads),
-        max_rounds,
-        incremental,
-    )
-}
-
-/// Like [`run_study_with`], but recording every observation round to the
-/// storelog state dir in `opts` (and replaying from it when `opts.resume`).
-/// Fails instead of clobbering an existing state dir or resuming a run
-/// recorded under a different configuration.
-pub fn run_study_persisted(
-    scale_denominator: u32,
-    seed: u64,
-    threads: usize,
-    opts: &PersistOptions,
-) -> Result<StudyResults, PersistError> {
-    run_study_persisted_incremental(scale_denominator, seed, threads, opts, false)
-}
-
-/// [`run_study_persisted`] with the retro fold's cadence explicit. With
-/// `opts.resume` and `incremental`, replayed rounds stream straight from the
-/// storelog segments into the retro fold every round — no re-crawl.
-pub fn run_study_persisted_incremental(
-    scale_denominator: u32,
-    seed: u64,
-    threads: usize,
-    opts: &PersistOptions,
-    incremental: bool,
-) -> Result<StudyResults, PersistError> {
-    run_study_cfg_persisted(
-        study_config(scale_denominator, seed, threads),
-        opts,
-        incremental,
-    )
-}
-
-/// Persisted run of an explicit configuration (the `--latency-profile` +
-/// `--persist` combination needs both knobs).
-pub fn run_study_cfg_persisted(
-    cfg: ScenarioConfig,
-    opts: &PersistOptions,
-    incremental: bool,
-) -> Result<StudyResults, PersistError> {
-    Scenario::new(cfg)
-        .incremental(incremental)
-        .run_persisted(opts)
-}
-
-/// [`run_study_cfg`] with a [`RoundSink`] attached: the sink observes every
-/// committed round and can request a graceful stop at a round boundary.
-/// `repro --serve` runs the daemon's publication sink through here.
-pub fn run_study_cfg_sink(
-    cfg: ScenarioConfig,
-    max_rounds: Option<u64>,
-    incremental: bool,
-    sink: Box<dyn RoundSink>,
-) -> StudyResults {
-    let mut scenario = Scenario::new(cfg).incremental(incremental).round_sink(sink);
-    if let Some(r) = max_rounds {
-        scenario = scenario.max_rounds(r);
-    }
-    scenario.run()
-}
-
-/// [`run_study_cfg_persisted`] with a [`RoundSink`] attached. With
-/// `opts.resume`, the recorded rounds replay *through the sink* too — a
-/// resumed `--serve` daemon republishes the sealed history before going
-/// live.
-pub fn run_study_cfg_persisted_sink(
-    cfg: ScenarioConfig,
-    opts: &PersistOptions,
-    incremental: bool,
-    sink: Box<dyn RoundSink>,
-) -> Result<StudyResults, PersistError> {
-    Scenario::new(cfg)
-        .incremental(incremental)
-        .round_sink(sink)
-        .run_persisted(opts)
-}
 
 /// All renderable targets, in paper order.
 pub const TARGETS: &[&str] = &[

@@ -381,18 +381,9 @@ impl CloudPlatform {
         self.resources.values()
     }
 
-    pub fn active_count(&self) -> usize {
-        self.resources.values().filter(|r| r.is_active()).count()
-    }
-
     /// Which service's range an IP belongs to.
     pub fn service_of_ip(&self, ip: Ipv4Addr) -> Option<ServiceId> {
         self.ip_index.lookup(ip).copied()
-    }
-
-    /// The IP pool of an IpPool service (attacker economics experiments).
-    pub fn pool_mut(&mut self, service: ServiceId) -> Option<&mut IpPool> {
-        self.pools.get_mut(&service)
     }
 
     pub fn pool(&self, service: ServiceId) -> Option<&IpPool> {

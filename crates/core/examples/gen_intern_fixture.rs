@@ -24,17 +24,7 @@
 //!   array, committed in full so a divergence is diffable by eye.
 
 use dangling_core::scenario::{Scenario, ScenarioConfig};
-
-/// FNV-1a over the serialized document — same hash family the pipeline uses
-/// for body hashes and view stamps.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
+use simcore::fnv1a;
 
 /// The differential config: the same small-but-complete world
 /// `parallel_equivalence` runs, with the transient-failure model on so the

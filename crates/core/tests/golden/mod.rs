@@ -18,6 +18,7 @@
 //! round's makespan.
 
 use dangling_core::scenario::ScenarioConfig;
+use simcore::fnv1a;
 
 /// The fixture study: scale 2000, 30/15 orgs, seed 11, with the
 /// transient-failure model on so the RNG-keyed crawl path is exercised.
@@ -30,16 +31,6 @@ pub fn fixture_config(threads: usize) -> ScenarioConfig {
     cfg.crawl_failure_rate = 0.02;
     cfg.latency_profile = "zero".into();
     cfg
-}
-
-/// FNV-1a 64 — the same hash `gen_intern_fixture` wrote the digest with.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// The committed digest `tests/fixtures/<digest>`: (byte length, FNV-1a 64).

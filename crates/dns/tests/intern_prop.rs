@@ -94,9 +94,7 @@ proptest! {
         // across shards — a deterministic stand-in for a thread schedule.
         let mut per_shard: Vec<Vec<&String>> = vec![Vec::new(); shards];
         for l in &labels {
-            let h = l.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
-            });
+            let h = simcore::fnv1a(l.as_bytes());
             per_shard[(h % shards as u64) as usize].push(l);
         }
         let sharded_order: Vec<&String> = {

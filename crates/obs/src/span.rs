@@ -100,13 +100,6 @@ impl SpanGuard {
         self
     }
 
-    pub fn arg_f64(mut self, key: &'static str, v: f64) -> Self {
-        if self.tracing {
-            self.args.push((key, ArgValue::F64(v)));
-        }
-        self
-    }
-
     pub fn arg_str(mut self, key: &'static str, v: &str) -> Self {
         if self.tracing {
             self.args.push((key, ArgValue::Str(v.to_string())));

@@ -29,16 +29,15 @@
 //! byte-identical `StudyResults` under concurrent query hammering, the same
 //! contract telemetry obeys (DESIGN.md §11).
 //!
-//! [`load::run_load`] drives the API with `httpsim`-style simulated clients
-//! over a completion queue, sustaining thousands of in-flight queries
-//! against a live run (`serve_load` bench, BENCH_serve.json).
+//! Clients are real threads calling [`ServeHandle::query`]: the
+//! `consistency` suite and the `serve_load` bench run reader threads
+//! against a live run (BENCH_serve.json), and studybench's live-daemon
+//! workload measures a closed-loop client end to end.
 
 pub mod daemon;
-pub mod load;
 pub mod query;
 pub mod view;
 
 pub use daemon::{daemon, ServeHandle, ServeSink, SloBudgets};
-pub use load::{run_load, LoadConfig, LoadReport};
 pub use query::{Query, Reply, ReplyBody};
 pub use view::{ClusterEntry, FqdnVerdict, Health, LiveView, SignatureEntry, SloHealth, ViewStamp};

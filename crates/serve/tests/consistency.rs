@@ -8,12 +8,14 @@
 //!   daemon itself is single-writer; the primitive must not depend on
 //!   that), and
 //! - a live leg running the real pipeline at {1,2,4,8} crawl threads with
-//!   reader threads querying throughout — which also pins that the served
-//!   run's results stay byte-identical across crawl thread counts.
+//!   reader threads querying throughout — verdict lookups take FQDNs from
+//!   the currently published view and must hit real verdicts — which also
+//!   pins that the served run's results stay byte-identical across crawl
+//!   thread counts.
 
 use arc_swap::ArcSwap;
 use dangling_core::scenario::{Scenario, ScenarioConfig};
-use serve::{daemon, LiveView, Query};
+use serve::{daemon, LiveView, Query, ReplyBody};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -92,21 +94,36 @@ fn live_pipeline_readers_see_single_round_versions() {
                 std::thread::spawn(move || {
                     let mut torn = 0u64;
                     let mut queries = 0u64;
+                    let mut verdict_hits = 0u64;
                     let mut max_round = 0u64;
-                    while !stop.load(Ordering::SeqCst) {
+                    let mut pass = r;
+                    // Loop-then-check: every reader queries the final view
+                    // at least once, however late it is first scheduled.
+                    loop {
+                        // Verdict targets come from the view published now,
+                        // so lookups hit real verdicts while rounds commit.
+                        let fqdn = {
+                            let view = handle.view();
+                            match view.verdicts.len() {
+                                0 => format!("reader-{r}.example"),
+                                n => view.verdicts.keys().nth(pass % n).unwrap().clone(),
+                            }
+                        };
+                        pass += 1;
                         for q in [
                             Query::Status,
                             Query::Signatures,
                             Query::Clusters,
                             Query::Health,
-                            Query::Verdict {
-                                fqdn: format!("reader-{r}.example"),
-                            },
+                            Query::Verdict { fqdn },
                         ] {
                             let reply = handle.query(&q);
                             queries += 1;
                             if !reply.consistent() {
                                 torn += 1;
+                            }
+                            if matches!(reply.body, ReplyBody::Verdict(_)) {
+                                verdict_hits += 1;
                             }
                             assert!(
                                 reply.round >= max_round,
@@ -114,8 +131,11 @@ fn live_pipeline_readers_see_single_round_versions() {
                             );
                             max_round = reply.round.max(max_round);
                         }
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
                     }
-                    (queries, torn)
+                    (queries, torn, verdict_hits)
                 })
             })
             .collect();
@@ -125,14 +145,20 @@ fn live_pipeline_readers_see_single_round_versions() {
             .round_sink(Box::new(sink))
             .run();
         stop.store(true, Ordering::SeqCst);
+        let mut verdict_hits = 0u64;
         for r in readers {
-            let (queries, torn) = r.join().expect("reader thread");
+            let (queries, torn, hits) = r.join().expect("reader thread");
             assert!(queries > 0);
             assert_eq!(
                 torn, 0,
                 "torn replies at {threads} crawl threads ({queries} queries)"
             );
+            verdict_hits += hits;
         }
+        assert!(
+            verdict_hits > 0,
+            "no verdict lookup hit a published verdict at {threads} crawl threads"
+        );
         assert!(handle.rounds_published() > 0);
         serialized.push(serde_json::to_string(&results).expect("results serialize"));
     }

@@ -106,13 +106,12 @@ fn serving_under_query_load_is_byte_identical() {
         "/../core/tests/fixtures/intern_eq/results.digest"
     ))
     .expect("committed fixture digest");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in baseline.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
     assert_eq!(
-        format!("{} {h:016x}\n", baseline.len()),
+        format!(
+            "{} {:016x}\n",
+            baseline.len(),
+            simcore::fnv1a(baseline.as_bytes())
+        ),
         digest,
         "serve-mode results diverge from the pre-interning fixture"
     );

@@ -23,18 +23,21 @@ pub mod scale;
 pub mod time;
 
 pub use dist::{LogNormal, Pareto, Poisson, WeightedIndex, Zipf};
-pub use events::{EventQueue, QueueTime};
-pub use net::{CompletionQueue, LatencyModel, LatencyProfile, NetTime, QueryClass, QueryFate};
+pub use events::EventQueue;
+pub use net::{LatencyModel, LatencyProfile, QueryClass, QueryFate};
 pub use rng::RngTree;
 pub use scale::Scale;
 pub use time::{Date, SimTime};
 
-/// FNV-1a over `bytes`: the workspace's one stable, non-cryptographic byte
-/// hash (site bodies, resource names, the RNG-cursor checkpoint digest). The
-/// multiplier is `0x1000_0000_01b3`, not the published 64-bit FNV prime
-/// `0x100_0000_01b3`; every copy in the workspace uses it. Its values are
-/// compared across runs and written into checkpoints, so the function must
-/// never change.
+/// FNV-1a over `bytes`: the workspace's stable, non-cryptographic byte hash
+/// (site bodies, resource names, the RNG-cursor checkpoint digest, the
+/// golden `StudyResults` digests). The multiplier is `0x1000_0000_01b3`, not
+/// the published 64-bit FNV prime `0x100_0000_01b3`. The RNG tree's seed
+/// derivation, the FQDN shard hash and `storelog::frame::fnv64` (storelog
+/// does not depend on simcore) inline the same multiplier; `serve`'s
+/// `ViewStamp` checksum and `obs` causal trace ids use the published prime.
+/// Its values are compared across runs and written into checkpoints, so the
+/// function must never change.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -1,87 +1,19 @@
-//! Modeled network time and per-query latency.
+//! Modeled per-query network latency.
 //!
 //! The paper's crawl (§3.1, Algorithm 1) is a real network measurement whose
 //! throughput is bounded by round-trip latency and concurrency, not CPU.
 //! The simulated transports answer instantly, so this module supplies the
-//! missing dimension: a **nanosecond-granular virtual clock** ([`NetTime`])
-//! that runs *within* one crawl round (orthogonal to the day-granular
-//! [`crate::SimTime`] world clock), and a [`LatencyModel`] that prices every
-//! network wait from a keyed RNG stream — base RTT + jitter + per-platform
+//! missing dimension: a [`LatencyModel`] that prices every network wait in
+//! nanoseconds from a keyed RNG stream — base RTT + jitter + per-platform
 //! multipliers + loss/timeout injection — so latency draws are a pure
 //! function of *(fqdn, day, wait ordinal)* and never of which thread made
 //! the wait. The crawl sums a crawl's priced waits and admits crawls from a
-//! slot scheduler, which needs no queue; [`CompletionQueue`] drains pending
-//! operations in deterministic `(fire_time, seq)` order for the serve load
-//! driver, whose simulated clients do interleave.
+//! slot scheduler; its virtual makespan is a plain nanosecond count within
+//! one round, orthogonal to the day-granular [`crate::SimTime`] world clock.
 
-use crate::events::{EventQueue, QueueTime};
 use crate::rng::RngTree;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::ops::{Add, AddAssign};
-
-/// A point in simulated network time: nanoseconds since the start of the
-/// current round's virtual clock. Sub-day resolution — one monitoring round
-/// (7 simulated days) is far longer than any crawl's modeled makespan, so
-/// the network clock resets every round and never needs to interact with
-/// [`crate::SimTime`] arithmetic.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct NetTime(pub u64);
-
-impl NetTime {
-    pub const ZERO: NetTime = NetTime(0);
-
-    pub fn as_nanos(self) -> u64 {
-        self.0
-    }
-
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-}
-
-impl QueueTime for NetTime {
-    type Delta = u64;
-    const ZERO: Self = NetTime(0);
-    fn after(self, delta: u64) -> Self {
-        NetTime(self.0.saturating_add(delta))
-    }
-}
-
-impl Add<u64> for NetTime {
-    type Output = NetTime;
-    fn add(self, rhs: u64) -> NetTime {
-        NetTime(self.0.saturating_add(rhs))
-    }
-}
-
-impl AddAssign<u64> for NetTime {
-    fn add_assign(&mut self, rhs: u64) {
-        self.0 = self.0.saturating_add(rhs);
-    }
-}
-
-impl fmt::Display for NetTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1_000_000_000 {
-            write!(f, "{:.3}s", self.as_secs_f64())
-        } else if self.0 >= 1_000_000 {
-            write!(f, "{:.3}ms", self.0 as f64 / 1e6)
-        } else {
-            write!(f, "{}ns", self.0)
-        }
-    }
-}
-
-/// A deterministic completion queue on the network clock: the same
-/// `(fire_time, seq)` discipline as the world's [`EventQueue`].
-/// Same-instant completions pop in submission order, so under a
-/// zero-latency profile completion order is submission order. The serve
-/// load driver paces its simulated clients with it.
-pub type CompletionQueue<E> = EventQueue<E, NetTime>;
 
 /// The kind of network operation being priced. The three probe techniques
 /// and the crawl's request chain all decompose into these.
@@ -386,12 +318,5 @@ mod tests {
         for name in LatencyProfile::NAMES {
             assert!(LatencyProfile::by_name(name).is_some(), "{name}");
         }
-    }
-
-    #[test]
-    fn net_time_display() {
-        assert_eq!(NetTime(12).to_string(), "12ns");
-        assert_eq!(NetTime(1_500_000).to_string(), "1.500ms");
-        assert_eq!(NetTime(2_250_000_000).to_string(), "2.250s");
     }
 }

@@ -38,12 +38,6 @@ impl Scale {
         scaled.max(1)
     }
 
-    /// Scale a count expected to stay fractional-accurate (e.g. rates used as
-    /// Poisson intensities).
-    pub fn apply_f64(&self, paper_count: f64) -> f64 {
-        paper_count / self.denominator as f64
-    }
-
     /// Multiply a measured count back up to paper-equivalent units for
     /// side-by-side reporting.
     pub fn project_up(&self, measured: u64) -> u64 {
