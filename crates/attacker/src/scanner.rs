@@ -119,7 +119,7 @@ impl Scanner {
 mod tests {
     use super::*;
     use cloudsim::{AccountId, PlatformConfig};
-    use dns::{Authority, RecordData, ResourceRecord, Zone, ZoneSet};
+    use dns::{RecordData, ResourceRecord, Zone, ZoneSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -185,7 +185,7 @@ mod tests {
         for z in platform.zones().iter() {
             zones.insert(z.clone());
         }
-        let resolver = Resolver::new(Authority::new(zones));
+        let resolver = Resolver::new(zones);
 
         let scanner = Scanner::new();
         let candidates: Vec<Name> = vec![

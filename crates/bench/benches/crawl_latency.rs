@@ -11,7 +11,7 @@ use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent,
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dangling_core::pipeline::CrawlExecutor;
 use dangling_core::snapshot::SnapshotStore;
-use dns::{Authority, Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
+use dns::{Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simcore::{LatencyProfile, RngTree, SimTime};
@@ -62,7 +62,7 @@ fn bench_crawl_latency(c: &mut Criterion) {
     // worker crawls every site.
     let store = SnapshotStore::with_shards(1);
     let tree = RngTree::new(1);
-    let auth = std::sync::Arc::new(Authority::new(zs));
+    let auth = std::sync::Arc::new(zs);
 
     // Contract check before timing anything: a single wan-profile shard
     // holds ≥1,000 crawls in flight at once in virtual time.

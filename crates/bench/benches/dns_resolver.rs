@@ -146,7 +146,7 @@ fn bench_resolver(c: &mut Criterion) {
             }
         })
     });
-    // Whole resolutions: CNAME chase and message build.
+    // Whole resolutions: CNAME chase and one typed lookup per hop.
     g.throughput(Throughput::Elements(w.org_names.len() as u64));
     g.bench_function(format!("resolve_a_{}_org_names", w.org_names.len()), |b| {
         b.iter(|| {

@@ -20,7 +20,7 @@ use dangling_core::diff::record as diff_record;
 use dangling_core::monitor::Crawler;
 use dangling_core::pipeline::CrawlExecutor;
 use dangling_core::snapshot::SnapshotStore;
-use dns::{Authority, Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
+use dns::{Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simcore::{RngTree, SimTime};
@@ -90,7 +90,7 @@ fn main() {
     let (platform, zs, monitored) = build(SITES);
     let store = SnapshotStore::new();
     let tree = RngTree::new(1);
-    let auth = std::sync::Arc::new(Authority::new(zs));
+    let auth = std::sync::Arc::new(zs);
 
     // 1. Uninstrumented: the serial crawl loop by hand, zero telemetry.
     let base = min_time(|| {

@@ -24,7 +24,7 @@ use dangling_core::exec_metric_names;
 use dangling_core::pipeline::{CrawlExecutor, ShardedExecutor};
 use dangling_core::signature::{derive_signatures, validate_signatures_sharded, SignatureFold};
 use dangling_core::snapshot::{Snapshot, SnapshotStore};
-use dns::{Authority, Name, Rcode, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
+use dns::{Name, Rcode, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simcore::{RngTree, SimTime};
@@ -75,7 +75,7 @@ fn bench_crawl_scaling(c: &mut Criterion) {
     let tree = RngTree::new(1);
     // Shared authority: per-thread resolver construction must be cheap, as
     // it is in the real pipeline (`world.dns()` hands out a borrow).
-    let auth = std::sync::Arc::new(Authority::new(zs));
+    let auth = std::sync::Arc::new(zs);
     let mut g = c.benchmark_group("pipeline_parallel");
     g.throughput(Throughput::Elements(monitored.len() as u64));
     for threads in [1usize, 2, 4, 8] {
@@ -290,7 +290,7 @@ fn bench_paper_scale(c: &mut Criterion) {
         let (platform, zs, monitored) = build(100_000);
         let store = SnapshotStore::new();
         let tree = RngTree::new(1);
-        let auth = std::sync::Arc::new(Authority::new(zs));
+        let auth = std::sync::Arc::new(zs);
         g.throughput(Throughput::Elements(monitored.len() as u64));
         for threads in [1usize, 8] {
             let exec = CrawlExecutor::new(threads, 0.0);
@@ -316,7 +316,7 @@ fn bench_paper_scale(c: &mut Criterion) {
     let (platform, zs, monitored) = build(1_000_000);
     let store = SnapshotStore::new();
     let tree = RngTree::new(1);
-    let auth = std::sync::Arc::new(Authority::new(zs));
+    let auth = std::sync::Arc::new(zs);
     g.throughput(Throughput::Elements(monitored.len() as u64));
     for threads in [1usize, 8] {
         let exec = CrawlExecutor::new(threads, 0.0);

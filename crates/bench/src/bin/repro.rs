@@ -165,9 +165,12 @@ fn main() {
                 println!("  zero/datacenter/wan only move virtual time (results byte-identical);");
                 println!("  lossy drops queries deterministically.");
                 println!("--incremental runs the retrospective fold every round, not only at");
-                println!("  the horizon (same results, byte for byte; emits per-round");
-                println!("  retro.incr.* metrics). With --resume, recorded rounds replay");
-                println!("  straight into it without re-crawling.");
+                println!("  the horizon (same results, byte for byte). Only with --serve does");
+                println!("  each round also run the advisory signature validation (provisional");
+                println!("  verdicts, retro.incr.valid_signatures / provisional_abuse). With");
+                println!(
+                    "  --resume, recorded rounds replay straight into it without re-crawling."
+                );
                 println!("--persist records observations to ./repro_state (--state-dir names it);");
                 println!("--resume continues a recorded run, --rounds N stops after N rounds,");
                 println!("--compact drops superseded records from the state dir and exits.");

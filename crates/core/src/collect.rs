@@ -176,9 +176,9 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns::{Authority, RecordData, ResourceRecord, Zone, ZoneSet};
+    use dns::{RecordData, ResourceRecord, Zone, ZoneSet};
 
-    fn setup() -> (Resolver<Authority>, Collector) {
+    fn setup() -> (Resolver<ZoneSet>, Collector) {
         let mut zs = ZoneSet::new();
         let mut z = Zone::new("victim.com".parse().unwrap());
         z.add(ResourceRecord::new(
@@ -204,7 +204,7 @@ mod tests {
             RecordData::A("20.40.0.9".parse().unwrap()),
         ));
         zs.insert(az);
-        (Resolver::new(Authority::new(zs)), Collector::new())
+        (Resolver::new(zs), Collector::new())
     }
 
     #[test]
@@ -257,7 +257,7 @@ mod tests {
         ));
         zs.insert(z);
         zs.insert(Zone::new("azurewebsites.net".parse().unwrap()));
-        let r = Resolver::new(Authority::new(zs));
+        let r = Resolver::new(zs);
         let out = c.classify(&"shop.victim.com".parse().unwrap(), &r, SimTime(0));
         assert!(out.is_cloud());
     }

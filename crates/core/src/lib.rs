@@ -24,7 +24,7 @@
 //!   (Figures 21/22/26/27/28),
 //! - [`world`] + [`scenario`] — the simulated world and the longitudinal
 //!   driver that runs organizations, attackers and the pipeline over
-//!   2015–2023 and assembles a [`report::StudyReport`],
+//!   2015–2023 and assembles a [`report::StudyResults`],
 //! - [`pipeline`] — the staged monitoring pipeline behind [`scenario`]:
 //!   world advancement, Algorithm-1 collection, the shard-parallel weekly
 //!   crawl, diff/record, and the retrospective signature pass.
@@ -53,6 +53,6 @@ pub use pipeline::{
     bytes_per_fqdn_of, ProvisionalCluster, ProvisionalRound, ProvisionalSignature,
     ProvisionalVerdict, RoundSink, RoundView, BYTES_PER_FQDN_BUDGET,
 };
-pub use report::{StudyReport, StudyResults};
+pub use report::StudyResults;
 pub use scenario::{Scenario, ScenarioConfig};
 pub use world::{HijackTruth, World};

@@ -124,11 +124,11 @@ impl Crawler {
 mod tests {
     use super::*;
     use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
-    use dns::{Authority, RecordData, ResourceRecord, Zone, ZoneSet};
+    use dns::{RecordData, ResourceRecord, Zone, ZoneSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn build() -> (CloudPlatform, Resolver<Authority>) {
+    fn build() -> (CloudPlatform, Resolver<ZoneSet>) {
         let mut rng = StdRng::seed_from_u64(1);
         let mut platform = CloudPlatform::new(PlatformConfig::default());
         let id = platform
@@ -157,7 +157,7 @@ mod tests {
         for pz in platform.zones().iter() {
             zs.insert(pz.clone());
         }
-        (platform, Resolver::new(Authority::new(zs)))
+        (platform, Resolver::new(zs))
     }
 
     #[test]
@@ -240,17 +240,17 @@ mod tests {
     /// The org zone and the platform's zones behind separate authorities,
     /// as the world serves them: the chain takes one query per hop.
     struct SplitDns {
-        org: Authority,
-        cloud: Authority,
+        org: ZoneSet,
+        cloud: ZoneSet,
     }
 
     impl Transport for SplitDns {
-        fn exchange(&self, query: &dns::Message) -> dns::Message {
+        fn lookup(&self, name: &Name, qtype: dns::RecordType) -> (dns::Rcode, Vec<ResourceRecord>) {
             let cloud: Name = "azurewebsites.net".parse().unwrap();
-            if query.questions[0].name.ends_with(&cloud) {
-                self.cloud.answer(query)
+            if name.ends_with(&cloud) {
+                self.cloud.lookup(name, qtype)
             } else {
-                self.org.answer(query)
+                self.org.lookup(name, qtype)
             }
         }
     }
@@ -268,10 +268,7 @@ mod tests {
         for pz in platform.zones().iter() {
             cloud.insert(pz.clone());
         }
-        Resolver::new(SplitDns {
-            org: Authority::new(org),
-            cloud: Authority::new(cloud),
-        })
+        Resolver::new(SplitDns { org, cloud })
     }
 
     /// Crawl `shop.acme.com`, recording every `(wait, target)` the hook is
@@ -392,7 +389,7 @@ mod tests {
         for pz in platform.zones().iter() {
             zs.insert(pz.clone());
         }
-        let resolver = Resolver::new(Authority::new(zs));
+        let resolver = Resolver::new(zs);
         let s = Crawler::sample(
             &"shop.acme.com".parse().unwrap(),
             &resolver,
@@ -424,7 +421,7 @@ mod tests {
             ),
         ));
         zs.insert(z);
-        let r2 = Resolver::new(Authority::new(zs));
+        let r2 = Resolver::new(zs);
         let _ = resolver;
         let s = Crawler::sample(
             &"x.other.com".parse().unwrap(),

@@ -428,7 +428,7 @@ impl Stage for CrawlStage {
 mod tests {
     use super::*;
     use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent};
-    use dns::{Authority, RecordData, ResourceRecord, Zone, ZoneSet};
+    use dns::{RecordData, ResourceRecord, Zone, ZoneSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -516,7 +516,7 @@ mod tests {
             &store,
             &tree,
             SimTime(7),
-            &|| Resolver::new(Authority::new(zs.clone())),
+            &|| Resolver::new(zs.clone()),
             &|| &platform,
         );
         for threads in [2, 3, 8] {
@@ -525,7 +525,7 @@ mod tests {
                 &store,
                 &tree,
                 SimTime(7),
-                &|| Resolver::new(Authority::new(zs.clone())),
+                &|| Resolver::new(zs.clone()),
                 &|| &platform,
             );
             assert_eq!(par.len(), serial.len());
@@ -545,7 +545,7 @@ mod tests {
             &store,
             &tree,
             SimTime(7),
-            &|| Resolver::new(Authority::new(zs.clone())),
+            &|| Resolver::new(zs.clone()),
             &|| &platform,
         );
         assert!(out.iter().all(|o| o.snap.is_serving()));

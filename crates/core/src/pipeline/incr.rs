@@ -14,9 +14,10 @@
 //!   [`RetroStage`](super::RetroStage)): nothing is ingested until
 //!   `finalize`, which folds the whole change log in one go.
 //! - **Every round** (`Scenario::incremental(true)`, `repro --incremental`):
-//!   [`Stage::weekly`] ingests each round's changes right behind the diff
-//!   stage and emits an advisory [`ProvisionalRound`] plus the
-//!   `retro.incr.*` round gauges, which service mode publishes.
+//!   each round's changes are ingested right behind the diff stage. When a
+//!   round sink is attached (service mode), the round also emits an
+//!   advisory [`ProvisionalRound`] plus the `retro.incr.*` round gauges
+//!   for the sink to publish; [`Stage::weekly`] always emits them.
 //!
 //! Both cadences serialize `StudyResults` to the same bytes at any thread
 //! count, fresh or resumed; the committed golden digest
@@ -293,9 +294,11 @@ impl IncrementalRetro {
     /// Ingest every not-yet-processed change record. `advisory` carries the
     /// round's day and additionally runs the per-round benign validation,
     /// refreshing the `retro.incr.*` round gauges and the structured
-    /// [`ProvisionalRound`] (skipped during the finalize catch-up, where
-    /// the real validation follows immediately).
-    fn ingest(&mut self, rs: &RunState, advisory: Option<SimTime>) {
+    /// [`ProvisionalRound`]. It is `None` during the finalize catch-up,
+    /// where the real validation follows immediately, and for rounds no
+    /// sink reads (`Scenario::run` passes the day only with a sink
+    /// attached).
+    pub(crate) fn ingest(&mut self, rs: &RunState, advisory: Option<SimTime>) {
         let _s = obs::span("retro.incr.round", "retro").record_into("retro.incr.round_ns");
         if self.registrars.is_none() {
             let mut m: HashMap<Name, u16> = HashMap::new();

@@ -19,9 +19,10 @@
 //!
 //! The retro fold has two cadences. By default it ingests the whole change
 //! log once, at the horizon ([`RetroStage`] is that one-shot call). With
-//! `--incremental` it also runs after the diff stage every round and emits
-//! advisory per-round state for service mode. The results are the same
-//! bytes either way (see its module docs for why).
+//! `--incremental` it also runs after the diff stage every round, and when
+//! a [`RoundSink`] is attached (service mode) it emits advisory per-round
+//! state for the sink. The results are the same bytes either way (see its
+//! module docs for why).
 //!
 //! ## Determinism under parallelism
 //!

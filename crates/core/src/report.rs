@@ -237,9 +237,6 @@ impl StudyResults {
     }
 }
 
-/// An alias used across the workspace.
-pub type StudyReport = StudyResults;
-
 /// A month-indexed series of points, as plotted on the paper's time axes.
 pub type MonthlyCurve = Vec<(i32, f64)>;
 

@@ -143,11 +143,12 @@ impl Scenario {
 
     /// Set the retro pass's cadence. The pass is always one fold,
     /// [`IncrementalRetro`], emitted once at the horizon. With `on` the fold
-    /// also ingests each round's changes right behind the diff stage and
-    /// emits the advisory per-round state
-    /// ([`crate::pipeline::ProvisionalRound`], the `retro.incr.*` gauges)
-    /// that service mode publishes; off, it ingests the whole change log at
-    /// the horizon in one go. `StudyResults` is byte-identical either way.
+    /// also ingests each round's changes right behind the diff stage; when
+    /// a [`Self::round_sink`] is attached it also emits the advisory
+    /// per-round state ([`crate::pipeline::ProvisionalRound`], the
+    /// `retro.incr.*` gauges) that service mode publishes. Off, it ingests
+    /// the whole change log at the horizon in one go. `StudyResults` is
+    /// byte-identical either way.
     ///
     /// A builder flag rather than a [`ScenarioConfig`] field on purpose:
     /// like `crawl_threads`, it cannot affect results, so it must not fork
@@ -273,12 +274,13 @@ impl Scenario {
                     // Per-round cadence: fold this round's changes right
                     // behind the diff stage. Replayed rounds flow through
                     // here too — resume feeds recorded segments straight
-                    // into the retro fold without re-crawling.
+                    // into the retro fold without re-crawling. The advisory
+                    // validation only runs when a sink will read it.
                     if incremental {
                         let _s = obs::span("incr.weekly", "retro")
                             .arg_i64("day", now.0 as i64)
                             .record_into("pipeline.incr_ns");
-                        retro.weekly(&mut rs, now);
+                        retro.ingest(&rs, sink.is_some().then_some(now));
                     }
                     rounds += 1;
                     m_rounds.inc();

@@ -25,7 +25,7 @@ use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent,
 use dangling_core::pipeline::CrawlExecutor;
 use dangling_core::scenario::Scenario;
 use dangling_core::snapshot::SnapshotStore;
-use dns::{Authority, Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
+use dns::{Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
 use obs::causal::{SALT_DNS, SALT_ROOT};
 use obs::{CausalSpan, TraceCtx};
 use proptest::prelude::*;
@@ -234,7 +234,7 @@ fn queued_crawls_wait_for_the_earliest_slot() {
         &store,
         &tree,
         SimTime(7),
-        &|| Resolver::new(Authority::new(zs.clone())),
+        &|| Resolver::new(zs.clone()),
         &|| &platform,
     );
     obs::set_causal_tracing(false);

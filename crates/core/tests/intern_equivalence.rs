@@ -249,4 +249,10 @@ fn traced_runs_match_golden_bytes_in_every_mode() {
             "traced runs must collect the {name} span"
         );
     }
+    // No run here attaches a round sink, so nothing reads the per-round
+    // advisory validation and it must not run.
+    assert!(
+        !spans.iter().any(|s| s.name == "retro.incr.validate"),
+        "sinkless incremental runs must skip the advisory validation"
+    );
 }

@@ -1,14 +1,54 @@
 //! Resource records.
 //!
 //! Covers the record types the study touches: `A` and `CNAME` (Algorithm 1's
-//! inputs), `NS`/`SOA` (zone plumbing and the stale-NS attack surface of
-//! related work), `TXT` (ACME DNS-01 style validation), `MX`, `AAAA`, and
-//! `CAA` (§5.6.2's proposed-and-rejected countermeasure).
+//! inputs), `NS` (the stale-NS attack surface of related work), `TXT` (ACME
+//! DNS-01 style validation), `MX`, `AAAA`, and `CAA` (§5.6.2's
+//! proposed-and-rejected countermeasure), plus the response codes a lookup
+//! returns.
 
 use crate::name::Name;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
+
+/// Response codes the study distinguishes. `NxDomain` matters: the paper's
+/// feed filtered "more than 87,000,000 non-NXDOMAIN" FQDNs, and hijack
+/// remediation usually manifests as a record deletion → NXDOMAIN.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Rcode {
+    NoError,
+    FormErr,
+    ServFail,
+    NxDomain,
+    NotImp,
+    Refused,
+}
+
+impl Rcode {
+    /// The RFC 1035 code. Frozen: observation logs store it as one byte.
+    pub fn code(self) -> u8 {
+        match self {
+            Rcode::NoError => 0,
+            Rcode::FormErr => 1,
+            Rcode::ServFail => 2,
+            Rcode::NxDomain => 3,
+            Rcode::NotImp => 4,
+            Rcode::Refused => 5,
+        }
+    }
+
+    pub fn from_code(c: u8) -> Option<Self> {
+        Some(match c {
+            0 => Rcode::NoError,
+            1 => Rcode::FormErr,
+            2 => Rcode::ServFail,
+            3 => Rcode::NxDomain,
+            4 => Rcode::NotImp,
+            5 => Rcode::Refused,
+            _ => return None,
+        })
+    }
+}
 
 /// DNS record types (RFC 1035 / RFC 3596 / RFC 8659).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -16,7 +56,6 @@ pub enum RecordType {
     A,
     Ns,
     Cname,
-    Soa,
     Mx,
     Txt,
     Aaaa,
@@ -29,7 +68,6 @@ impl fmt::Display for RecordType {
             RecordType::A => "A",
             RecordType::Ns => "NS",
             RecordType::Cname => "CNAME",
-            RecordType::Soa => "SOA",
             RecordType::Mx => "MX",
             RecordType::Txt => "TXT",
             RecordType::Aaaa => "AAAA",
@@ -37,24 +75,6 @@ impl fmt::Display for RecordType {
         };
         write!(f, "{s}")
     }
-}
-
-/// Record class. Only `IN` is used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RecordClass {
-    In,
-}
-
-/// SOA RDATA.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Soa {
-    pub mname: Name,
-    pub rname: Name,
-    pub serial: u32,
-    pub refresh: u32,
-    pub retry: u32,
-    pub expire: u32,
-    pub minimum: u32,
 }
 
 /// CAA RDATA (RFC 8659).
@@ -107,7 +127,6 @@ pub enum RecordData {
     Aaaa(Ipv6Addr),
     Cname(Name),
     Ns(Name),
-    Soa(Soa),
     Mx { preference: u16, exchange: Name },
     Txt(Vec<String>),
     Caa(CaaRecord),
@@ -120,7 +139,6 @@ impl RecordData {
             RecordData::Aaaa(_) => RecordType::Aaaa,
             RecordData::Cname(_) => RecordType::Cname,
             RecordData::Ns(_) => RecordType::Ns,
-            RecordData::Soa(_) => RecordType::Soa,
             RecordData::Mx { .. } => RecordType::Mx,
             RecordData::Txt(_) => RecordType::Txt,
             RecordData::Caa(_) => RecordType::Caa,
@@ -135,7 +153,6 @@ impl fmt::Display for RecordData {
             RecordData::Aaaa(ip) => write!(f, "{ip}"),
             RecordData::Cname(n) => write!(f, "{n}"),
             RecordData::Ns(n) => write!(f, "{n}"),
-            RecordData::Soa(s) => write!(f, "{} {} {}", s.mname, s.rname, s.serial),
             RecordData::Mx {
                 preference,
                 exchange,
@@ -146,23 +163,17 @@ impl fmt::Display for RecordData {
     }
 }
 
-/// A complete resource record.
+/// A complete resource record (class `IN`, the only one the study sees).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ResourceRecord {
     pub name: Name,
-    pub class: RecordClass,
     pub ttl: u32,
     pub data: RecordData,
 }
 
 impl ResourceRecord {
     pub fn new(name: Name, ttl: u32, data: RecordData) -> Self {
-        ResourceRecord {
-            name,
-            class: RecordClass::In,
-            ttl,
-            data,
-        }
+        ResourceRecord { name, ttl, data }
     }
 
     pub fn rtype(&self) -> RecordType {
@@ -186,6 +197,39 @@ impl fmt::Display for ResourceRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rcode_roundtrip() {
+        for r in [
+            Rcode::NoError,
+            Rcode::FormErr,
+            Rcode::ServFail,
+            Rcode::NxDomain,
+            Rcode::NotImp,
+            Rcode::Refused,
+        ] {
+            assert_eq!(Rcode::from_code(r.code()), Some(r));
+        }
+        assert_eq!(Rcode::from_code(15), None);
+    }
+
+    /// Every v2 observation-log record stores its rcode as this byte, so
+    /// the mapping can never change without a format version bump.
+    #[test]
+    fn rcode_codes_are_frozen() {
+        assert_eq!(
+            [
+                Rcode::NoError,
+                Rcode::FormErr,
+                Rcode::ServFail,
+                Rcode::NxDomain,
+                Rcode::NotImp,
+                Rcode::Refused,
+            ]
+            .map(Rcode::code),
+            [0, 1, 2, 3, 4, 5]
+        );
+    }
 
     #[test]
     fn data_knows_its_type() {

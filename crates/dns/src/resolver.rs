@@ -3,17 +3,16 @@
 //! [`Resolver::resolve_a`] is the exact primitive Algorithm 1 of the paper
 //! consumes: given an FQDN it returns the full CNAME chain *and* the terminal
 //! A records (`A_results, CNAME_results ← DNS_A_query(fqdn)`), or the
-//! negative outcome (NXDOMAIN / NODATA / SERVFAIL). The resolver queries an
-//! [`Authority`] through the [`Transport`] trait and keeps no state between
+//! negative outcome (NXDOMAIN / NODATA / SERVFAIL). The resolver queries a
+//! [`ZoneSet`] through the [`Transport`] trait and keeps no state between
 //! resolutions: every call observes the live DNS state, as each monitoring
 //! round of the paper does. [`Resolver::resolve_with`] is the same loop
 //! with a hook asked before every send, which the crawl uses to price each
 //! query and to drop it under a lossy latency profile.
 
-use crate::message::{Message, Rcode};
 use crate::name::Name;
-use crate::record::{RecordData, RecordType, ResourceRecord};
-use crate::server::Authority;
+use crate::record::{Rcode, RecordData, RecordType, ResourceRecord};
+use crate::zone::ZoneSet;
 use simcore::SimTime;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -26,26 +25,27 @@ const MAX_CHAIN: usize = 16;
 /// ever consumes more than the first.
 const MAX_QUERY_ATTEMPTS: u32 = 3;
 
-/// Where queries go. The production implementation is [`Authority`]; the
-/// world composes its org and cloud authorities behind one.
+/// Where queries go. A [`ZoneSet`] answers for its own zones; the world
+/// composes its org and cloud zone sets behind one.
 ///
 /// `Sync` is a supertrait: the shard-parallel crawl executor resolves
 /// against one shared world from many threads, so every transport must be
 /// safely shareable (all implementations here are plain data or lock their
 /// interior state).
 pub trait Transport: Sync {
-    fn exchange(&self, query: &Message) -> Message;
+    /// Answer one typed query: the rcode and the answer records.
+    fn lookup(&self, name: &Name, qtype: RecordType) -> (Rcode, Vec<ResourceRecord>);
 }
 
-impl Transport for Authority {
-    fn exchange(&self, query: &Message) -> Message {
-        self.answer(query)
+impl Transport for ZoneSet {
+    fn lookup(&self, name: &Name, qtype: RecordType) -> (Rcode, Vec<ResourceRecord>) {
+        crate::server::lookup_in(self, name, qtype)
     }
 }
 
 impl<T: Transport + Send + ?Sized> Transport for Arc<T> {
-    fn exchange(&self, query: &Message) -> Message {
-        (**self).exchange(query)
+    fn lookup(&self, name: &Name, qtype: RecordType) -> (Rcode, Vec<ResourceRecord>) {
+        (**self).lookup(name, qtype)
     }
 }
 
@@ -131,15 +131,13 @@ impl<T: Transport> Resolver<T> {
                     return out;
                 }
             }
-            let resp = self
-                .transport
-                .exchange(&Message::query(current.clone(), RecordType::A));
-            out.rcode = resp.header.rcode;
+            let (rcode, answers) = self.transport.lookup(&current, RecordType::A);
+            out.rcode = rcode;
             if out.rcode == Rcode::Refused || out.rcode == Rcode::ServFail {
                 return out;
             }
             let mut progressed = false;
-            for rr in &resp.answers {
+            for rr in &answers {
                 match &rr.data {
                     RecordData::A(ip) => out.addresses.push(*ip),
                     RecordData::Cname(target) => {
@@ -166,20 +164,12 @@ impl<T: Transport> Resolver<T> {
         }
     }
 
-    /// Fetch records of an arbitrary type at a single name (no chain
-    /// chasing); used for CAA/TXT lookups by the certificate machinery.
-    pub fn query_raw(&self, name: &Name, rtype: RecordType) -> (Rcode, Vec<ResourceRecord>) {
-        let q = Message::query(name.clone(), rtype);
-        let resp = self.transport.exchange(&q);
-        (resp.header.rcode, resp.answers)
-    }
-
     /// RFC 8659 §3 relevant-CAA lookup: climb from `name` toward the root and
     /// return the first non-empty CAA record set found.
     pub fn find_caa(&self, name: &Name) -> Vec<crate::record::CaaRecord> {
         let mut probe = Some(name.clone());
         while let Some(p) = probe {
-            let (rcode, answers) = self.query_raw(&p, RecordType::Caa);
+            let (rcode, answers) = self.transport.lookup(&p, RecordType::Caa);
             if rcode == Rcode::NoError {
                 let caa: Vec<_> = answers
                     .into_iter()
@@ -206,14 +196,14 @@ impl<T: Transport> Resolver<T> {
 mod tests {
     use super::*;
     use crate::record::CaaRecord;
-    use crate::zone::{Zone, ZoneSet};
+    use crate::zone::Zone;
     use parking_lot::Mutex;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
     }
 
-    fn authority() -> Authority {
+    fn zones() -> ZoneSet {
         let mut zs = ZoneSet::new();
         let mut ex = Zone::new(n("example.com"));
         ex.add(ResourceRecord::new(
@@ -239,12 +229,12 @@ mod tests {
             RecordData::A(Ipv4Addr::new(20, 40, 60, 80)),
         ));
         zs.insert(az);
-        Authority::new(zs)
+        zs
     }
 
     #[test]
     fn resolves_direct_a() {
-        let r = Resolver::new(authority());
+        let r = Resolver::new(zones());
         let out = r.resolve_a(&n("www.example.com"), SimTime(0));
         assert!(out.is_resolvable());
         assert_eq!(out.addresses, vec![Ipv4Addr::new(1, 2, 3, 4)]);
@@ -253,7 +243,7 @@ mod tests {
 
     #[test]
     fn resolves_through_cname() {
-        let r = Resolver::new(authority());
+        let r = Resolver::new(zones());
         let out = r.resolve_a(&n("shop.example.com"), SimTime(0));
         assert!(out.is_resolvable());
         assert_eq!(out.cname_chain, vec![n("shop-prod.azurewebsites.net")]);
@@ -263,12 +253,11 @@ mod tests {
 
     #[test]
     fn dangling_cname_detected() {
-        let mut auth = authority();
-        auth.zones_mut()
-            .get_mut(&n("azurewebsites.net"))
+        let mut zs = zones();
+        zs.get_mut(&n("azurewebsites.net"))
             .unwrap()
             .remove_name(&n("shop-prod.azurewebsites.net"));
-        let r = Resolver::new(auth);
+        let r = Resolver::new(zs);
         let out = r.resolve_a(&n("shop.example.com"), SimTime(0));
         assert!(!out.is_resolvable());
         assert!(out.is_dangling_cname());
@@ -278,18 +267,18 @@ mod tests {
 
     #[test]
     fn nxdomain_plain() {
-        let r = Resolver::new(authority());
+        let r = Resolver::new(zones());
         let out = r.resolve_a(&n("nope.example.com"), SimTime(0));
         assert_eq!(out.rcode, Rcode::NxDomain);
         assert!(!out.is_dangling_cname()); // no CNAME involved
     }
 
-    /// Answers from an authority the test can edit between resolutions.
-    struct EditableTransport(Mutex<Authority>);
+    /// Answers from zones the test can edit between resolutions.
+    struct EditableTransport(Mutex<ZoneSet>);
 
     impl Transport for EditableTransport {
-        fn exchange(&self, query: &Message) -> Message {
-            self.0.lock().answer(query)
+        fn lookup(&self, name: &Name, qtype: RecordType) -> (Rcode, Vec<ResourceRecord>) {
+            self.0.lock().lookup(name, qtype)
         }
     }
 
@@ -297,13 +286,12 @@ mod tests {
     fn every_resolution_asks_the_transport() {
         // A negative answer is not remembered: once the record exists, the
         // same resolver resolves the name at the same instant.
-        let r = Resolver::new(EditableTransport(Mutex::new(authority())));
+        let r = Resolver::new(EditableTransport(Mutex::new(zones())));
         let name = n("new.example.com");
         assert_eq!(r.resolve_a(&name, SimTime(0)).rcode, Rcode::NxDomain);
         r.transport
             .0
             .lock()
-            .zones_mut()
             .get_mut(&n("example.com"))
             .unwrap()
             .add(ResourceRecord::new(
@@ -333,14 +321,14 @@ mod tests {
             RecordData::Cname(n("x.a.test")),
         ));
         zs.insert(b);
-        let r = Resolver::new(Authority::new(zs));
+        let r = Resolver::new(zs);
         let out = r.resolve_a(&n("x.a.test"), SimTime(0));
         assert_eq!(out.rcode, Rcode::ServFail);
     }
 
     #[test]
     fn caa_climbing() {
-        let r = Resolver::new(authority());
+        let r = Resolver::new(zones());
         // No CAA at the subdomain; must climb to example.com.
         let caa = r.find_caa(&n("shop.example.com"));
         assert_eq!(caa.len(), 1);
@@ -351,7 +339,7 @@ mod tests {
 
     #[test]
     fn refused_propagates() {
-        let r = Resolver::new(authority());
+        let r = Resolver::new(zones());
         let out = r.resolve_a(&n("www.unknown-zone.net"), SimTime(0));
         assert_eq!(out.rcode, Rcode::Refused);
         assert!(!out.is_resolvable());
@@ -374,7 +362,7 @@ mod tests {
     #[test]
     fn drops_within_budget_retry_to_success() {
         // 2 drops, 3 attempts: the third attempt lands.
-        let r = Resolver::new(authority());
+        let r = Resolver::new(zones());
         let mut sent = 0;
         let out = resolve_dropping(&r, "www.example.com", &[1, 2], &mut sent);
         assert!(out.is_resolvable());
@@ -384,7 +372,7 @@ mod tests {
     #[test]
     fn drops_exhausting_budget_yield_servfail() {
         // 3 drops, 3 attempts: budget exhausted -> SERVFAIL.
-        let r = Resolver::new(authority());
+        let r = Resolver::new(zones());
         let mut sent = 0;
         let out = resolve_dropping(&r, "www.example.com", &[1, 2, 3], &mut sent);
         assert_eq!(out.rcode, Rcode::ServFail);
@@ -396,10 +384,10 @@ mod tests {
         assert_eq!(sent, 4);
     }
 
-    /// Two separate authorities: the chain must cross them query by query.
+    /// Two separate zone sets: the chain must cross them query by query.
     struct SplitTransport {
-        org: Authority,
-        cloud: Authority,
+        org: ZoneSet,
+        cloud: ZoneSet,
     }
 
     impl SplitTransport {
@@ -421,19 +409,18 @@ mod tests {
             ));
             cloud_zs.insert(az);
             SplitTransport {
-                org: Authority::new(org_zs),
-                cloud: Authority::new(cloud_zs),
+                org: org_zs,
+                cloud: cloud_zs,
             }
         }
     }
 
     impl Transport for SplitTransport {
-        fn exchange(&self, query: &Message) -> Message {
-            let qname = &query.questions[0].name;
-            if qname.ends_with(&n("azurewebsites.net")) {
-                self.cloud.exchange(query)
+        fn lookup(&self, name: &Name, qtype: RecordType) -> (Rcode, Vec<ResourceRecord>) {
+            if name.ends_with(&n("azurewebsites.net")) {
+                self.cloud.lookup(name, qtype)
             } else {
-                self.org.exchange(query)
+                self.org.lookup(name, qtype)
             }
         }
     }

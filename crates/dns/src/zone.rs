@@ -8,7 +8,7 @@
 //! that correction is one endpoint of the abuse-duration analysis (§4.4).
 
 use crate::name::Name;
-use crate::record::{RecordData, RecordType, ResourceRecord, Soa};
+use crate::record::{RecordData, RecordType, ResourceRecord};
 use std::collections::HashMap;
 
 /// Result of looking a name up inside one zone.
@@ -29,57 +29,26 @@ pub enum ZoneLookup {
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
-    soa: Soa,
     /// Records keyed by owner name; values hold all types at that name.
     records: HashMap<Name, Vec<ResourceRecord>>,
     /// Reference counts of proper ancestors of record owners — the "empty
     /// non-terminal" index that makes the NXDOMAIN/NODATA distinction O(1)
     /// instead of a zone scan.
     non_terminals: HashMap<Name, u32>,
-    /// Monotonic serial bumped on every mutation.
-    serial: u32,
 }
 
 impl Zone {
-    /// Create a zone with a default SOA.
+    /// Create an empty zone.
     pub fn new(origin: Name) -> Self {
-        let soa = Soa {
-            mname: origin.child("ns1").unwrap_or_else(|_| origin.clone()),
-            rname: origin
-                .child("hostmaster")
-                .unwrap_or_else(|_| origin.clone()),
-            serial: 1,
-            refresh: 7200,
-            retry: 600,
-            expire: 1_209_600,
-            minimum: 300,
-        };
         Zone {
             origin,
-            soa,
             records: HashMap::new(),
             non_terminals: HashMap::new(),
-            serial: 1,
         }
     }
 
     pub fn origin(&self) -> &Name {
         &self.origin
-    }
-
-    pub fn soa(&self) -> &Soa {
-        &self.soa
-    }
-
-    /// Zone serial (bumped on each mutation). The monitoring pipeline uses
-    /// serial changes as a cheap "did DNS change" signal.
-    pub fn serial(&self) -> u32 {
-        self.serial
-    }
-
-    fn bump(&mut self) {
-        self.serial = self.serial.wrapping_add(1);
-        self.soa.serial = self.serial;
     }
 
     /// Adjust the empty-non-terminal refcounts for one owner name.
@@ -126,7 +95,6 @@ impl Zone {
         if was_empty {
             self.track_ancestors(&name, 1);
         }
-        self.bump();
     }
 
     /// Remove all records of `rtype` at `name`. Returns how many were removed.
@@ -145,9 +113,6 @@ impl Zone {
         if emptied {
             self.track_ancestors(name, -1);
         }
-        if removed > 0 {
-            self.bump();
-        }
         removed
     }
 
@@ -157,7 +122,6 @@ impl Zone {
         let removed = self.records.remove(name).map(|v| v.len()).unwrap_or(0);
         if removed > 0 {
             self.track_ancestors(name, -1);
-            self.bump();
         }
         removed
     }
@@ -409,22 +373,15 @@ mod tests {
     }
 
     #[test]
-    fn removal_and_serial() {
+    fn removal() {
         let mut z = Zone::new(n("example.com"));
-        let s0 = z.serial();
         z.add(a("www.example.com", [1, 2, 3, 4]));
-        assert!(z.serial() > s0);
-        let s1 = z.serial();
         assert_eq!(z.remove_type(&n("www.example.com"), RecordType::A), 1);
-        assert!(z.serial() > s1);
         assert_eq!(
             z.lookup(&n("www.example.com"), RecordType::A),
             ZoneLookup::NxDomain
         );
-        // Removing a non-existent record does not bump the serial.
-        let s2 = z.serial();
         assert_eq!(z.remove_name(&n("nope.example.com")), 0);
-        assert_eq!(z.serial(), s2);
     }
 
     #[test]

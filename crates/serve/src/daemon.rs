@@ -62,6 +62,11 @@ struct Shared {
     published: AtomicU64,
     query_budget_ns: AtomicU64,
     queries_over_budget: AtomicU64,
+    // Telemetry handles, resolved once: looking one up by name takes the
+    // registry's process-wide lock.
+    m_query_ns: &'static obs::Histogram,
+    m_queries: &'static obs::Counter,
+    m_over_budget: &'static obs::Counter,
 }
 
 /// Create a connected sink/handle pair, initialized with the empty seq-0
@@ -75,6 +80,9 @@ pub fn daemon() -> (ServeSink, ServeHandle) {
         published: AtomicU64::new(0),
         query_budget_ns: AtomicU64::new(SloBudgets::default().query_ns),
         queries_over_budget: AtomicU64::new(0),
+        m_query_ns: obs::histogram("serve.query_ns"),
+        m_queries: obs::counter("serve.queries"),
+        m_over_budget: obs::counter("serve.slo_queries_over_budget"),
     });
     (
         ServeSink {
@@ -110,12 +118,12 @@ impl ServeHandle {
             Reply::answer(&view, q)
         };
         let elapsed_ns = started.elapsed().as_nanos() as u64;
-        obs::histogram("serve.query_ns").record(elapsed_ns);
+        self.shared.m_query_ns.record(elapsed_ns);
         if elapsed_ns > self.shared.query_budget_ns.load(SeqCst) {
             self.shared.queries_over_budget.fetch_add(1, SeqCst);
-            obs::counter("serve.slo_queries_over_budget").inc();
+            self.shared.m_over_budget.inc();
         }
-        obs::counter("serve.queries").inc();
+        self.shared.m_queries.inc();
         self.shared.queries.fetch_add(1, SeqCst);
         self.shared.inflight.fetch_sub(1, SeqCst);
         reply
@@ -265,7 +273,7 @@ impl ServeSink {
             obs::warn!("serve watchdog: {}", self.last_violation);
         }
 
-        let q = obs::histogram("serve.query_ns").snapshot();
+        let q = self.shared.m_query_ns.snapshot();
         view.health.slo = SloHealth {
             round_wall_p50_ns: nearest_rank(&self.round_walls, 0.50),
             round_wall_p95_ns: nearest_rank(&self.round_walls, 0.95),

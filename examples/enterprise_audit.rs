@@ -66,7 +66,7 @@ fn main() {
     for z in platform.zones().iter() {
         zones.insert(z.clone());
     }
-    let resolver = Resolver::new(dns::Authority::new(zones));
+    let resolver = Resolver::new(zones);
     let candidates: Vec<Name> = estate
         .iter()
         .map(|(l, _, _, _)| format!("{l}.contoso.com").parse().unwrap())

@@ -44,7 +44,7 @@ fn hijack_kill_chain() {
         for z in platform.zones().iter() {
             zs.insert(z.clone());
         }
-        Resolver::new(dns::Authority::new(zs))
+        Resolver::new(zs)
     };
 
     // 2. The crawler sees the benign site.
@@ -170,7 +170,7 @@ fn algorithm1_against_platform() {
     for z in platform.zones().iter() {
         zs.insert(z.clone());
     }
-    let resolver = Resolver::new(dns::Authority::new(zs));
+    let resolver = Resolver::new(zs);
     let collector = Collector::new();
 
     let c1 = collector.classify(&"app.acme.com".parse().unwrap(), &resolver, SimTime(0));
