@@ -1,6 +1,7 @@
 //! The committed golden digests and the study config they pin, shared by
 //! the suites that hold a run mode to them (`intern_equivalence`,
-//! `latency_equivalence`, `parallel_equivalence`, `causal_trace`).
+//! `latency_equivalence`, `parallel_equivalence`, `causal_trace`,
+//! `resume_equivalence`).
 //!
 //! Each `tests/fixtures/<fixture>/results.digest` holds the byte length and
 //! FNV-1a 64 of the full serialized `StudyResults`:
@@ -16,6 +17,10 @@
 //! [`fixture_config`] at 2 threads under the `wan` profile: every span's
 //! virtual start and duration, so every crawl's queue-wait and every
 //! round's makespan.
+//!
+//! `storelog_eq/state.digest` pins every file of the state dir a full
+//! recording of [`fixture_config`] at 2 threads leaves, in name order
+//! (`resume_equivalence`).
 
 use dangling_core::scenario::ScenarioConfig;
 use simcore::fnv1a;

@@ -8,6 +8,13 @@
 //! the RNG-keyed crawl path is exercised), with the `max_rounds` knob as the
 //! kill switch: it stops the simulation right after a commit, exactly the
 //! state a crash at a round boundary leaves behind.
+//!
+//! The recorded bytes themselves are pinned too: a full recording of the
+//! golden fixture study must hash to `tests/fixtures/storelog_eq/state.digest`,
+//! so a change to where the persist stage reads a round from cannot change
+//! what it writes.
+
+mod golden;
 
 use dangling_core::pipeline::obs_codec::ShardCodec;
 use dangling_core::pipeline::persist::compact_state_dir;
@@ -107,6 +114,44 @@ fn uninterrupted_persisted_run_matches_plain_run() {
     assert_v2_is_5x_smaller_than_json(&dir);
     let replayed = run_persisted(&dir, 4, true, None).expect("pure replay");
     assert_eq!(&replayed, baseline(), "full replay diverged");
+}
+
+/// Every file of a state dir in name order, each as its name, a NUL, its
+/// byte length (u64 LE) and its bytes: one document to digest.
+fn state_dir_document(dir: &std::path::Path) -> Vec<u8> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("state dir lists")
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let mut doc = Vec::new();
+    for name in names {
+        let bytes = std::fs::read(dir.join(&name)).expect("state file reads");
+        doc.extend_from_slice(name.as_bytes());
+        doc.push(0);
+        doc.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        doc.extend_from_slice(&bytes);
+    }
+    doc
+}
+
+#[test]
+fn recorded_state_dir_matches_golden_bytes() {
+    // The golden fixture study recorded at 2 threads: its results are the
+    // intern_eq document, and every byte the persist stage wrote (segments,
+    // commits, config, format marker) is pinned by its own digest.
+    let dir = TempDir::new("golden");
+    let opts = PersistOptions::new(&dir.0);
+    let results = Scenario::new(golden::fixture_config(2))
+        .run_persisted(&opts)
+        .expect("recorded run");
+    let doc = serde_json::to_string(&results).expect("results serialize");
+    golden::assert_matches_golden(&doc, "intern_eq/results.digest", "recorded run");
+    golden::assert_matches_golden(
+        state_dir_document(&dir.0),
+        "storelog_eq/state.digest",
+        "recorded state dir",
+    );
 }
 
 /// The binary payload format's size gate: the committed segments of a
