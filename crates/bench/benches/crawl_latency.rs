@@ -59,8 +59,8 @@ fn build(n: usize) -> (CloudPlatform, ZoneSet, Vec<Name>) {
 fn bench_crawl_latency(c: &mut Criterion) {
     let (platform, zs, monitored) = build(SITES);
     // One shard: the whole site set lands in a single bucket, so one
-    // worker crawls every site.
-    let store = SnapshotStore::with_shards(1);
+    // worker crawls every site. Each round commits into a fresh store, so
+    // every iteration crawls every site on first sight.
     let tree = RngTree::new(1);
     let auth = std::sync::Arc::new(zs);
 
@@ -68,22 +68,23 @@ fn bench_crawl_latency(c: &mut Criterion) {
     // holds ≥1,000 crawls in flight at once in virtual time.
     {
         let exec = CrawlExecutor::new(1, 0.0).with_latency(LatencyProfile::by_name("wan").unwrap());
-        let out = exec.run(
+        let mut store = SnapshotStore::with_shards(1);
+        let round = exec.run(
             &monitored,
-            &store,
+            &mut store,
             &tree,
             SimTime(7),
             &|| Resolver::new(auth.clone()),
             &|| &platform,
         );
-        assert_eq!(out.len(), SITES);
+        assert_eq!(store.len(), SITES);
         let peak = obs::gauge("crawl.inflight").get();
         assert!(
             peak >= 1_000.0,
             "one worker must sustain >= 1000 in-flight crawls, peaked at {peak}"
         );
         assert!(
-            out.iter().any(|o| o.sim_elapsed_ns > 0),
+            round.dns_elapsed_ns.iter().any(|&ns| ns > 0),
             "wan profile must consume virtual time"
         );
     }
@@ -95,14 +96,16 @@ fn bench_crawl_latency(c: &mut Criterion) {
             CrawlExecutor::new(1, 0.0).with_latency(LatencyProfile::by_name(profile).unwrap());
         g.bench_function(format!("{profile}_{SITES}_sites_t1"), |b| {
             b.iter(|| {
-                black_box(exec.run(
+                let mut store = SnapshotStore::with_shards(1);
+                let round = exec.run(
                     &monitored,
-                    &store,
+                    &mut store,
                     &tree,
                     SimTime(7),
                     &|| Resolver::new(auth.clone()),
                     &|| &platform,
-                ))
+                );
+                black_box((round, store))
             })
         });
     }

@@ -2,9 +2,10 @@
 //! three ways —
 //!
 //! 1. **baseline**: a hand-rolled serial loop of [`Crawler::sample`] plus
-//!    the diff, with no telemetry at all — the same `monitor::crawl`
-//!    function [`CrawlExecutor`] runs, with a hook that prices nothing,
-//!    and without the executor's slot scheduler and obs calls,
+//!    the diff and the store commit, with no telemetry at all — the same
+//!    `monitor::crawl` function [`CrawlExecutor`] runs, with a hook that
+//!    prices nothing, and without the executor's slot scheduler and obs
+//!    calls,
 //! 2. **instrumented**: [`CrawlExecutor`] as shipped, telemetry compiled in
 //!    but neither `--trace` nor `--metrics` exporting (counters/histograms
 //!    still count — they are always on),
@@ -88,53 +89,55 @@ fn min_time(mut f: impl FnMut()) -> Duration {
 
 fn main() {
     let (platform, zs, monitored) = build(SITES);
-    let store = SnapshotStore::new();
     let tree = RngTree::new(1);
     let auth = std::sync::Arc::new(zs);
 
+    // Every side commits its round into a fresh store, so every iteration
+    // crawls every site on first sight.
     // 1. Uninstrumented: the serial crawl loop by hand, zero telemetry.
     let base = min_time(|| {
         let resolver = Resolver::new(auth.clone());
         let web = &platform;
-        let out: Vec<_> = monitored
-            .iter()
-            .map(|fqdn| {
-                let prev = store.latest(fqdn);
-                let snap = Crawler::sample(fqdn, &resolver, web, prev, SimTime(7));
-                let change = prev.and_then(|p| diff_record(p, &snap));
-                (snap, change)
-            })
-            .collect();
-        black_box(out);
+        let mut store = SnapshotStore::new();
+        let mut changes = Vec::new();
+        for fqdn in &monitored {
+            let prev = store.latest(fqdn);
+            let snap = Crawler::sample(fqdn, &resolver, web, prev, SimTime(7));
+            changes.extend(prev.and_then(|p| diff_record(p, &snap)));
+            store.insert(snap);
+        }
+        black_box((changes, store));
     });
 
     // 2. Instrumented, telemetry idle (metrics counting, no span collection).
     obs::set_tracing(false);
     let exec = CrawlExecutor::new(1, 0.0);
     let instr = min_time(|| {
-        let out = exec.run(
+        let mut store = SnapshotStore::new();
+        let round = exec.run(
             &monitored,
-            &store,
+            &mut store,
             &tree,
             SimTime(7),
             &|| Resolver::new(auth.clone()),
             &|| &platform,
         );
-        black_box(out);
+        black_box((round, store));
     });
 
     // 3. Instrumented with span collection on (what `--trace` costs).
     obs::set_tracing(true);
     let traced = min_time(|| {
-        let out = exec.run(
+        let mut store = SnapshotStore::new();
+        let round = exec.run(
             &monitored,
-            &store,
+            &mut store,
             &tree,
             SimTime(7),
             &|| Resolver::new(auth.clone()),
             &|| &platform,
         );
-        black_box(out);
+        black_box((round, store));
     });
     obs::set_tracing(false);
     drop(obs::take_spans()); // don't let bench spans leak into later exports

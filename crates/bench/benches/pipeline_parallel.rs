@@ -10,8 +10,8 @@
 //! n100k/n1m (row ids use size labels, not raw numbers, so CI filters like
 //! `-- n100k` select exact sizes), plus an untimed contract phase that runs
 //! one full 1M-site round at every thread count and *asserts* — not just
-//! reports — byte-identical outcomes and the per-FQDN memory budget. The
-//! contract prints one greppable line::
+//! reports — byte-identical committed stores and change lists, and the
+//! per-FQDN memory budget. The contract prints one greppable line::
 //!
 //!     pipeline_scale contract: sites=... identical_across_threads=1 ...
 //!
@@ -71,7 +71,6 @@ fn build(n: usize) -> (CloudPlatform, ZoneSet, Vec<Name>) {
 
 fn bench_crawl_scaling(c: &mut Criterion) {
     let (platform, zs, monitored) = build(400);
-    let store = SnapshotStore::new();
     let tree = RngTree::new(1);
     // Shared authority: per-thread resolver construction must be cheap, as
     // it is in the real pipeline (`world.dns()` hands out a borrow).
@@ -82,14 +81,16 @@ fn bench_crawl_scaling(c: &mut Criterion) {
         let exec = CrawlExecutor::new(threads, 0.0);
         g.bench_function(format!("crawl_400_sites_t{threads}"), |b| {
             b.iter(|| {
-                black_box(exec.run(
+                let mut store = SnapshotStore::new();
+                let round = exec.run(
                     &monitored,
-                    &store,
+                    &mut store,
                     &tree,
                     SimTime(7),
                     &|| Resolver::new(auth.clone()),
                     &|| &platform,
-                ))
+                );
+                black_box((round, store))
             })
         });
     }
@@ -227,17 +228,19 @@ fn bench_incremental_retro(c: &mut Criterion) {
     g.finish();
 }
 
-/// FNV-1a over the `Debug` form of every outcome, in canonical order. The
+/// FNV-1a over the `Debug` form of every committed snapshot (in canonical
+/// FQDN order) and every change record (in canonical monitored order). The
 /// `Debug` form covers the whole snapshot (FQDN, rcode, cname chain, status,
-/// features, retained HTML) plus the diff and timing fields, so two runs
-/// hash equal only if they agree byte for byte.
-fn outcome_hash(outcomes: &[dangling_core::pipeline::CrawlOutcome]) -> u64 {
+/// features, retained HTML) and the whole change record, so two runs hash
+/// equal only if they agree byte for byte.
+fn round_hash(store: &SnapshotStore, changes: &[ChangeRecord]) -> u64 {
     use std::fmt::Write as _;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut buf = String::new();
-    for o in outcomes {
+    let snaps = store.iter().map(|s| s as &dyn std::fmt::Debug);
+    for item in snaps.chain(changes.iter().map(|c| c as &dyn std::fmt::Debug)) {
         buf.clear();
-        write!(buf, "{o:?}").unwrap();
+        write!(buf, "{item:?}").unwrap();
         for b in buf.as_bytes() {
             h = (h ^ *b as u64).wrapping_mul(0x1000_0000_01b3);
         }
@@ -261,15 +264,16 @@ fn scale_rows_selected(ids: &[&str]) -> bool {
 }
 
 /// Paper-scale crawl rows and the million-domain determinism/memory
-/// contract. Timed rows sample one weekly round against a fresh store at
-/// n100k and n1m; the contract phase (untimed, run whenever a `n1m` or
-/// `contract` row is selected) then:
+/// contract. Timed rows sample one weekly round committed into a fresh
+/// store at n100k and n1m; the contract phase (untimed, run whenever a
+/// `n1m` or `contract` row is selected) then:
 ///
 /// - runs the same 1M-site round at every thread count in {1, 2, 4, 8} and
-///   asserts the outcome hashes are identical — the interned pipeline's
-///   headline equivalence, at full population scale,
-/// - ingests a round and re-crawls to reach the steady state (HTML retained
-///   only on change), and asserts the store + monitored set + intern table
+///   asserts the hashes of the committed stores and change lists are
+///   identical — the interned pipeline's headline equivalence, at full
+///   population scale,
+/// - re-crawls the committed round to reach the steady state (HTML
+///   retained only on change), and asserts the store + monitored set + intern table
 ///   stay under [`BYTES_PER_FQDN_BUDGET`] bytes per FQDN.
 fn bench_paper_scale(c: &mut Criterion) {
     let want_100k = scale_rows_selected(&[
@@ -288,7 +292,6 @@ fn bench_paper_scale(c: &mut Criterion) {
 
     if want_100k {
         let (platform, zs, monitored) = build(100_000);
-        let store = SnapshotStore::new();
         let tree = RngTree::new(1);
         let auth = std::sync::Arc::new(zs);
         g.throughput(Throughput::Elements(monitored.len() as u64));
@@ -296,14 +299,16 @@ fn bench_paper_scale(c: &mut Criterion) {
             let exec = CrawlExecutor::new(threads, 0.0);
             g.bench_function(format!("crawl_n100k_t{threads}"), |b| {
                 b.iter(|| {
-                    black_box(exec.run(
+                    let mut store = SnapshotStore::new();
+                    let round = exec.run(
                         &monitored,
-                        &store,
+                        &mut store,
                         &tree,
                         SimTime(7),
                         &|| Resolver::new(auth.clone()),
                         &|| &platform,
-                    ))
+                    );
+                    black_box((round, store))
                 })
             });
         }
@@ -314,7 +319,6 @@ fn bench_paper_scale(c: &mut Criterion) {
         return;
     }
     let (platform, zs, monitored) = build(1_000_000);
-    let store = SnapshotStore::new();
     let tree = RngTree::new(1);
     let auth = std::sync::Arc::new(zs);
     g.throughput(Throughput::Elements(monitored.len() as u64));
@@ -322,14 +326,16 @@ fn bench_paper_scale(c: &mut Criterion) {
         let exec = CrawlExecutor::new(threads, 0.0);
         g.bench_function(format!("crawl_n1m_t{threads}"), |b| {
             b.iter(|| {
-                black_box(exec.run(
+                let mut store = SnapshotStore::new();
+                let round = exec.run(
                     &monitored,
-                    &store,
+                    &mut store,
                     &tree,
                     SimTime(7),
                     &|| Resolver::new(auth.clone()),
                     &|| &platform,
-                ))
+                );
+                black_box((round, store))
             })
         });
     }
@@ -339,13 +345,14 @@ fn bench_paper_scale(c: &mut Criterion) {
     let mut first_hash = None;
     let mut identical = true;
     let mut round_t1_ns = 0u64;
-    let mut last_outcomes = Vec::new();
+    let mut steady = SnapshotStore::new();
     for threads in [1usize, 2, 4, 8] {
         let exec = CrawlExecutor::new(threads, 0.0);
+        let mut store = SnapshotStore::new();
         let start = std::time::Instant::now();
-        let outcomes = exec.run(
+        let round = exec.run(
             &monitored,
-            &store,
+            &mut store,
             &tree,
             SimTime(7),
             &|| Resolver::new(auth.clone()),
@@ -354,37 +361,31 @@ fn bench_paper_scale(c: &mut Criterion) {
         if threads == 1 {
             round_t1_ns = start.elapsed().as_nanos() as u64;
         }
-        let h = outcome_hash(&outcomes);
+        let h = round_hash(&store, &round.changes);
         identical &= *first_hash.get_or_insert(h) == h;
-        last_outcomes = outcomes;
+        steady = store;
     }
     assert!(
         identical,
-        "1M-site round outcomes differ across thread counts — the \
-         determinism contract is broken at paper scale"
+        "1M-site committed stores and changes differ across thread counts — \
+         the determinism contract is broken at paper scale"
     );
 
-    // Steady state: ingest the first round (first sight retains HTML), then
-    // re-crawl the unchanged world so retained HTML is dropped on replace —
-    // the population-proportional footprint a long run actually holds.
-    let mut steady = SnapshotStore::new();
-    for o in last_outcomes {
-        steady.insert(o.snap);
-    }
+    // Steady state: the first round committed every site on first sight
+    // (HTML retained); re-crawl the unchanged world so retained HTML is
+    // dropped on replace — the population-proportional footprint a long run
+    // actually holds.
     let exec = CrawlExecutor::new(8, 0.0);
     let start = std::time::Instant::now();
-    let outcomes = exec.run(
+    exec.run(
         &monitored,
-        &steady,
+        &mut steady,
         &tree,
         SimTime(14),
         &|| Resolver::new(auth.clone()),
         &|| &platform,
     );
     let steady_round_ns = start.elapsed().as_nanos() as u64;
-    for o in outcomes {
-        steady.insert(o.snap);
-    }
     let bpf = dangling_core::bytes_per_fqdn_of(&steady, &monitored);
     assert!(
         bpf > 0.0 && bpf <= dangling_core::BYTES_PER_FQDN_BUDGET,

@@ -1,24 +1,31 @@
 //! The shard-parallel weekly crawl (§3.2).
 //!
-//! [`CrawlExecutor`] fans one monitoring round out over worker threads. The
-//! contract is strict determinism: for the same world state the output is
-//! byte-identical for any thread count, because
+//! [`CrawlExecutor`] fans one monitoring round out over worker threads and
+//! commits it: each worker owns one [`SnapshotStore`] shard for the round,
+//! and for every FQDN of its bucket it crawls against the previous
+//! snapshot, builds the change record, and replaces the snapshot in place.
+//! The contract is strict determinism: for the same world state the
+//! committed store and the round's change list are byte-identical for any
+//! thread count, because
 //!
 //! 1. work is partitioned by [`SnapshotStore::shard_of`] — a fixed hash of
-//!    the FQDN — never by arrival or iteration order,
-//! 2. every task reads the *pre-round* store (each FQDN appears once per
-//!    round, so no task can observe another's write), and
+//!    the FQDN — never by arrival or iteration order, so each FQDN is
+//!    crawled and committed by the one task that owns its shard,
+//! 2. each FQDN is crawled at most once per round (the collect stage admits
+//!    a name once), so a task only ever reads its FQDN's *pre-round*
+//!    snapshot and no task can observe another crawl's write — the commit
+//!    asserts it, and
 //! 3. any randomness (the transient-failure model) comes from an RNG stream
 //!    keyed by `crawl/{fqdn}/{day}`, so it does not depend on which thread
 //!    or in which order the FQDN was crawled,
 //!
-//! and the outcomes are re-assembled in the canonical monitored order before
-//! the diff stage consumes them.
+//! and the round's change records are re-assembled in the canonical
+//! monitored order before they reach the change log.
 
 use super::{RunState, ShardedExecutor, Stage};
 use crate::diff::{record as diff_record, ChangeRecord};
 use crate::monitor::{crawl, CrawlWait};
-use crate::snapshot::{Snapshot, SnapshotStore};
+use crate::snapshot::{fqdn_shard, Snapshot, SnapshotStore};
 use dns::resolver::Transport;
 use dns::{Name, Resolver};
 use httpsim::Endpoint;
@@ -26,24 +33,21 @@ use obs::causal::{SALT_DNS, SALT_INDEX, SALT_SITEMAP};
 use rand::Rng;
 use simcore::{LatencyModel, QueryClass, RngTree, SimTime};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Crawls one shard keeps in flight at once in virtual time: the 1,025th
 /// crawl of a shard starts when the earliest of the first 1,024 finishes.
 const MAX_INFLIGHT: usize = 1024;
 
-/// What one crawl task produced: the new snapshot and, when there was a
-/// previous one, the diff against it. The two latency fields are timing
-/// telemetry — they feed the per-round percentile summaries and never any
-/// serialized result.
-#[derive(Debug, Clone)]
-pub struct CrawlOutcome {
-    pub snap: Snapshot,
-    pub change: Option<ChangeRecord>,
-    /// Total simulated time this crawl consumed (0 under the zero profile).
-    pub sim_elapsed_ns: u64,
-    /// Simulated time the DNS resolution consumed.
-    pub dns_elapsed_ns: u64,
+/// What a committed crawl round returns besides the store it wrote.
+#[derive(Debug)]
+pub struct CrawlRound {
+    /// The round's change records, in canonical monitored order.
+    pub changes: Vec<ChangeRecord>,
+    /// Each crawl's simulated DNS time, in shard order. Timing telemetry:
+    /// it feeds the per-round percentile summary
+    /// ([`crate::report::RoundLatency`]) and never a serialized result.
+    pub dns_elapsed_ns: Vec<u64>,
 }
 
 /// Shard-parallel crawl executor: the [`ShardedExecutor`] discipline applied
@@ -82,21 +86,29 @@ impl CrawlExecutor {
         self
     }
 
-    /// Crawl `monitored` (in canonical order) against the pre-round `store`,
-    /// returning one [`CrawlOutcome`] per FQDN in the same order.
+    /// Crawl `monitored` (in canonical order) and commit every new snapshot
+    /// into `store`, replacing each FQDN's previous snapshot in place (or
+    /// inserting it on first sight). Returns the round's change records in
+    /// canonical order plus the per-crawl DNS times.
     ///
     /// `make_resolver` / `make_web` are per-worker factories: each shard
     /// builds its own resolver and web view over the round's read-only
     /// world.
+    ///
+    /// # Panics
+    ///
+    /// If an FQDN already holds a snapshot dated `now` or later, i.e. it
+    /// appears twice in `monitored` or the round is not later than the
+    /// last one.
     pub fn run<T, E, FR, FW>(
         &self,
         monitored: &[Name],
-        store: &SnapshotStore,
+        store: &mut SnapshotStore,
         tree: &RngTree,
         now: SimTime,
         make_resolver: &FR,
         make_web: &FW,
-    ) -> Vec<CrawlOutcome>
+    ) -> CrawlRound
     where
         T: Transport,
         E: Endpoint,
@@ -104,51 +116,56 @@ impl CrawlExecutor {
         FW: Fn() -> E + Sync,
     {
         // Work is partitioned by the store's shards — a stable, FQDN-keyed
-        // split, so the same name always lands in the same bucket no matter
-        // how many workers run — every latency draw is keyed by (fqdn, day,
-        // wait ordinal), and per-bucket outcome lists are merged back in
-        // canonical input order, so the result stays byte-identical for any
-        // thread count.
+        // split, so the same name always lands in the same bucket (and is
+        // committed to the same shard) no matter how many workers run —
+        // every latency draw is keyed by (fqdn, day, wait ordinal), and the
+        // per-bucket change lists are merged back in canonical input order,
+        // so the result stays byte-identical for any thread count.
+        let shards = store.shards_mut();
+        let n_shards = shards.len();
         let per_bucket = self.exec.fold_buckets(
             monitored,
-            store.shard_count(),
-            |fqdn| store.shard_of(fqdn),
-            |_b, bucket| {
+            shards,
+            |fqdn| fqdn_shard(fqdn, n_shards),
+            |_b, shard, bucket| {
                 let resolver = make_resolver();
                 let web = make_web();
-                self.run_bucket(bucket, store, tree, now, &resolver, &web)
+                self.run_bucket(bucket, shard, tree, now, &resolver, &web)
             },
         );
 
-        // Telemetry: peak concurrency and makespan across shards, each
-        // crawl's simulated duration. All out-of-band.
+        // Telemetry: peak concurrency and makespan across shards. All
+        // out-of-band.
         let peak = per_bucket
             .iter()
-            .map(|b| b.outcomes.len().min(MAX_INFLIGHT))
+            .map(|b| b.dns_elapsed_ns.len().min(MAX_INFLIGHT))
             .max()
             .unwrap_or(0);
         let makespan = per_bucket.iter().map(|b| b.makespan_ns).max().unwrap_or(0);
         self.m_inflight.set(peak as f64);
         self.m_makespan.set(makespan as f64);
 
-        let mut indexed: Vec<(usize, CrawlOutcome)> =
-            per_bucket.into_iter().flat_map(|b| b.outcomes).collect();
-        indexed.sort_unstable_by_key(|(i, _)| *i);
-        debug_assert_eq!(indexed.len(), monitored.len());
-        for (_, o) in &indexed {
-            self.m_sim_latency.record(o.sim_elapsed_ns);
+        let mut changes: Vec<(usize, ChangeRecord)> = Vec::new();
+        let mut dns_elapsed_ns = Vec::with_capacity(monitored.len());
+        for b in per_bucket {
+            changes.extend(b.changes);
+            dns_elapsed_ns.extend(b.dns_elapsed_ns);
         }
-        indexed.into_iter().map(|(_, o)| o).collect()
+        changes.sort_unstable_by_key(|(i, _)| *i);
+        CrawlRound {
+            changes: changes.into_iter().map(|(_, c)| c).collect(),
+            dns_elapsed_ns,
+        }
     }
 
-    /// Crawl one shard in canonical order. Each crawl runs to completion
-    /// in turn; its admission time in virtual time comes from the
-    /// [`Slots`] list scheduler, and every network wait is priced by a
-    /// [`WaitPricer`].
+    /// Crawl one shard's bucket in canonical order and commit each snapshot
+    /// into the shard. Each crawl runs to completion in turn; its admission
+    /// time in virtual time comes from the [`Slots`] list scheduler, and
+    /// every network wait is priced by a [`WaitPricer`].
     fn run_bucket<T: Transport, E: Endpoint + ?Sized>(
         &self,
         bucket: &[(usize, &Name)],
-        store: &SnapshotStore,
+        shard: &mut HashMap<Name, Snapshot>,
         tree: &RngTree,
         now: SimTime,
         resolver: &Resolver<T>,
@@ -156,9 +173,21 @@ impl CrawlExecutor {
     ) -> BucketCrawl {
         let latency = (!self.latency.is_free()).then_some(&self.latency);
         let mut slots = Slots::new(MAX_INFLIGHT);
-        let mut outcomes = Vec::with_capacity(bucket.len());
+        let mut changes = Vec::new();
+        let mut dns_elapsed_ns = Vec::with_capacity(bucket.len());
         let mut timeouts = 0u64;
         for &(input_idx, fqdn) in bucket {
+            let prev = shard.get_mut(fqdn);
+            if let Some(p) = &prev {
+                // The in-place commit below is only sound if this crawl
+                // reads the pre-round snapshot: one crawl per FQDN per round.
+                assert!(
+                    p.day < now,
+                    "{fqdn} crawled on day {} over a snapshot of day {}",
+                    now.0,
+                    p.day.0
+                );
+            }
             let fetch_dropped = self.failure_rate > 0.0
                 && tree
                     .rng(&format!("crawl/{fqdn}/{}", now.0))
@@ -178,13 +207,12 @@ impl CrawlExecutor {
                     trace = Some(obs::TraceCtx::root(tid, admit_ns, day));
                 }
             }
-            let prev = store.latest(fqdn);
             let mut pricer = WaitPricer::new(latency, tree, fqdn, now.0, trace);
             let snap = crawl(
                 fqdn,
                 resolver,
                 web,
-                prev,
+                prev.as_deref(),
                 now,
                 fetch_dropped,
                 |wait, target| pricer.wait(wait, target),
@@ -209,29 +237,35 @@ impl CrawlExecutor {
                     args: Vec::new(),
                 });
             }
-            let change = prev.and_then(|p| diff_record(p, &snap));
-            outcomes.push((
-                input_idx,
-                CrawlOutcome {
-                    snap,
-                    change,
-                    sim_elapsed_ns: pricer.elapsed_ns,
-                    dns_elapsed_ns: pricer.dns_elapsed_ns,
-                },
-            ));
+            self.m_sim_latency.record(pricer.elapsed_ns);
+            dns_elapsed_ns.push(pricer.dns_elapsed_ns);
+            match prev {
+                Some(prev) => {
+                    if let Some(change) = diff_record(prev, &snap) {
+                        changes.push((input_idx, change));
+                    }
+                    *prev = snap;
+                }
+                None => {
+                    shard.insert(fqdn.clone(), snap);
+                }
+            }
         }
         self.m_timeouts.add(timeouts);
         BucketCrawl {
-            outcomes,
+            changes,
+            dns_elapsed_ns,
             makespan_ns: slots.makespan_ns,
         }
     }
 }
 
-/// One shard's products: outcomes tagged with input indices plus the
-/// shard's virtual makespan.
+/// One shard's products besides its committed snapshots: change records
+/// tagged with input indices, per-crawl DNS times, and the shard's virtual
+/// makespan.
 struct BucketCrawl {
-    outcomes: Vec<(usize, CrawlOutcome)>,
+    changes: Vec<(usize, ChangeRecord)>,
+    dns_elapsed_ns: Vec<u64>,
     makespan_ns: u64,
 }
 
@@ -371,8 +405,10 @@ impl<'a> WaitPricer<'a> {
     }
 }
 
-/// The weekly-crawl stage: wraps [`CrawlExecutor`] and leaves the round's
-/// outcomes in [`RunState::crawl_batch`] for the diff stage.
+/// The weekly-crawl stage: wraps [`CrawlExecutor`], which commits the
+/// round into [`RunState::store`]; the stage appends the round's changes to
+/// [`RunState::changes`], so a live round leaves [`RunState::crawl_batch`]
+/// empty.
 pub struct CrawlStage {
     exec: CrawlExecutor,
 }
@@ -402,12 +438,12 @@ impl Stage for CrawlStage {
             store,
             monitored,
             tree,
-            crawl_batch,
+            changes,
             round_latency,
             ..
         } = rs;
         let world = &*world;
-        *crawl_batch = self.exec.run(
+        let mut round = self.exec.run(
             monitored,
             store,
             tree,
@@ -415,10 +451,12 @@ impl Stage for CrawlStage {
             &|| Resolver::new(world.dns()),
             &|| world.web(),
         );
+        obs::counter("diff.changes").add(round.changes.len() as u64);
+        obs::counter("diff.snapshots").add(monitored.len() as u64);
+        changes.append(&mut round.changes);
         // Round telemetry: DNS resolution-latency percentiles. Out-of-band —
         // never serialized with results (see `report::RoundLatency`).
-        let mut samples: Vec<u64> = crawl_batch.iter().map(|o| o.dns_elapsed_ns).collect();
-        if let Some(r) = crate::report::RoundLatency::from_samples(now, &mut samples) {
+        if let Some(r) = crate::report::RoundLatency::from_samples(now, &mut round.dns_elapsed_ns) {
             round_latency.push(r);
         }
     }
@@ -505,50 +543,103 @@ mod tests {
         assert_eq!(schedule(3, &[]), (vec![], 0));
     }
 
+    /// Commit `rounds` crawl rounds of `monitored` into a fresh 4-shard
+    /// store, with the transient-failure model on (rate 0.1) so the
+    /// RNG-keyed path runs and flaky fetches come and go as changes.
+    /// Returns the store's snapshots in canonical order and every round's
+    /// change records, both as their `Debug` text. Checks on the way that
+    /// each round's changes come in canonical monitored order and that the
+    /// round replaced every snapshot.
+    fn committed(
+        threads: usize,
+        (platform, zs, monitored): &(CloudPlatform, ZoneSet, Vec<Name>),
+        rounds: &[i32],
+    ) -> (Vec<String>, Vec<String>) {
+        let exec = CrawlExecutor::new(threads, 0.1);
+        let mut store = SnapshotStore::with_shards(4);
+        let tree = RngTree::new(9);
+        let mut changes = Vec::new();
+        for &day in rounds {
+            let round = exec.run(
+                monitored,
+                &mut store,
+                &tree,
+                SimTime(day),
+                &|| Resolver::new(zs.clone()),
+                &|| platform,
+            );
+            assert_eq!(round.dns_elapsed_ns.len(), monitored.len());
+            let at: Vec<usize> = round
+                .changes
+                .iter()
+                .map(|c| monitored.iter().position(|m| *m == c.fqdn).unwrap())
+                .collect();
+            assert!(at.windows(2).all(|w| w[0] < w[1]), "day {day}: {at:?}");
+            assert!(round.changes.iter().all(|c| c.day == SimTime(day)));
+            assert!(store.iter().all(|s| s.day == SimTime(day)));
+            changes.extend(round.changes.iter().map(|c| format!("{c:?}")));
+        }
+        assert_eq!(store.len(), monitored.len());
+        let snaps = store.iter().map(|s| format!("{s:?}")).collect();
+        (snaps, changes)
+    }
+
     #[test]
     fn parallel_matches_serial() {
-        let (platform, zs, monitored) = build(23);
-        let store = SnapshotStore::with_shards(4);
-        let tree = RngTree::new(9);
-        // Nonzero failure rate so the RNG-keyed path is exercised too.
-        let serial = CrawlExecutor::new(1, 0.1).run(
-            &monitored,
-            &store,
-            &tree,
-            SimTime(7),
-            &|| Resolver::new(zs.clone()),
-            &|| &platform,
-        );
+        let world = build(23);
+        let rounds = [7, 14, 21];
+        let serial = committed(1, &world, &rounds);
+        assert!(!serial.1.is_empty(), "flaky fetches must leave changes");
         for threads in [2, 3, 8] {
-            let par = CrawlExecutor::new(threads, 0.1).run(
-                &monitored,
-                &store,
-                &tree,
-                SimTime(7),
-                &|| Resolver::new(zs.clone()),
-                &|| &platform,
+            assert!(
+                committed(threads, &world, &rounds) == serial,
+                "threads={threads}"
             );
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.snap, b.snap, "threads={threads}");
-            }
+        }
+    }
+
+    #[test]
+    fn a_name_crawled_twice_in_one_round_panics() {
+        let (platform, zs, mut monitored) = build(5);
+        monitored.push(monitored[2].clone());
+        for threads in [1, 4] {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut store = SnapshotStore::with_shards(4);
+                CrawlExecutor::new(threads, 0.0).run(
+                    &monitored,
+                    &mut store,
+                    &RngTree::new(9),
+                    SimTime(7),
+                    &|| Resolver::new(zs.clone()),
+                    &|| &platform,
+                );
+            }));
+            let err = result.expect_err("a duplicated name must panic");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                msg.contains("crawled on day 7 over a snapshot of day 7"),
+                "threads={threads}: {msg}"
+            );
         }
     }
 
     #[test]
     fn failure_model_off_by_default() {
         let (platform, zs, monitored) = build(5);
-        let store = SnapshotStore::new();
+        let mut store = SnapshotStore::new();
         let tree = RngTree::new(9);
-        let out = CrawlExecutor::new(1, 0.0).run(
-            &monitored,
-            &store,
-            &tree,
-            SimTime(7),
-            &|| Resolver::new(zs.clone()),
-            &|| &platform,
-        );
-        assert!(out.iter().all(|o| o.snap.is_serving()));
-        assert!(out.iter().all(|o| o.change.is_none()));
+        for day in [7, 14] {
+            let round = CrawlExecutor::new(1, 0.0).run(
+                &monitored,
+                &mut store,
+                &tree,
+                SimTime(day),
+                &|| Resolver::new(zs.clone()),
+                &|| &platform,
+            );
+            assert!(round.changes.is_empty());
+        }
+        assert_eq!(store.len(), monitored.len());
+        assert!(store.iter().all(Snapshot::is_serving));
     }
 }

@@ -1,9 +1,13 @@
-//! Diff/record stage: the serial merge point of the parallel crawl.
+//! Diff/record stage: commits a replayed round.
 //!
-//! Consumes the round's [`super::CrawlOutcome`] batch — already in canonical
-//! monitored order — appends changes to the change log and commits snapshots
-//! to the sharded store. Keeping this stage serial is what lets the crawl
-//! stage be embarrassingly parallel: workers never write shared state.
+//! A live round never reaches this stage with work: the crawl commits each
+//! snapshot in place into the store shard its worker owns and appends the
+//! round's changes to the change log itself (see [`super::CrawlStage`]). A
+//! resumed run's replayed round has no crawl, so
+//! [`super::PersistStage::replay_round`] installs the logged observations
+//! as [`RunState::crawl_batch`] — in canonical monitored order — and this
+//! stage appends their changes to the change log and commits their
+//! snapshots to the sharded store.
 //!
 //! The change log is append-only: records are pushed with strictly
 //! increasing days (one round, one day) and never mutated afterwards. The
@@ -12,7 +16,17 @@
 //! this stage runs and indexes into the log by position forever after.
 
 use super::{RunState, Stage};
+use crate::diff::ChangeRecord;
+use crate::snapshot::Snapshot;
 use simcore::SimTime;
+
+/// One logged observation as replay installs it: the snapshot a recorded
+/// crawl produced and, when there was a previous one, the diff against it.
+#[derive(Debug, Clone)]
+pub struct CrawlOutcome {
+    pub snap: Snapshot,
+    pub change: Option<ChangeRecord>,
+}
 
 /// The diff/record stage (see module docs).
 pub struct DiffStage;

@@ -13,13 +13,14 @@
 //! - [`ShardedExecutor::fold_buckets`] partitions items by a **fixed,
 //!   content-keyed hash** (never by arrival or iteration order) — the
 //!   crawl's per-shard event-loop grouping — hands out one bucket per cursor
-//!   step, and returns the per-bucket results in **bucket-id order**.
+//!   step together with exclusive `&mut` access to that bucket's own shard
+//!   of state, and returns the per-bucket results in **bucket-id order**.
 //!
 //! so the result is byte-identical for any thread count. Worker closures must
-//! be pure with respect to shared state: they may read the pre-pass world but
-//! never write anything another task could observe. Any randomness must come
-//! from an [`simcore::RngTree`] stream keyed by item content, not a shared
-//! sequential RNG.
+//! be pure with respect to shared state: they may read the pre-pass world and
+//! write only the shard they were handed, never anything another task could
+//! observe. Any randomness must come from an [`simcore::RngTree`] stream keyed
+//! by item content, not a shared sequential RNG.
 //!
 //! Telemetry is out-of-band and prefix-named per executor (e.g. `crawl.*`,
 //! `retro.incr.*`) so per-phase shard/worker imbalance is observable without
@@ -28,6 +29,7 @@
 //! remaining workers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Most input items per `map` chunk: 1M items take ~250 cursor steps, not
 /// 1M.
@@ -112,29 +114,35 @@ impl ShardedExecutor {
         })
     }
 
-    /// Fold whole buckets: `work` receives a bucket id and that bucket's
-    /// `(input_index, item)` slice (indices ascending), and the per-bucket
+    /// Fold whole buckets: `work` receives a bucket id, exclusive `&mut`
+    /// access to that bucket's shard `shards[id]`, and the bucket's
+    /// `(input_index, item)` slice (indices ascending); the per-bucket
     /// results come back **in bucket-id order** — the canonical merge order.
     ///
-    /// Items land in bucket `shard_of(item)`, which must be a pure function
-    /// of item content below `buckets`, so the same item always lands in the
-    /// same bucket no matter how many workers run. Use this when a pass works
-    /// per group (the crawl's per-shard slot schedules): each bucket's result
-    /// is computed in parallel and the caller merges them in a fixed order.
-    pub fn fold_buckets<T, B, FS, FW>(
+    /// There is one bucket per shard. Items land in bucket `shard_of(item)`,
+    /// which must be a pure function of item content below `shards.len()`,
+    /// so the same item always lands in the same bucket (and shard) no
+    /// matter how many workers run. Use this when a pass works per group
+    /// and commits into per-group state (the crawl's per-shard slot
+    /// schedules and snapshot-store shards): each bucket runs in parallel,
+    /// writes only its own shard, and the caller merges the results in a
+    /// fixed order.
+    pub fn fold_buckets<T, S, B, FS, FW>(
         &self,
         items: &[T],
-        buckets: usize,
+        shards: &mut [S],
         shard_of: FS,
         work: FW,
     ) -> Vec<B>
     where
         T: Sync,
+        S: Send,
         B: Send,
         FS: Fn(&T) -> usize,
-        FW: Fn(usize, &[(usize, &T)]) -> B + Sync,
+        FW: Fn(usize, &mut S, &[(usize, &T)]) -> B + Sync,
     {
-        let buckets = buckets.max(1);
+        let buckets = shards.len();
+        assert!(buckets > 0, "fold_buckets needs at least one shard");
         let mut parts: Vec<Vec<(usize, &T)>> = vec![Vec::new(); buckets];
         for (i, item) in items.iter().enumerate() {
             let b = shard_of(item);
@@ -151,7 +159,20 @@ impl ShardedExecutor {
             self.m_shard_imbalance
                 .set(shard_max as f64 * buckets as f64 / items.len() as f64);
         }
-        self.run(buckets, 1, || (), |_, b| work(b, &parts[b]))
+        // One lock per shard, taken once by the one task that runs its
+        // bucket: never contended, it only hands the `&mut` across threads.
+        let shards: Vec<Mutex<&mut S>> = shards.iter_mut().map(Mutex::new).collect();
+        self.run(
+            buckets,
+            1,
+            || (),
+            |_, b| {
+                let mut shard = shards[b]
+                    .lock()
+                    .expect("one task locks each shard, so no earlier holder can poison it");
+                work(b, &mut shard, &parts[b])
+            },
+        )
     }
 
     /// Run `work(ctx, i)` for every `i` in `0..n`, one worker context per
@@ -240,9 +261,9 @@ mod tests {
             assert!(got.is_empty());
             let sums: Vec<u64> = exec(threads).fold_buckets(
                 &[] as &[u64],
-                3,
+                &mut [(), (), ()],
                 |x| (*x % 3) as usize,
-                |_, b| b.len() as u64,
+                |_, _, b| b.len() as u64,
             );
             assert_eq!(sums, vec![0, 0, 0]);
         }
@@ -279,15 +300,27 @@ mod tests {
     fn fold_buckets_groups_by_shard_in_bucket_order() {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1, 3, 4, 8] {
+            // Each bucket writes its items into its own shard and returns
+            // their sum.
+            let mut shards: Vec<Vec<u64>> = vec![Vec::new(); 4];
             let sums: Vec<u64> = exec(threads).fold_buckets(
                 &items,
-                4,
+                &mut shards,
                 |x| (*x % 4) as usize,
-                |_b, bucket| bucket.iter().map(|(_, x)| **x).sum(),
+                |b, shard, bucket| {
+                    shard.extend(bucket.iter().map(|(_, x)| **x));
+                    assert!(shard.iter().all(|x| *x % 4 == b as u64));
+                    shard.iter().sum()
+                },
             );
             // Bucket b holds 0..100 congruent to b mod 4; sums are fixed and
-            // come back in bucket order.
+            // come back in bucket order, and every shard got its own items
+            // in input order.
             assert_eq!(sums, vec![1200, 1225, 1250, 1275], "threads={threads}");
+            for (b, shard) in shards.iter().enumerate() {
+                let want: Vec<u64> = (b as u64..100).step_by(4).collect();
+                assert_eq!(shard, &want, "threads={threads}");
+            }
         }
     }
 

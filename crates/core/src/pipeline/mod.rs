@@ -10,9 +10,12 @@
 //! - [`CollectStage`] — Algorithm-1 collection: grows the monitored set
 //!   from the feed every monitoring round,
 //! - [`CrawlStage`] — the weekly crawl, shard-parallel via
-//!   [`CrawlExecutor`],
-//! - [`DiffStage`] — merges crawl outcomes in canonical FQDN order into the
-//!   change log and the sharded snapshot store,
+//!   [`CrawlExecutor`]: each worker diffs its FQDNs against the previous
+//!   snapshots and commits the new ones in place into the store shard it
+//!   owns; the round's changes join the change log in canonical FQDN order,
+//! - [`DiffStage`] — commits a replayed round (logged observations, in
+//!   canonical FQDN order) into the change log and the sharded snapshot
+//!   store,
 //! - [`IncrementalRetro`] — the retrospective §3.2 signature pass: one fold
 //!   over the change log that emits a [`crate::report::StudyResults`] at
 //!   the horizon.
@@ -51,8 +54,8 @@ mod retro;
 mod world_stage;
 
 pub use collect_stage::CollectStage;
-pub use crawl::{CrawlExecutor, CrawlOutcome, CrawlStage};
-pub use diff_stage::DiffStage;
+pub use crawl::{CrawlExecutor, CrawlRound, CrawlStage};
+pub use diff_stage::{CrawlOutcome, DiffStage};
 pub use exec::{ExecMetricNames, ShardedExecutor};
 pub use incr::{
     IncrementalRetro, ProvisionalCluster, ProvisionalRound, ProvisionalSignature,
@@ -171,8 +174,10 @@ pub struct RunState {
     pub monitored_by_service: BTreeMap<ServiceId, u64>,
     pub monitored_monthly: analysis::MonthlySeries,
     pub store: SnapshotStore,
-    /// Output of the crawl stage for the current round, in `monitored`
-    /// order; consumed by the diff stage.
+    /// A replayed round's logged observations, in `monitored` order:
+    /// installed by [`PersistStage::replay_round`] and committed by the
+    /// diff stage. Empty on live rounds, which the crawl stage commits
+    /// into [`RunState::store`] and [`RunState::changes`] itself.
     pub crawl_batch: Vec<CrawlOutcome>,
     pub changes: Vec<ChangeRecord>,
     pub ip_lottery_declines: u64,
@@ -261,7 +266,7 @@ impl RunState {
 
     /// Approximate resident bytes per monitored FQDN — see
     /// [`bytes_per_fqdn_of`]. Published as the `pipeline.bytes_per_fqdn`
-    /// gauge at every round boundary.
+    /// gauge once per run, at the last round the run commits.
     pub fn bytes_per_fqdn(&self) -> f64 {
         bytes_per_fqdn_of(&self.store, &self.monitored)
     }

@@ -1,11 +1,13 @@
 //! Persistence stage: append-only observation logging and checkpoint/resume.
 //!
-//! Sits after the crawl and before the diff in the weekly pipeline. During a
-//! live round it serializes every [`CrawlOutcome`] into the state
-//! directory's [`storelog`] (one segment per [`SnapshotStore`] shard, same
-//! partition as the parallel crawl), then seals the round with a fsynced
-//! commit carrying a [`Checkpoint`]. A crash at any point loses at most the
-//! round in flight.
+//! Sits after the crawl in the weekly pipeline. During a live round it
+//! serializes the round the crawl committed — for each monitored FQDN in
+//! canonical order, its new snapshot from the store and, when it changed,
+//! the `before` half of its record from the round's suffix of the change
+//! log — into the state directory's [`storelog`] (one segment per
+//! [`SnapshotStore`] shard, same partition as the parallel crawl), then
+//! seals the round with a fsynced commit carrying a [`Checkpoint`]. A crash
+//! at any point loses at most the round in flight.
 //!
 //! ## Resume = deterministic replay
 //!
@@ -30,8 +32,9 @@
 //! reproduce all of them exactly or resume aborts with
 //! [`PersistError::Diverged`].
 //!
-//! Because replayed rounds flow through the diff stage like live ones, they
-//! also feed the retro fold every round when `--incremental` is on:
+//! Replayed rounds are committed by the diff stage (as [`CrawlOutcome`]s in
+//! [`RunState::crawl_batch`]) where live ones are committed by the crawl,
+//! and both then feed the retro fold every round when `--incremental` is on:
 //! recorded segments stream straight into signature derivation without
 //! re-running the crawl (the `intern_equivalence` suite asserts a
 //! full-history replay records no crawl telemetry).
@@ -513,8 +516,10 @@ impl PersistStage {
     }
 
     /// If `now` is inside the recorded history, install the logged outcomes
-    /// as this round's crawl batch and return `true` — the caller skips the
-    /// crawl. Returns `false` past the frontier (or when not resuming).
+    /// as this round's crawl batch for the diff stage to commit and return
+    /// `true` — the caller skips the crawl. Replayed rounds carry no timing
+    /// telemetry (it is out-of-band and not persisted). Returns `false`
+    /// past the frontier (or when not resuming).
     pub fn replay_round(&mut self, rs: &mut RunState, now: SimTime) -> Result<bool, PersistError> {
         let Some(rep) = &mut self.replay else {
             return Ok(false);
@@ -535,42 +540,57 @@ impl PersistStage {
         }
         rs.crawl_batch = records
             .into_iter()
-            .map(|rec| {
-                let change = rec.change.map(|m| m.into_record(&rec.snap));
-                // Latency telemetry is out-of-band and not persisted; replayed
-                // rounds carry zeroed timings.
-                CrawlOutcome {
-                    snap: rec.snap,
-                    change,
-                    sim_elapsed_ns: 0,
-                    dns_elapsed_ns: 0,
-                }
+            .map(|rec| CrawlOutcome {
+                change: rec.change.map(|m| m.into_record(&rec.snap)),
+                snap: rec.snap,
             })
             .collect();
         Ok(true)
     }
 
-    /// Buffer this round's crawl outcomes into the log (in memory until
-    /// [`Self::finish_round`] makes them durable). Runs on live rounds only,
-    /// before the diff stage drains the batch.
+    /// Buffer the round the crawl just committed into the log (in memory
+    /// until [`Self::finish_round`] makes them durable): one record per
+    /// monitored FQDN in canonical order, its snapshot read from the store
+    /// and its change metadata from this round's suffix of the change log.
+    /// Runs on live rounds only.
     pub fn record_round(&mut self, rs: &RunState, now: SimTime) -> Result<(), PersistError> {
         let Some(writer) = self.writer.as_mut() else {
             // Only a resumed stage still short of its frontier has no writer.
             let frontier = self.replay.as_ref().map_or(now, |r| r.frontier);
             return Err(passed_frontier(now, frontier));
         };
-        for (i, out) in rs.crawl_batch.iter().enumerate() {
+        // The change log is in day order, and the round's changes are in
+        // canonical order: walk both in step.
+        let round_start = rs.changes.partition_point(|c| c.day < now);
+        let mut round_changes = rs.changes[round_start..].iter().peekable();
+        for (i, fqdn) in rs.monitored.iter().enumerate() {
+            let shard = rs.store.shard_of(fqdn);
+            let snap = rs.store.shards()[shard]
+                .get(fqdn)
+                .filter(|s| s.day == now)
+                .ok_or_else(|| {
+                    PersistError::Diverged(format!(
+                        "{fqdn} has no snapshot committed in round {}",
+                        now.0
+                    ))
+                })?;
+            let change = round_changes.next_if(|c| c.fqdn == *fqdn);
             let rec = ObsRecord {
                 round: now,
                 seq: i as u32,
-                snap: out.snap.clone(),
-                change: out.change.as_ref().map(ChangeMeta::from_record),
+                snap: snap.clone(),
+                change: change.map(ChangeMeta::from_record),
             };
-            let shard = rs.store.shard_of(&out.snap.fqdn);
             self.codecs[shard].encode_into(&rec, &mut self.scratch);
             writer.append(shard, &self.scratch);
         }
-        obs::counter("persist.records").add(rs.crawl_batch.len() as u64);
+        if let Some(c) = round_changes.next() {
+            return Err(PersistError::Diverged(format!(
+                "change of {} on day {} matches no monitored name in order",
+                c.fqdn, c.day.0
+            )));
+        }
+        obs::counter("persist.records").add(rs.monitored.len() as u64);
         Ok(())
     }
 

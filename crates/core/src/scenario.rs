@@ -285,7 +285,6 @@ impl Scenario {
                     rounds += 1;
                     m_rounds.inc();
                     m_monitored.set(rs.monitored.len() as f64);
-                    m_bytes_per_fqdn.set(rs.bytes_per_fqdn());
                     obs::progress!(
                         "round {rounds:>4}  day {:>5}  monitored {:>6}  changes +{:<5}  {:.1} ms",
                         now.0,
@@ -312,7 +311,14 @@ impl Scenario {
                         });
                         stop = stop || sink.stop_requested();
                     }
-                    if stop || max_rounds.is_some_and(|m| rounds >= m) {
+                    let last = stop || max_rounds.is_some_and(|m| rounds >= m);
+                    // The memory gauge walks the whole store, and every
+                    // reader reads it after the run: publish it once, at the
+                    // last round this run commits.
+                    if last || now + rs.cfg.monitor_interval_days > rs.horizon {
+                        m_bytes_per_fqdn.set(rs.bytes_per_fqdn());
+                    }
+                    if last {
                         break;
                     }
                 }

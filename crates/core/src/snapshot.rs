@@ -262,10 +262,10 @@ pub fn fqdn_shard(fqdn: &Name, n: usize) -> usize {
 ///
 /// Sharding serves the parallel monitoring pipeline: the crawl executor
 /// partitions work by [`SnapshotStore::shard_of`], so every worker thread
-/// touches a disjoint slice of the keyspace, and [`SnapshotStore::iter`]
-/// yields snapshots in canonical FQDN order — never raw `HashMap` order — so
-/// downstream passes (the §3.2 benign-corpus sample in particular) are
-/// byte-deterministic for any shard or thread count.
+/// commits into its own shard, a disjoint slice of the keyspace, and
+/// [`SnapshotStore::iter`] yields snapshots in canonical FQDN order — never
+/// raw `HashMap` order — so downstream passes (the §3.2 benign-corpus sample
+/// in particular) are byte-deterministic for any shard or thread count.
 #[derive(Debug)]
 pub struct SnapshotStore {
     shards: Vec<HashMap<Name, Snapshot>>,
@@ -307,6 +307,19 @@ impl SnapshotStore {
     pub fn insert(&mut self, snap: Snapshot) -> Option<Snapshot> {
         let shard = self.shard_of(&snap.fqdn);
         self.shards[shard].insert(snap.fqdn.clone(), snap)
+    }
+
+    /// The shards themselves, for a pass that already knows each FQDN's
+    /// shard (the hash is not free: it walks every label's text).
+    pub(crate) fn shards(&self) -> &[HashMap<Name, Snapshot>] {
+        &self.shards
+    }
+
+    /// The shards themselves, for a pass that commits into each shard from
+    /// its own worker. Shard `i` must only ever hold FQDNs whose
+    /// [`SnapshotStore::shard_of`] is `i`.
+    pub(crate) fn shards_mut(&mut self) -> &mut [HashMap<Name, Snapshot>] {
+        &mut self.shards
     }
 
     pub fn len(&self) -> usize {

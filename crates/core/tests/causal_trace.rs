@@ -223,15 +223,15 @@ fn bound_sites(n: usize) -> (CloudPlatform, ZoneSet, Vec<Name>) {
 fn queued_crawls_wait_for_the_earliest_slot() {
     let _g = lock();
     let (platform, zs, monitored) = bound_sites(1_200);
-    let store = SnapshotStore::with_shards(1);
+    let mut store = SnapshotStore::with_shards(1);
     let tree = RngTree::new(1);
     let exec = CrawlExecutor::new(2, 0.0).with_latency(LatencyProfile::by_name("wan").unwrap());
     obs::take_causal();
     obs::set_trace_sample(1);
     obs::set_causal_tracing(true);
-    let out = exec.run(
+    let round = exec.run(
         &monitored,
-        &store,
+        &mut store,
         &tree,
         SimTime(7),
         &|| Resolver::new(zs.clone()),
@@ -239,7 +239,8 @@ fn queued_crawls_wait_for_the_earliest_slot() {
     );
     obs::set_causal_tracing(false);
     let spans = obs::take_causal();
-    assert_eq!(out.len(), monitored.len());
+    assert_eq!(store.len(), monitored.len());
+    assert_eq!(round.dns_elapsed_ns.len(), monitored.len());
     let queued = spans
         .iter()
         .filter(|s| s.parent.is_none() && s.queue_wait_ns > 0)

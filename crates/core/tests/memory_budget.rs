@@ -93,7 +93,7 @@ fn scenario_publishes_bytes_per_fqdn_gauge_under_budget() {
     let gauge = obs::gauge("pipeline.bytes_per_fqdn").get();
     assert!(
         gauge > 0.0,
-        "the pipeline must publish pipeline.bytes_per_fqdn every round"
+        "the pipeline must publish pipeline.bytes_per_fqdn at its last round"
     );
     assert!(
         gauge <= BYTES_PER_FQDN_BUDGET,

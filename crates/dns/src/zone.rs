@@ -85,7 +85,12 @@ impl Zone {
             self.origin
         );
         let name = rr.name.clone();
-        let entry = self.records.entry(rr.name.clone()).or_default();
+        // Most owners hold one record (a CNAME, or a cloud name's A): start
+        // at capacity 1, not `Vec`'s minimum first allocation of 4.
+        let entry = self
+            .records
+            .entry(rr.name.clone())
+            .or_insert_with(|| Vec::with_capacity(1));
         let was_empty = entry.is_empty();
         match rr.rtype() {
             RecordType::Cname => entry.clear(),
