@@ -434,6 +434,27 @@ mod tests {
             .any(|t| t == "slot" || t == "judi" || t == "gacor"));
     }
 
+    /// Pins how much of the world's attacker stream one site build consumes:
+    /// the draw after each build must stay put, whatever the builder keeps.
+    #[test]
+    fn rng_use_is_pinned() {
+        let mut shell = spec(SeoTechnique::DoorwayPages);
+        shell.maintenance_shell_lang = Some("ja".into());
+        let cases = [
+            (spec(SeoTechnique::DoorwayPages), 360530645724127474u64),
+            (spec(SeoTechnique::JapaneseKeywordHack), 8881854363387407457),
+            (spec(SeoTechnique::LinkNetwork), 10093530235830573390),
+            (spec(SeoTechnique::KeywordStuffing), 1934212487494943119),
+            (spec(SeoTechnique::ClickJacking), 6108040070548795656),
+            (shell, 562325424097025130),
+        ];
+        for (seed, (sp, want)) in cases.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(100 + seed as u64);
+            build_abuse_site(&sp, "h.victim.com", &mut rng);
+            assert_eq!(rng.gen::<u64>(), want, "{:?}", sp.technique);
+        }
+    }
+
     #[test]
     fn average_page_weight_matches_paper() {
         let mut rng = StdRng::seed_from_u64(7);
