@@ -7,7 +7,7 @@
 //! pricing hook) with the `wan` profile (a keyed RNG draw per network wait
 //! and the slot scheduler's admission times).
 
-use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
+use cloudsim::{sitemap_bytes, AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dangling_core::pipeline::CrawlExecutor;
 use dangling_core::snapshot::SnapshotStore;
@@ -37,7 +37,7 @@ fn build(n: usize) -> (CloudPlatform, ZoneSet, Vec<Name>) {
             .unwrap();
         let mut content = SiteContent::placeholder(&format!("Site {i}"));
         if i % 3 == 0 {
-            content.sitemap = Some(Sitemap::synthetic(1_000, "<urlset/>".into()));
+            content.sitemap_bytes = Some(sitemap_bytes(1_000));
         }
         platform.set_content(id, content);
         let fqdn: Name = format!("s{i}.victim.com").parse().unwrap();

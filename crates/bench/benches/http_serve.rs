@@ -95,9 +95,8 @@ fn build() -> HttpWorld {
                 )
                 .unwrap();
             let fqdn = apex.child(sub).unwrap();
-            let host = fqdn.to_string();
             let content =
-                contentgen::benign_site(BenignKind::Corporate, &org_name, sector, &host, &mut rng);
+                contentgen::benign_site(BenignKind::Corporate, &org_name, sector, &mut rng);
             platform.set_content(id, content);
             platform.bind_custom_domain(id, fqdn.clone());
             let ip = platform.resource(id).unwrap().ip;

@@ -16,7 +16,7 @@
 //! Timing is min-of-N wall clock — the minimum is the least noisy estimator
 //! for a deterministic workload. Recorded baselines live in `BENCH_obs.json`.
 
-use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
+use cloudsim::{sitemap_bytes, AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent};
 use dangling_core::diff::record as diff_record;
 use dangling_core::monitor::Crawler;
 use dangling_core::pipeline::CrawlExecutor;
@@ -53,7 +53,7 @@ fn build(n: usize) -> (CloudPlatform, ZoneSet, Vec<Name>) {
             .unwrap();
         let mut content = SiteContent::placeholder(&format!("Site {i}"));
         if i % 3 == 0 {
-            content.sitemap = Some(Sitemap::synthetic(1_000, "<urlset/>".into()));
+            content.sitemap_bytes = Some(sitemap_bytes(1_000));
         }
         platform.set_content(id, content);
         let fqdn: Name = format!("s{i}.victim.com").parse().unwrap();

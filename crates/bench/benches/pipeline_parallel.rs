@@ -17,7 +17,7 @@
 //!
 //! which `scripts/bench_drift.py` checks against `BENCH_pipeline.json`.
 
-use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
+use cloudsim::{sitemap_bytes, AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dangling_core::diff::{ChangeKind, ChangeRecord};
 use dangling_core::exec_metric_names;
@@ -50,7 +50,7 @@ fn build(n: usize) -> (CloudPlatform, ZoneSet, Vec<Name>) {
             .unwrap();
         let mut content = SiteContent::placeholder(&format!("Site {i}"));
         if i % 3 == 0 {
-            content.sitemap = Some(Sitemap::synthetic(1_000, "<urlset/>".into()));
+            content.sitemap_bytes = Some(sitemap_bytes(1_000));
         }
         platform.set_content(id, content);
         let fqdn: Name = format!("s{i}.victim.com").parse().unwrap();

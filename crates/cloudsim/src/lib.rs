@@ -27,7 +27,7 @@ pub mod platform;
 pub mod provider;
 pub mod resource;
 
-pub use content::{PageStats, SiteContent, Sitemap};
+pub use content::{sitemap_bytes, SiteContent};
 pub use ip::{Cidr, IpPool, IpRangeTable};
 pub use platform::{CloudPlatform, PlatformConfig, RegisterError};
 pub use provider::{

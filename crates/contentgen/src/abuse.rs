@@ -11,8 +11,8 @@ use crate::corpus::{
     ADULT_KEYWORDS, GAMBLING_KEYWORDS, JAPANESE_FRAGMENTS, PHARMA_KEYWORDS, POPUNDER_SCRIPTS,
     SHOPPING_KEYWORDS, THAI_FRAGMENTS,
 };
-use crate::html::{sitemap_xml, HtmlDoc};
-use cloudsim::{PageStats, SiteContent, Sitemap};
+use crate::html::HtmlDoc;
+use cloudsim::{sitemap_bytes, SiteContent};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -128,17 +128,17 @@ impl AbuseSpec {
     }
 }
 
-/// Build the hosted content for `host` according to `spec`.
-pub fn build_abuse_site<R: Rng + ?Sized>(spec: &AbuseSpec, host: &str, rng: &mut R) -> SiteContent {
+/// Build the hosted content according to `spec`: the index page, and a
+/// sitemap sized to the spec's page store.
+pub fn build_abuse_site<R: Rng + ?Sized>(spec: &AbuseSpec, rng: &mut R) -> SiteContent {
     let kws = spec.keyword_pool();
-    let lang = spec.topic.language();
 
     // ----- index page -----
     let index_html = if let Some(shell_lang) = &spec.maintenance_shell_lang {
         // Innocuous shell; the real content hides in the page store.
         crate::benign::maintenance_shell(shell_lang)
     } else {
-        let mut doc = HtmlDoc::new(title_for(spec, rng)).with_lang(lang);
+        let mut doc = HtmlDoc::new(title_for(spec, rng)).with_lang(spec.topic.language());
         if spec.use_meta_keywords {
             for k in kws.iter().take(8) {
                 doc = doc.keyword(k);
@@ -173,38 +173,20 @@ pub fn build_abuse_site<R: Rng + ?Sized>(spec: &AbuseSpec, host: &str, rng: &mut
         doc.render()
     };
 
-    // ----- page store & sitemap -----
-    let page_names: Vec<String> = (0..spec.page_count.min(25))
-        .map(|i| random_page_name(rng, i))
-        .collect();
-    let sample_page = Some(build_inner_page(spec, rng));
-    let robots_txt = if matches!(spec.technique, SeoTechnique::JapaneseKeywordHack) {
-        // Point crawlers at the generated spam and away from the original
-        // content (§5.2.1 cloaking).
-        Some(format!(
-            "User-agent: *\nAllow: /{}\nDisallow: /original/\nSitemap: https://{host}/sitemap.xml\n",
-            page_names.first().cloned().unwrap_or_default()
-        ))
-    } else {
-        Some("User-agent: *\nAllow: /\n".to_string())
-    };
+    // The page store is served as nothing but the sitemap's size. Its page
+    // names and a sample inner page are still drawn, in this order, and
+    // dropped: they come from the shared attacker stream, so skipping them
+    // would shift every later attacker decision (ROADMAP item 14 moves
+    // content to keyed streams and removes these draws).
+    for i in 0..spec.page_count.min(25) {
+        random_page_name(rng, i);
+    }
+    build_inner_page(spec, rng);
 
     SiteContent {
         index_html: index_html.into(),
-        sitemap: Some(Sitemap {
-            entries: spec.page_count,
-            bytes: 120 + spec.page_count * 80,
-            sample_xml: sitemap_xml(host, &page_names),
-        }),
-        pages: PageStats {
-            count: spec.page_count,
-            // The paper's mean abused file is 52.4 kB.
-            total_bytes: spec.page_count * 52_400,
-        },
-        sample_page,
-        robots_txt,
+        sitemap_bytes: Some(sitemap_bytes(spec.page_count)),
         extra_headers: Vec::new(),
-        language: lang.to_string(),
     }
 }
 
@@ -354,7 +336,7 @@ mod tests {
     #[test]
     fn doorway_site_carries_keywords_and_identifiers() {
         let mut rng = StdRng::seed_from_u64(1);
-        let s = build_abuse_site(&spec(SeoTechnique::DoorwayPages), "h.victim.com", &mut rng);
+        let s = build_abuse_site(&spec(SeoTechnique::DoorwayPages), &mut rng);
         let kws = extract::meta_keywords(s.index_html.as_str());
         assert!(kws.contains(&"slot".to_string()));
         let ids = extract::identifiers(s.index_html.as_str());
@@ -362,9 +344,7 @@ mod tests {
         assert_eq!(ids.social, vec!["t.me/slotgacor88"]);
         assert!(!ids.ips.is_empty());
         assert!(s.index_html.as_str().contains("ref=REF777"));
-        assert_eq!(s.language, "id");
-        assert_eq!(s.pages.count, 31_810);
-        assert_eq!(s.sitemap.as_ref().unwrap().entries, 31_810);
+        assert_eq!(s.sitemap_bytes, Some(sitemap_bytes(31_810)));
     }
 
     #[test]
@@ -372,39 +352,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut sp = spec(SeoTechnique::DoorwayPages);
         sp.maintenance_shell_lang = Some("en".into());
-        let s = build_abuse_site(&sp, "h.victim.com", &mut rng);
+        let s = build_abuse_site(&sp, &mut rng);
         // Index is innocuous...
         assert!(s.index_html.as_str().contains("maintenance"));
         assert!(extract::identifiers(s.index_html.as_str()).is_empty());
         // ...but thousands of pages hide behind it.
-        assert!(s.pages.count > 10_000);
-        assert!(!extract::identifiers(s.sample_page.as_ref().unwrap()).is_empty());
-    }
-
-    #[test]
-    fn jkh_has_japanese_pages_and_robots_cloaking() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let s = build_abuse_site(
-            &spec(SeoTechnique::JapaneseKeywordHack),
-            "h.victim.com",
-            &mut rng,
-        );
-        let page = s.sample_page.unwrap();
-        assert_eq!(
-            crate::lang::detect(&extract::visible_text_chars(&page)),
-            Some(crate::lang::Language::Japanese)
-        );
-        let robots = s.robots_txt.unwrap();
-        assert!(robots.contains("Disallow: /original/"));
-        assert!(robots.contains("Sitemap:"));
+        assert!(s.sitemap_bytes > Some(sitemap_bytes(10_000)));
     }
 
     #[test]
     fn link_network_links_peers() {
         let mut rng = StdRng::seed_from_u64(4);
-        let s = build_abuse_site(&spec(SeoTechnique::LinkNetwork), "h.victim.com", &mut rng);
-        let page = s.sample_page.unwrap();
-        let hrefs = extract::hrefs(&page);
+        let s = build_abuse_site(&spec(SeoTechnique::LinkNetwork), &mut rng);
+        let hrefs = extract::hrefs(s.index_html.as_str());
         assert!(hrefs.iter().any(|h| h.contains("x.victim-a.com")));
         assert!(hrefs.iter().any(|h| h.contains("y.victim-b.org")));
     }
@@ -414,10 +374,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut sp = spec(SeoTechnique::ClickJacking);
         sp.topic = AbuseTopic::Adult;
-        let s = build_abuse_site(&sp, "h.victim.com", &mut rng);
+        let s = build_abuse_site(&sp, &mut rng);
         assert!(s.index_html.as_str().contains("addEventListener('click'"));
         assert!(s.index_html.as_str().contains("preventDefault"));
-        assert_eq!(s.language, "en");
     }
 
     #[test]
@@ -425,7 +384,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut sp = spec(SeoTechnique::KeywordStuffing);
         sp.use_meta_keywords = false;
-        let s = build_abuse_site(&sp, "h.victim.com", &mut rng);
+        let s = build_abuse_site(&sp, &mut rng);
         assert!(extract::meta_keywords(s.index_html.as_str()).is_empty());
         // Content keywords are still present in the body.
         let toks = extract::tokens(s.index_html.as_str());
@@ -450,15 +409,8 @@ mod tests {
         ];
         for (seed, (sp, want)) in cases.into_iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(100 + seed as u64);
-            build_abuse_site(&sp, "h.victim.com", &mut rng);
+            build_abuse_site(&sp, &mut rng);
             assert_eq!(rng.gen::<u64>(), want, "{:?}", sp.technique);
         }
-    }
-
-    #[test]
-    fn average_page_weight_matches_paper() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let s = build_abuse_site(&spec(SeoTechnique::DoorwayPages), "h", &mut rng);
-        assert_eq!(s.pages.total_bytes / s.pages.count, 52_400);
     }
 }

@@ -7,8 +7,8 @@
 //! flag; the registrar-diversity rule-out must discard them.
 
 use crate::corpus::{sector_words, MAINTENANCE_SHELLS};
-use crate::html::{sitemap_xml, HtmlDoc};
-use cloudsim::{PageStats, SiteContent, Sitemap};
+use crate::html::HtmlDoc;
+use cloudsim::{sitemap_bytes, SiteContent};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -31,7 +31,6 @@ pub fn benign_site<R: Rng + ?Sized>(
     kind: BenignKind,
     org_name: &str,
     sector: &str,
-    host: &str,
     rng: &mut R,
 ) -> SiteContent {
     let words = sector_words(match kind {
@@ -61,31 +60,10 @@ pub fn benign_site<R: Rng + ?Sized>(
         BenignKind::Government => rng.gen_range(30..300),
         BenignKind::Blog => rng.gen_range(5..50),
     };
-    let pages: Vec<String> = (0..page_count.min(20))
-        .map(|i| format!("page-{i}.html"))
-        .collect();
     SiteContent {
         index_html: doc.render().into(),
-        sitemap: Some(Sitemap {
-            entries: page_count,
-            bytes: 120 + page_count * 80,
-            sample_xml: sitemap_xml(host, &pages),
-        }),
-        pages: PageStats {
-            count: page_count,
-            total_bytes: page_count * 30_000,
-        },
-        sample_page: Some(
-            HtmlDoc::new(format!("{org_name} — information"))
-                .paragraph(format!(
-                    "More about the {} work we do.",
-                    words.first().unwrap()
-                ))
-                .render(),
-        ),
-        robots_txt: Some("User-agent: *\nAllow: /\n".to_string()),
+        sitemap_bytes: Some(sitemap_bytes(page_count)),
         extra_headers: Vec::new(),
-        language: "en".into(),
     }
 }
 
@@ -94,11 +72,7 @@ pub fn benign_site<R: Rng + ?Sized>(
 /// "game", "casino" in benign prose. These are what the paper's signature
 /// validation exists for: any derived signature generic enough to fire on
 /// them gets discarded (§3.2).
-pub fn benign_topical_site<R: Rng + ?Sized>(
-    org_name: &str,
-    host: &str,
-    rng: &mut R,
-) -> SiteContent {
+pub fn benign_topical_site<R: Rng + ?Sized>(org_name: &str, rng: &mut R) -> SiteContent {
     let angles = [
         "Regulators debate new rules for online game platforms and player protection",
         "Our review team compares the best online game releases of the season",
@@ -114,27 +88,10 @@ pub fn benign_topical_site<R: Rng + ?Sized>(
     doc = doc
         .link("/archive.html", "News archive")
         .link("/about.html", "About us");
-    let page_count = rng.gen_range(30..300);
-    let pages: Vec<String> = (0..10).map(|i| format!("story-{i}.html")).collect();
     SiteContent {
         index_html: doc.render().into(),
-        sitemap: Some(Sitemap {
-            entries: page_count,
-            bytes: 120 + page_count * 80,
-            sample_xml: sitemap_xml(host, &pages),
-        }),
-        pages: PageStats {
-            count: page_count,
-            total_bytes: page_count * 25_000,
-        },
-        sample_page: Some(
-            HtmlDoc::new("Story")
-                .paragraph("More coverage of the online game industry and its regulation.")
-                .render(),
-        ),
-        robots_txt: Some("User-agent: *\nAllow: /\n".to_string()),
+        sitemap_bytes: Some(sitemap_bytes(rng.gen_range(30..300))),
         extra_headers: Vec::new(),
-        language: "en".into(),
     }
 }
 
@@ -156,12 +113,8 @@ pub fn parked_site(provider: &str, rotation: u32) -> SiteContent {
         .link("/listings.html", "Sponsored listings");
     SiteContent {
         index_html: doc.render().into(),
-        sitemap: None,
-        pages: PageStats::default(),
-        sample_page: None,
-        robots_txt: None,
+        sitemap_bytes: None,
         extra_headers: Vec::new(),
-        language: "en".into(),
     }
 }
 
@@ -191,32 +144,19 @@ mod tests {
     #[test]
     fn corporate_site_has_sector_words() {
         let mut rng = StdRng::seed_from_u64(1);
-        let s = benign_site(
-            BenignKind::Corporate,
-            "Contoso",
-            "Financials",
-            "www.contoso.com",
-            &mut rng,
-        );
+        let s = benign_site(BenignKind::Corporate, "Contoso", "Financials", &mut rng);
         assert!(s.index_html.as_str().contains("Contoso"));
         let has_sector_word = sector_words("Financials")
             .iter()
             .any(|w| s.index_html.as_str().contains(w));
         assert!(has_sector_word);
-        assert!(s.sitemap.is_some());
-        assert_eq!(s.language, "en");
+        assert!(s.sitemap_bytes.is_some());
     }
 
     #[test]
     fn blog_has_wordpress_generator() {
         let mut rng = StdRng::seed_from_u64(2);
-        let s = benign_site(
-            BenignKind::Blog,
-            "My Blog",
-            "Technology",
-            "blog.x.com",
-            &mut rng,
-        );
+        let s = benign_site(BenignKind::Blog, "My Blog", "Technology", &mut rng);
         assert!(s.index_html.as_str().contains("WordPress"));
     }
 
@@ -258,13 +198,7 @@ mod tests {
     fn deterministic_given_seed() {
         let mk = || {
             let mut rng = StdRng::seed_from_u64(7);
-            benign_site(
-                BenignKind::University,
-                "State U",
-                "Education",
-                "u.edu",
-                &mut rng,
-            )
+            benign_site(BenignKind::University, "State U", "Education", &mut rng)
         };
         assert_eq!(mk().index_html, mk().index_html);
     }

@@ -146,16 +146,6 @@ fn escape(s: &str) -> String {
         .replace('"', "&quot;")
 }
 
-/// Build a sitemap XML sample for `host` with `n` entries (capped).
-pub fn sitemap_xml(host: &str, page_names: &[String]) -> String {
-    let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<urlset>\n");
-    for p in page_names {
-        let _ = writeln!(out, "  <url><loc>https://{host}/{p}</loc></url>");
-    }
-    out.push_str("</urlset>\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,12 +178,5 @@ mod tests {
         let html = HtmlDoc::new("<script>").paragraph("a < b & c").render();
         assert!(html.contains("<title>&lt;script&gt;</title>"));
         assert!(html.contains("a &lt; b &amp; c"));
-    }
-
-    #[test]
-    fn sitemap_sample() {
-        let xml = sitemap_xml("x.example.com", &["a.html".into(), "b.html".into()]);
-        assert!(xml.contains("<loc>https://x.example.com/a.html</loc>"));
-        assert_eq!(xml.matches("<url>").count(), 2);
     }
 }

@@ -123,7 +123,9 @@ impl Crawler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
+    use cloudsim::{
+        sitemap_bytes, AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent,
+    };
     use dns::{RecordData, ResourceRecord, Zone, ZoneSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -142,7 +144,7 @@ mod tests {
             )
             .unwrap();
         let mut content = SiteContent::placeholder("ACME shop");
-        content.sitemap = Some(Sitemap::synthetic(40_000, "<urlset/>".into()));
+        content.sitemap_bytes = Some(sitemap_bytes(40_000));
         platform.set_content(id, content);
         platform.bind_custom_domain(id, "shop.acme.com".parse().unwrap());
 
@@ -202,7 +204,6 @@ mod tests {
             contentgen::BenignKind::Corporate,
             "ACME",
             "Retail",
-            "shop.acme.com",
             &mut rng,
         );
         let abuse = contentgen::abuse::build_abuse_site(
@@ -216,7 +217,6 @@ mod tests {
                 network_peers: vec![],
                 template_keywords: vec![],
             },
-            "shop.acme.com",
             &mut rng,
         );
         let check = |platform: &CloudPlatform, status: u16| {

@@ -148,11 +148,7 @@ impl WorldStage {
         } else if org.category == worldgen::OrgCategory::Popular && self.org_rng.gen_bool(0.03) {
             // Benign sites whose vocabulary brushes the abuse lexicon — the
             // §3.2 validation corpus needs them.
-            contentgen::benign::benign_topical_site(
-                &org.name,
-                &plan.subdomain.to_string(),
-                &mut self.org_rng,
-            )
+            contentgen::benign::benign_topical_site(&org.name, &mut self.org_rng)
         } else {
             contentgen::benign::benign_site(
                 match org.category {
@@ -162,7 +158,6 @@ impl WorldStage {
                 },
                 &org.name,
                 org.sector,
-                &plan.subdomain.to_string(),
                 &mut self.org_rng,
             )
         };
@@ -400,11 +395,7 @@ impl WorldStage {
                     &self.campaign_state[ci].hijacked_hosts,
                     &mut self.attacker_rng,
                 );
-                let content = contentgen::abuse::build_abuse_site(
-                    &spec,
-                    &finding.victim_fqdn.to_string(),
-                    &mut self.attacker_rng,
-                );
+                let content = contentgen::abuse::build_abuse_site(&spec, &mut self.attacker_rng);
                 rs.world.platform.set_content(rid, content);
                 self.campaign_state[ci]
                     .hijacked_hosts
@@ -577,7 +568,6 @@ impl WorldStage {
                 contentgen::BenignKind::Corporate,
                 &org.name,
                 org.sector,
-                &plan.subdomain.to_string(),
                 &mut self.benign_rng,
             );
             rs.world.platform.set_content(rid, content);

@@ -123,7 +123,6 @@ impl World {
                     },
                     &org.name,
                     org.sector,
-                    &org.apex.to_string(),
                     &mut rng,
                 )
             };

@@ -21,7 +21,7 @@
 
 mod golden;
 
-use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
+use cloudsim::{sitemap_bytes, AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent};
 use dangling_core::pipeline::CrawlExecutor;
 use dangling_core::scenario::Scenario;
 use dangling_core::snapshot::SnapshotStore;
@@ -196,7 +196,7 @@ fn bound_sites(n: usize) -> (CloudPlatform, ZoneSet, Vec<Name>) {
             .unwrap();
         let mut content = SiteContent::placeholder(&format!("Site {i}"));
         if i % 3 == 0 {
-            content.sitemap = Some(Sitemap::synthetic(1_000, "<urlset/>".into()));
+            content.sitemap_bytes = Some(sitemap_bytes(1_000));
         }
         platform.set_content(id, content);
         let fqdn: Name = format!("s{i}.victim.com").parse().unwrap();

@@ -59,7 +59,7 @@ pub struct Response {
     pub headers: HeaderMap,
     pub body: Body,
     /// Advertised size in bytes: the body's length, except for a sitemap,
-    /// which advertises the size of the whole file it samples.
+    /// which is served as an empty body advertising the sitemap's size.
     pub content_length: u64,
 }
 

@@ -96,10 +96,7 @@ fn hijack_kill_chain() {
         network_peers: vec![],
         template_keywords: vec![],
     };
-    platform.set_content(
-        hid,
-        contentgen::abuse::build_abuse_site(&spec, "promo.megacorp.com", &mut arng),
-    );
+    platform.set_content(hid, contentgen::abuse::build_abuse_site(&spec, &mut arng));
 
     // 5. The crawler now sees gambling content on the victim domain.
     let resolver = build_resolver(&platform, &org_zone);
