@@ -290,7 +290,8 @@ impl CloudPlatform {
     }
 
     /// Release a resource: its name/IP becomes available again, routing and
-    /// platform DNS entries are removed. Idempotent.
+    /// platform DNS entries are removed, and its content is dropped (nothing
+    /// routes to it again, and content cannot be set on it). Idempotent.
     pub fn release(&mut self, id: ResourceId, now: SimTime) {
         let Some(res) = self.resources.get_mut(&id) else {
             return;
@@ -299,7 +300,7 @@ impl CloudPlatform {
             return;
         }
         res.state = ResourceState::Released { at: now };
-        let res = self.resources.get(&id).unwrap().clone();
+        res.content = SiteContent::default();
         if let Some(name) = &res.name {
             let key = (res.service, name.clone(), res.region.clone());
             self.active_names.remove(&key);
@@ -859,7 +860,12 @@ mod tests {
             )
             .unwrap();
         let ip = p.resource(id).unwrap().ip;
+        p.set_content(id, SiteContent::placeholder("Heroku app"));
         p.release(id, SimTime(1));
+        // Its content goes with it, and none can be set again.
+        assert_eq!(p.resource(id).unwrap().content, SiteContent::default());
+        assert!(!p.set_content(id, SiteContent::placeholder("again")));
+        assert_eq!(p.resource(id).unwrap().content, SiteContent::default());
         let resp = p
             .http_serve(ip, &Request::get("app1.herokuapp.com", "/"), SimTime(2))
             .unwrap();
