@@ -107,7 +107,7 @@ pub struct ShardCodec {
     /// Dense name table; ids are assigned in stream order, shared between
     /// observed FQDNs and CNAME targets.
     names: Vec<Name>,
-    name_ids: HashMap<String, u32>,
+    name_ids: HashMap<Name, u32>,
     /// Per name id: the previous snapshot of that FQDN and the low 16 bits
     /// of FNV-64 over its record's payload bytes (the delta chain check).
     /// `None` for names only ever seen as CNAME targets.
@@ -140,13 +140,12 @@ impl ShardCodec {
     // -- name table ---------------------------------------------------------
 
     fn intern_name(&mut self, name: &Name) -> u32 {
-        let key = name.to_string();
-        match self.name_ids.get(&key) {
+        match self.name_ids.get(name) {
             Some(&id) => id,
             None => {
                 let id = self.names.len() as u32;
                 self.names.push(name.clone());
-                self.name_ids.insert(key, id);
+                self.name_ids.insert(name.clone(), id);
                 self.last.push(None);
                 id
             }
@@ -173,22 +172,21 @@ impl ShardCodec {
         }
         let name = Name::from_labels(labels)
             .map_err(|e| CodecError::Malformed(format!("invalid name: {e}")))?;
-        let key = name.to_string();
-        if self.name_ids.contains_key(&key) {
+        if self.name_ids.contains_key(&name) {
             return Err(CodecError::Malformed(format!(
-                "duplicate name definition of {key} (duplicated or spliced frame)"
+                "duplicate name definition of {name} (duplicated or spliced frame)"
             )));
         }
         let id = self.names.len() as u32;
-        self.names.push(name);
-        self.name_ids.insert(key, id);
+        self.names.push(name.clone());
+        self.name_ids.insert(name, id);
         self.last.push(None);
         Ok(id)
     }
 
     /// `0` = new name (labels follow), `k>0` = existing id `k-1`.
     fn put_name_ref(&mut self, name: &Name, out: &mut Vec<u8>) -> u32 {
-        match self.name_ids.get(&name.to_string()).copied() {
+        match self.name_ids.get(name).copied() {
             Some(id) => {
                 put_uvarint(id as u64 + 1, out);
                 id
@@ -212,7 +210,7 @@ impl ShardCodec {
     fn put_opt_name_ref(&mut self, name: Option<&Name>, out: &mut Vec<u8>) {
         match name {
             None => put_uvarint(0, out),
-            Some(n) => match self.name_ids.get(&n.to_string()).copied() {
+            Some(n) => match self.name_ids.get(n).copied() {
                 Some(id) => put_uvarint(id as u64 + 2, out),
                 None => {
                     put_uvarint(1, out);
@@ -249,7 +247,7 @@ impl ShardCodec {
         out.clear();
         let known = self
             .name_ids
-            .get(&rec.snap.fqdn.to_string())
+            .get(&rec.snap.fqdn)
             .copied()
             .filter(|&id| self.last[id as usize].is_some());
         let id = match known {
