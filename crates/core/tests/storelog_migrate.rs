@@ -56,9 +56,21 @@ fn fixture_path() -> PathBuf {
 }
 
 fn copy_fixture(tag: &str) -> TempDir {
+    copy_dir(&fixture_path(), tag)
+}
+
+/// `tests/fixtures/v2_state/`: the v1 fixture as `repro --migrate-state`
+/// rewrites it.
+fn copy_v2_fixture(tag: &str) -> TempDir {
+    copy_dir(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2_state"),
+        tag,
+    )
+}
+
+fn copy_dir(src: &Path, tag: &str) -> TempDir {
     let dst = TempDir::new(tag);
-    for entry in std::fs::read_dir(fixture_path()).expect("fixture dir exists — see module docs")
-    {
+    for entry in std::fs::read_dir(src).expect("fixture dir exists — see module docs") {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), dst.0.join(entry.file_name())).unwrap();
     }
@@ -124,6 +136,16 @@ fn migrated_fixture_replays_to_the_uninterrupted_baseline() {
         out, baseline,
         "migrated fixture resume diverged from baseline"
     );
+}
+
+#[test]
+fn v2_fixture_replays_to_the_uninterrupted_baseline() {
+    // The recorded rounds replay from the committed records, the rest of
+    // the horizon is crawled live and appended.
+    let dir = copy_v2_fixture("v2");
+    let out = resume(&dir.0, 2).expect("resume of the v2 fixture");
+    let baseline = serde_json::to_string(&Scenario::new(fixture_cfg(1)).run()).unwrap();
+    assert_eq!(out, baseline, "v2 fixture resume diverged from baseline");
 }
 
 #[test]
