@@ -7,9 +7,7 @@
 //! ```
 
 use bench::{render_target, ABLATIONS, TARGETS};
-use dangling_core::{
-    compact_state_dir, infra, migrate_state_dir, PersistOptions, Scenario, ScenarioConfig,
-};
+use dangling_core::{compact_state_dir, infra, PersistOptions, Scenario, ScenarioConfig};
 use std::cell::LazyCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,7 +44,6 @@ fn main() {
     let mut incremental = false;
     let mut max_rounds: Option<u64> = None;
     let mut compact = false;
-    let mut migrate = false;
     let mut trace_path: Option<String> = None;
     let mut trace_sample: u64 = 1;
     let mut critical_path_flag = false;
@@ -112,7 +109,6 @@ fn main() {
                 );
             }
             "--compact" => compact = true,
-            "--migrate-state" => migrate = true,
             "--trace" => {
                 trace_path = Some(args.next().expect("--trace takes an output path"));
             }
@@ -140,7 +136,6 @@ fn main() {
                     "usage: repro [--scale N | --profile paper-scale] [--seed N] [--threads N] \
                      [--latency-profile NAME] [--json OUT] \
                      [--persist | --state-dir DIR] [--resume] [--incremental] [--rounds N] \
-                     [--migrate-state] \
                      [--serve] [--serve-queries FILE] [--serve-out FILE] \
                      [--compact] [--trace OUT] [--trace-sample N] [--critical-path] \
                      [--metrics OUT] [--progress] [-q] <targets...>"
@@ -174,10 +169,9 @@ fn main() {
                 println!("--persist records observations to ./repro_state (--state-dir names it);");
                 println!("--resume continues a recorded run, --rounds N stops after N rounds,");
                 println!("--compact drops superseded records from the state dir and exits.");
-                println!("--migrate-state rewrites a v1 (JSON-payload) state dir to v2 in place");
-                println!("  and exits (original kept as DIR.v1.bak; replayed results are");
-                println!("  byte-identical). State dirs record, resume and compact only in v2:");
-                println!("  a v1 dir must be migrated before --resume or --compact.");
+                println!("State dirs record, resume and compact only in storelog format v2;");
+                println!("  a dir in another format is refused untouched (see");
+                println!("  crates/storelog/MIGRATIONS.md).");
                 println!("--trace OUT writes a Chrome trace_event JSON of pipeline spans");
                 println!("  (load it at ui.perfetto.dev); --metrics OUT dumps every counter,");
                 println!("  gauge and histogram as JSON. Telemetry never changes results.");
@@ -211,18 +205,6 @@ fn main() {
     obs::set_trace_sample(trace_sample);
     if trace_path.is_some() || critical_path_flag {
         obs::set_causal_tracing(true);
-    }
-    if migrate {
-        let dir = state_dir.unwrap_or_else(|| "repro_state".into());
-        match migrate_state_dir(std::path::Path::new(&dir)) {
-            // migrate_state_dir logs the full stat line (rounds, records,
-            // payload bytes, backup path) itself.
-            Ok(_stats) => return,
-            Err(e) => {
-                obs::warn!("error: {e}");
-                std::process::exit(1);
-            }
-        }
     }
     if compact {
         let dir = state_dir.unwrap_or_else(|| "repro_state".into());

@@ -46,9 +46,7 @@ pub mod signature;
 pub mod snapshot;
 pub mod world;
 
-pub use pipeline::persist::{
-    compact_state_dir, migrate_state_dir, MigrateStats, PersistError, PersistOptions, OBS_FORMAT,
-};
+pub use pipeline::persist::{compact_state_dir, PersistError, PersistOptions, OBS_FORMAT};
 pub use pipeline::{
     bytes_per_fqdn_of, ProvisionalCluster, ProvisionalRound, ProvisionalSignature,
     ProvisionalVerdict, RoundSink, RoundView, BYTES_PER_FQDN_BUDGET,

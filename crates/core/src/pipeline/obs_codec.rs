@@ -1,7 +1,6 @@
 //! Binary `ObsRecord` codec for storelog format v2 — the only record
-//! payload encoding the pipeline writes, replays, appends to or compacts.
-//! (The v1 JSON payloads it replaced are decoded in exactly one place,
-//! [`super::persist::migrate_state_dir`].)
+//! payload encoding the pipeline reads or writes. (The v1 JSON payloads it
+//! replaced are retired: see `crates/storelog/MIGRATIONS.md`.)
 //!
 //! One [`ShardCodec`] per segment shard, shared shape between encoder and
 //! decoder: the codec context (interned labels/strings, the name table, and

@@ -51,11 +51,11 @@
 //! ## One payload format
 //!
 //! Records are written, replayed, appended to and compacted only in the
-//! current binary format ([`OBS_FORMAT`], [`super::obs_codec`]). A state dir
-//! recorded with v1 JSON payloads is refused by [`PersistStage::open`] and
-//! [`compact_state_dir`] untouched, with a pointer at
-//! `repro --migrate-state`; [`migrate_state_dir`] is the one place that
-//! still decodes v1.
+//! binary format ([`OBS_FORMAT`], [`super::obs_codec`]). A state dir in any
+//! other format, the retired v1 JSON payloads included, is refused untouched
+//! by storelog's one version gate in [`LogReader::open`], which both
+//! [`PersistStage::open`] and [`compact_state_dir`] go through first; the
+//! refusal points at `crates/storelog/MIGRATIONS.md`.
 
 use super::obs_codec::ShardCodec;
 use super::{CrawlOutcome, RunState};
@@ -70,15 +70,15 @@ use storelog::{CompactStats, LogReader, LogWriter, ShardStream};
 
 /// Version of the record/checkpoint payloads inside the storelog frames,
 /// tracking [`storelog::FORMAT_VERSION`]: v2 = binary interned/delta
-/// records ([`super::obs_codec`]); the retired v1 was JSON `ObsRecord`s.
-/// Checkpoints are JSON in both. Bump only with a migration note in
-/// `crates/storelog/MIGRATIONS.md`. This build writes, resumes and compacts
-/// only this format; v1 dirs are input to [`migrate_state_dir`].
+/// records ([`super::obs_codec`]) with JSON checkpoints. Bump only with a
+/// migration note in `crates/storelog/MIGRATIONS.md`. This is the only
+/// format this build reads or writes.
 pub const OBS_FORMAT: u32 = storelog::FORMAT_VERSION;
 
 /// One logged observation: what one crawl task produced in one round. The
-/// serde derives are the v1 JSON payload schema [`migrate_state_dir`]
-/// decodes.
+/// serde derives are not an on-disk format (v2 payloads are
+/// [`super::obs_codec`]); they give tests a field-by-field equality for
+/// decoded records and size the retired v1 JSON encoding for comparison.
 ///
 /// `seq` is the FQDN's index in the canonical monitored order of its round,
 /// so replay can reassemble the batch in exactly the order the diff stage
@@ -334,15 +334,14 @@ impl ReplayData {
     /// stream (None for a dir that never committed a round). Only the
     /// segment bytes are read here; records decode as replay reaches them.
     fn open(reader: &LogReader, dir: &Path) -> Result<Option<Self>, PersistError> {
-        let version = reader.format_version();
         let shards = reader.shard_count();
         let Some(commit) = reader.last_commit() else {
             return Ok(None);
         };
         let checkpoint: Checkpoint = serde_json::from_slice(&commit.app)?;
-        if checkpoint.format != version {
+        if checkpoint.format != OBS_FORMAT {
             return Err(PersistError::Diverged(format!(
-                "checkpoint says payload format v{}, FORMAT file says v{version}",
+                "checkpoint says payload format v{}, this build reads v{OBS_FORMAT}",
                 checkpoint.format
             )));
         }
@@ -419,22 +418,6 @@ fn fresh_codecs(shards: usize) -> Vec<ShardCodec> {
     (0..shards).map(|_| ShardCodec::new()).collect()
 }
 
-/// Refuse a state dir whose payloads are not [`OBS_FORMAT`], naming the
-/// migration that upgrades it. Checked before anything else about the dir,
-/// which it leaves untouched.
-fn require_current_format(dir: &Path, version: u32) -> Result<(), PersistError> {
-    if version == OBS_FORMAT {
-        return Ok(());
-    }
-    Err(PersistError::Store(storelog::Error::Format(format!(
-        "state dir {} holds payload format v{version}; this build resumes and \
-         compacts only v{OBS_FORMAT}. Migrate it first: \
-         repro --migrate-state --state-dir {}",
-        dir.display(),
-        dir.display()
-    ))))
-}
-
 /// The serialized config a state dir is stamped with. The crawl thread
 /// count is zeroed first: by the pipeline's determinism contract it cannot
 /// change results, so recording at 8 threads and resuming at 1 is legal —
@@ -449,8 +432,8 @@ fn config_fingerprint(cfg: &ScenarioConfig) -> Result<Vec<u8>, PersistError> {
 impl PersistStage {
     /// Open or create the state directory. With `opts.resume` and existing
     /// state, loads the recorded history for replay; a fresh or empty dir
-    /// starts a new recording either way. A dir in an older payload format
-    /// is refused (see [`migrate_state_dir`]).
+    /// starts a new recording either way. A dir in another format is refused
+    /// untouched by [`LogReader::open`].
     pub fn open(
         opts: &PersistOptions,
         cfg: &ScenarioConfig,
@@ -476,7 +459,6 @@ impl PersistStage {
             }
             Err(e) => return Err(e.into()),
         };
-        require_current_format(dir, reader.format_version())?;
         if !opts.resume {
             return Err(PersistError::AlreadyExists(dir.clone()));
         }
@@ -658,11 +640,9 @@ fn passed_frontier(now: SimTime, frontier: SimTime) -> PersistError {
 ///
 /// Intern ids and delta bases are positional in the stream, so the
 /// surviving records are *transcoded* with a fresh [`ShardCodec`] per shard
-/// ([`storelog::compact_with`]). A v1 dir is refused untouched: migrate it
-/// first.
+/// ([`storelog::compact_with`]), which refuses a dir in another format
+/// untouched.
 pub fn compact_state_dir(dir: &Path) -> Result<CompactStats, PersistError> {
-    let (version, _) = storelog::read_format(dir)?;
-    require_current_format(dir, version)?;
     let stats = storelog::compact_with(dir, |shard, payloads| {
         let mut dec = ShardCodec::new();
         let recs: Vec<ObsRecord> = payloads
@@ -690,123 +670,6 @@ pub fn compact_state_dir(dir: &Path) -> Result<CompactStats, PersistError> {
         }
         Ok(out)
     })?;
-    Ok(stats)
-}
-
-/// Outcome of [`migrate_state_dir`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MigrateStats {
-    /// Committed rounds carried over.
-    pub rounds: u64,
-    /// Data records transcoded.
-    pub records: u64,
-    /// Total segment bytes before (v1) and after (v2).
-    pub bytes_before: u64,
-    pub bytes_after: u64,
-}
-
-/// Rewrite a v1 (JSON-payload) state dir to the current v2 binary format,
-/// in place. Records are transcoded commit by commit so every original
-/// round boundary and checkpoint survives (the checkpoint's `format` field
-/// is rewritten 1→2); the replayed history of the migrated dir is
-/// byte-identical to the original's.
-///
-/// Crash-safe: the new dir is built as a sibling `<dir>.v2.tmp`, then
-/// published by renaming the original to `<dir>.v1.bak` and the temp dir
-/// into place. A crash at any point leaves the original recoverable (under
-/// its own name or the `.v1.bak` name); a leftover `.v2.tmp` from an
-/// earlier crash is discarded and rebuilt. Refused if `<dir>.v1.bak`
-/// already exists (a previous migration's backup would be clobbered).
-pub fn migrate_state_dir(dir: &Path) -> Result<MigrateStats, PersistError> {
-    let (version, shards) = storelog::read_format(dir)?;
-    if version != 1 {
-        return Err(PersistError::Store(storelog::Error::Format(format!(
-            "migrate expects a v1 state dir, {} is v{version}",
-            dir.display()
-        ))));
-    }
-    let reader = LogReader::open(dir)?;
-    let file_name = dir
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| storelog::Error::Format(format!("bad state dir path {}", dir.display())))?;
-    let tmp = dir.with_file_name(format!("{file_name}.v2.tmp"));
-    let bak = dir.with_file_name(format!("{file_name}.v1.bak"));
-    if bak.exists() {
-        return Err(PersistError::Store(storelog::Error::Format(format!(
-            "backup {} already exists; remove it before migrating again",
-            bak.display()
-        ))));
-    }
-    if tmp.exists() {
-        std::fs::remove_dir_all(&tmp).map_err(storelog::Error::Io)?;
-    }
-    std::fs::create_dir_all(&tmp).map_err(storelog::Error::Io)?;
-    let mut writer = LogWriter::create(&tmp, shards, reader.config())?;
-
-    // Walk the committed history oldest-first, consuming each shard's
-    // payload stream up to every commit's recorded offset — the transcoded
-    // dir gets one commit per original commit, at the transcoded offsets.
-    let mut stats = MigrateStats {
-        rounds: 0,
-        records: 0,
-        bytes_before: 0,
-        bytes_after: 0,
-    };
-    let mut codecs = fresh_codecs(shards);
-    let mut streams = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        streams.push(reader.stream_shard(shard)?);
-    }
-    let mut iters: Vec<_> = streams.iter().map(|s| s.iter()).collect();
-    let mut consumed = vec![0u64; shards]; // v1 bytes consumed per shard
-    let mut buf = Vec::new();
-    for commit in reader.commits() {
-        for shard in 0..shards {
-            let target = commit.offsets[shard];
-            while consumed[shard] < target {
-                let Some(payload) = iters[shard].next() else {
-                    return Err(PersistError::Diverged(format!(
-                        "shard {shard}: commit offset {target} past the end \
-                         of the committed stream",
-                    )));
-                };
-                consumed[shard] += storelog::frame::frame_len(payload.len()) as u64;
-                let rec: ObsRecord = serde_json::from_slice(payload)?;
-                codecs[shard].encode_into(&rec, &mut buf);
-                writer.append(shard, &buf);
-                stats.records += 1;
-                stats.bytes_before += payload.len() as u64;
-                stats.bytes_after += buf.len() as u64;
-            }
-            if consumed[shard] != target {
-                return Err(PersistError::Diverged(format!(
-                    "shard {shard}: commit offset {target} does not land on \
-                     a frame boundary ({} consumed)",
-                    consumed[shard]
-                )));
-            }
-        }
-        let mut cp: Checkpoint = serde_json::from_slice(&commit.app)?;
-        cp.format = 2;
-        writer.commit(&serde_json::to_vec(&cp)?)?;
-        stats.rounds += 1;
-    }
-    drop(writer);
-
-    // Publish: original out of the way first, then the new dir into place.
-    std::fs::rename(dir, &bak).map_err(storelog::Error::Io)?;
-    std::fs::rename(&tmp, dir).map_err(storelog::Error::Io)?;
-    obs::info!(
-        "migrated {} to format v2: {} round(s), {} record(s), {} -> {} payload bytes \
-         (v1 original kept at {})",
-        dir.display(),
-        stats.rounds,
-        stats.records,
-        stats.bytes_before,
-        stats.bytes_after,
-        bak.display()
-    );
     Ok(stats)
 }
 

@@ -35,7 +35,8 @@ pub struct CompactStats {
 /// message. A v2 interned/delta stream is decoded, filtered, and re-encoded
 /// against a fresh table by the application-side `plan`. Uncommitted tails
 /// are discarded (they were already invisible); a log that never committed
-/// is a no-op, and a dir in an older format is refused untouched.
+/// is a no-op, and a dir in another format is refused untouched by
+/// [`LogReader::open`].
 ///
 /// Crash safety: tmp files, fsync, segments-then-commit renames, directory
 /// sync (see the module docs).
@@ -44,7 +45,6 @@ pub fn compact_with(
     mut plan: impl FnMut(usize, Vec<Vec<u8>>) -> std::result::Result<Vec<Vec<u8>>, String>,
 ) -> Result<CompactStats> {
     let reader = LogReader::open(dir)?;
-    reader.require_current_format()?;
     let layout = Layout::new(dir);
     let shards = reader.shard_count();
     let Some(head) = reader.last_commit().cloned() else {
@@ -271,12 +271,18 @@ mod tests {
         let layout = Layout::new(&t.0);
         std::fs::write(layout.format_file(), "storelog 1\nshards 1\n").unwrap();
         let seg = std::fs::read(layout.segment_file(0)).unwrap();
-        assert!(matches!(
-            compact_with(&t.0, supersede),
-            Err(Error::Format(_))
-        ));
+        let commits = std::fs::read(layout.commits_file()).unwrap();
+        for err in [
+            compact_with(&t.0, supersede).err(),
+            LogReader::open(&t.0).err(),
+        ] {
+            match err {
+                Some(Error::Format(m)) => assert!(m.contains("MIGRATIONS.md"), "{m}"),
+                other => panic!("expected a format error, got {other:?}"),
+            }
+        }
         assert_eq!(std::fs::read(layout.segment_file(0)).unwrap(), seg);
-        assert_eq!(LogReader::open(&t.0).unwrap().commits().len(), 2);
+        assert_eq!(std::fs::read(layout.commits_file()).unwrap(), commits);
     }
 
     #[test]

@@ -69,18 +69,15 @@ pub use log::{CommitRecord, LogReader, LogWriter, ShardStream};
 
 use std::path::{Path, PathBuf};
 
-/// The on-disk format version, the only one this build creates, appends to
-/// or compacts. Bump ONLY with a migration note in
-/// `crates/storelog/MIGRATIONS.md` — CI fails the build otherwise.
+/// The on-disk format version, the only one this build reads or writes.
+/// Bump ONLY with a migration note in `crates/storelog/MIGRATIONS.md` — CI
+/// fails the build otherwise.
 ///
 /// v2 changed the *record payload* encoding (binary interned/delta records,
-/// see MIGRATIONS.md); the frame, commit and recovery machinery is identical
-/// in v1 and v2, so [`LogReader`] still opens v1 dirs — as the input of the
-/// application's v1→v2 migration, never to append to them.
+/// see MIGRATIONS.md). A dir in any other version, the retired v1 included,
+/// is refused by [`LogReader::open`] before anything else is read, so every
+/// caller refuses it untouched through that one check.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest format version this build still reads (to migrate it).
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Everything that can go wrong opening, reading or writing a state dir.
 #[derive(Debug)]
@@ -111,13 +108,6 @@ impl From<std::io::Error> for Error {
 }
 
 pub type Result<T> = std::result::Result<T, Error>;
-
-/// Read a state dir's FORMAT marker — `(format_version, shard_count)` —
-/// without recovery analysis. The cheap way for an application to decide
-/// which payload codec (or migration) a dir needs before opening it.
-pub fn read_format(dir: &Path) -> Result<(u32, usize)> {
-    Layout::new(dir).read_format()
-}
 
 /// Path helpers for one state directory.
 pub(crate) struct Layout {
@@ -156,8 +146,9 @@ impl Layout {
         Ok(())
     }
 
-    /// Parse the FORMAT marker, returning `(version, shard count)`.
-    pub fn read_format(&self) -> Result<(u32, usize)> {
+    /// Parse the FORMAT marker, returning the shard count. The one version
+    /// gate: a dir in any format but [`FORMAT_VERSION`] is refused here.
+    pub fn read_format(&self) -> Result<usize> {
         let path = self.format_file();
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
@@ -176,14 +167,12 @@ impl Layout {
             }
         }
         match (version, shards) {
-            (Some(v), _) if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&v) => {
-                Err(Error::Format(format!(
-                    "state dir is format v{v}, this build reads \
-                     v{MIN_FORMAT_VERSION}..v{FORMAT_VERSION} \
-                     (see crates/storelog/MIGRATIONS.md)"
-                )))
-            }
-            (Some(v), Some(s)) if s >= 1 => Ok((v, s)),
+            (Some(v), _) if v != FORMAT_VERSION => Err(Error::Format(format!(
+                "state dir {} is format v{v}; this build reads only \
+                 v{FORMAT_VERSION} (see crates/storelog/MIGRATIONS.md)",
+                self.root.display()
+            ))),
+            (Some(_), Some(s)) if s >= 1 => Ok(s),
             _ => Err(Error::Format(format!(
                 "malformed FORMAT file in {}",
                 self.root.display()
@@ -229,15 +218,20 @@ mod tests {
         let t = TempDir::new("format");
         let layout = Layout::new(&t.0);
         layout.write_format(16).unwrap();
-        assert_eq!(layout.read_format().unwrap(), (FORMAT_VERSION, 16));
+        assert_eq!(layout.read_format().unwrap(), 16);
 
-        // v1 dirs stay readable (migration input); unknown future versions
-        // are refused with a pointer at MIGRATIONS.md.
-        std::fs::write(layout.format_file(), "storelog 1\nshards 8\n").unwrap();
-        assert_eq!(layout.read_format().unwrap(), (1, 8));
-        std::fs::write(layout.format_file(), "storelog 999\nshards 4\n").unwrap();
-        let err = layout.read_format().unwrap_err();
-        assert!(err.to_string().contains("MIGRATIONS.md"), "{err}");
+        // The retired v1 is refused exactly like an unknown future version:
+        // one message, naming the dir's version and pointing at
+        // MIGRATIONS.md.
+        for v in [1, 999] {
+            std::fs::write(layout.format_file(), format!("storelog {v}\nshards 4\n")).unwrap();
+            let err = layout.read_format().unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, Error::Format(_)), "{msg}");
+            assert!(msg.contains(&format!("format v{v};")), "{msg}");
+            assert!(msg.contains("reads only v2"), "{msg}");
+            assert!(msg.contains("MIGRATIONS.md"), "{msg}");
+        }
     }
 
     #[test]

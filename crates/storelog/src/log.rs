@@ -26,7 +26,7 @@
 //! and never a record from the middle.
 
 use crate::frame;
-use crate::{Error, Layout, Result, FORMAT_VERSION};
+use crate::{Error, Layout, Result};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
@@ -143,11 +143,10 @@ impl LogWriter {
 
     /// Open an existing state directory for appending, recovering from any
     /// torn tail first: files are truncated back to the newest consistent
-    /// commit (see [`LogReader`] for the selection rule). A dir in an older
-    /// format is refused untouched: it is input to a migration only.
+    /// commit (see [`LogReader`] for the selection rule). A dir in another
+    /// format is refused untouched by [`LogReader::open`].
     pub fn open_append(dir: &Path) -> Result<LogWriter> {
         let reader = LogReader::open(dir)?;
-        reader.require_current_format()?;
         let layout = Layout::new(dir);
         let shards = reader.shard_count();
         let offsets = match reader.last_commit() {
@@ -253,7 +252,6 @@ impl LogWriter {
 /// are then served from the committed region only.
 pub struct LogReader {
     layout: Layout,
-    format_version: u32,
     shards: usize,
     config: Vec<u8>,
     /// Commits up to and including the selected durable one.
@@ -309,6 +307,9 @@ fn scan_segments(layout: &Layout, shards: usize, threads: usize) -> Result<Vec<u
 }
 
 impl LogReader {
+    /// Open a state dir for reading. FORMAT is read first, and a dir in any
+    /// version but [`FORMAT_VERSION`] is refused before anything else is
+    /// read; opening never writes.
     pub fn open(dir: &Path) -> Result<LogReader> {
         Self::open_with_threads(dir, 1)
     }
@@ -318,7 +319,7 @@ impl LogReader {
     /// result is identical for any thread count; only open latency changes.
     pub fn open_with_threads(dir: &Path, threads: usize) -> Result<LogReader> {
         let layout = Layout::new(dir);
-        let (format_version, shards) = layout.read_format()?;
+        let shards = layout.read_format()?;
         let config = std::fs::read(layout.config_file())?;
 
         let seg_valid = scan_segments(&layout, shards, threads)?;
@@ -370,7 +371,6 @@ impl LogReader {
 
         Ok(LogReader {
             layout,
-            format_version,
             shards,
             config,
             commits: commits.into_iter().map(|(_, r)| r).collect(),
@@ -381,26 +381,6 @@ impl LogReader {
 
     pub fn shard_count(&self) -> usize {
         self.shards
-    }
-
-    /// The format version declared by the state dir's FORMAT file — tells
-    /// the application which payload codec the record bytes use.
-    pub fn format_version(&self) -> u32 {
-        self.format_version
-    }
-
-    /// Refuse a dir older than [`FORMAT_VERSION`]: this build reads older
-    /// dirs so they can be migrated, but writes only the current format.
-    pub(crate) fn require_current_format(&self) -> Result<()> {
-        if self.format_version == FORMAT_VERSION {
-            return Ok(());
-        }
-        Err(Error::Format(format!(
-            "{} is format v{}; this build writes only v{FORMAT_VERSION} \
-             (migrate it first, see crates/storelog/MIGRATIONS.md)",
-            self.layout.root.display(),
-            self.format_version
-        )))
     }
 
     /// The opaque application config written at creation.
@@ -617,9 +597,10 @@ mod tests {
         let t = TempDir::new("current");
         LogWriter::create(&t.0, 2, b"cfg").unwrap();
         assert_eq!(
-            LogReader::open(&t.0).unwrap().format_version(),
-            FORMAT_VERSION
+            std::fs::read_to_string(Layout::new(&t.0).format_file()).unwrap(),
+            format!("storelog {}\nshards 2\n", crate::FORMAT_VERSION)
         );
+        assert_eq!(LogReader::open(&t.0).unwrap().shard_count(), 2);
     }
 
     #[test]
@@ -630,11 +611,14 @@ mod tests {
         std::fs::write(layout.format_file(), "storelog 1\nshards 2\n").unwrap();
         let seg = std::fs::read(layout.segment_file(0)).unwrap();
         let commits = std::fs::read(layout.commits_file()).unwrap();
-        // Still readable (the migration's input)...
-        assert_eq!(LogReader::open(&t.0).unwrap().format_version(), 1);
-        // ...but never appended to, and not truncated by the attempt.
+        // Neither read nor appended to, and not truncated by the attempts.
+        match LogReader::open(&t.0) {
+            Err(Error::Format(m)) => assert!(m.contains("MIGRATIONS.md"), "{m}"),
+            Err(e) => panic!("expected a format error, got {e}"),
+            Ok(_) => panic!("LogReader::open on a v1 dir must be refused"),
+        }
         match LogWriter::open_append(&t.0) {
-            Err(Error::Format(m)) => assert!(m.contains("migrate"), "{m}"),
+            Err(Error::Format(m)) => assert!(m.contains("MIGRATIONS.md"), "{m}"),
             Err(e) => panic!("expected a format error, got {e}"),
             Ok(_) => panic!("open_append on a v1 dir must be refused"),
         }
