@@ -62,6 +62,7 @@ use super::{CrawlOutcome, RunState};
 use crate::diff::{ChangeKind, ChangeRecord};
 use crate::scenario::ScenarioConfig;
 use crate::snapshot::{fqdn_shard, Snapshot};
+use dns::Name;
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::collections::HashMap;
@@ -652,16 +653,16 @@ pub fn compact_state_dir(dir: &Path) -> Result<CompactStats, PersistError> {
             .map_err(|e| format!("shard {shard}: {e}"))?;
         // Keep every change record, plus the last record per FQDN among the
         // unchanged-snapshot ones.
-        let mut last_of: HashMap<String, usize> = HashMap::new();
+        let mut last_of: HashMap<&Name, usize> = HashMap::new();
         for (i, rec) in recs.iter().enumerate() {
             if rec.change.is_none() {
-                last_of.insert(rec.snap.fqdn.to_string(), i);
+                last_of.insert(&rec.snap.fqdn, i);
             }
         }
         let mut enc = ShardCodec::new();
         let mut out = Vec::new();
         for (i, rec) in recs.iter().enumerate() {
-            let keep = rec.change.is_some() || last_of.get(&rec.snap.fqdn.to_string()) == Some(&i);
+            let keep = rec.change.is_some() || last_of.get(&rec.snap.fqdn) == Some(&i);
             if keep {
                 let mut buf = Vec::new();
                 enc.encode_into(rec, &mut buf);
