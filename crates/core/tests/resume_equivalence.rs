@@ -137,21 +137,25 @@ fn state_dir_document(dir: &std::path::Path) -> Vec<u8> {
 
 #[test]
 fn recorded_state_dir_matches_golden_bytes() {
-    // The golden fixture study recorded at 2 threads: its results are the
-    // intern_eq document, and every byte the persist stage wrote (segments,
-    // commits, config, format marker) is pinned by its own digest.
-    let dir = TempDir::new("golden");
-    let opts = PersistOptions::new(&dir.0);
-    let results = Scenario::new(golden::fixture_config(2))
-        .run_persisted(&opts)
-        .expect("recorded run");
-    let doc = serde_json::to_string(&results).expect("results serialize");
-    golden::assert_matches_golden(&doc, "intern_eq/results.digest", "recorded run");
-    golden::assert_matches_golden(
-        state_dir_document(&dir.0),
-        "storelog_eq/state.digest",
-        "recorded state dir",
-    );
+    // The golden fixture study recorded at 1, 2 and 4 threads: its results
+    // are the intern_eq document, and every byte the persist stage wrote
+    // (segments, commits, config, format marker) is pinned by one digest,
+    // the same at every thread count.
+    for threads in [1, 2, 4] {
+        let dir = TempDir::new(&format!("golden_t{threads}"));
+        let opts = PersistOptions::new(&dir.0);
+        let results = Scenario::new(golden::fixture_config(threads))
+            .run_persisted(&opts)
+            .expect("recorded run");
+        let doc = serde_json::to_string(&results).expect("results serialize");
+        let what = format!("recorded run at {threads} threads");
+        golden::assert_matches_golden(&doc, "intern_eq/results.digest", &what);
+        golden::assert_matches_golden(
+            state_dir_document(&dir.0),
+            "storelog_eq/state.digest",
+            &format!("recorded state dir at {threads} threads"),
+        );
+    }
 }
 
 /// The binary payload format's size gate: the committed segments of a
