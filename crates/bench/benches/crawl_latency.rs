@@ -63,6 +63,9 @@ fn bench_crawl_latency(c: &mut Criterion) {
     // every iteration crawls every site on first sight.
     let tree = RngTree::new(1);
     let auth = std::sync::Arc::new(zs);
+    // Each name's shard in the stores below, hashed once as admission does.
+    let shard_store = SnapshotStore::with_shards(1);
+    let shard_ids: Vec<u16> = monitored.iter().map(|f| shard_store.shard_id(f)).collect();
 
     // Contract check before timing anything: a single wan-profile shard
     // holds ≥1,000 crawls in flight at once in virtual time.
@@ -71,6 +74,7 @@ fn bench_crawl_latency(c: &mut Criterion) {
         let mut store = SnapshotStore::with_shards(1);
         let round = exec.run(
             &monitored,
+            &shard_ids,
             &mut store,
             &tree,
             SimTime(7),
@@ -99,6 +103,7 @@ fn bench_crawl_latency(c: &mut Criterion) {
                 let mut store = SnapshotStore::with_shards(1);
                 let round = exec.run(
                     &monitored,
+                    &shard_ids,
                     &mut store,
                     &tree,
                     SimTime(7),

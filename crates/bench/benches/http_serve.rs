@@ -13,16 +13,17 @@
 //!   and HSTS headers where the population adopted them.
 //!
 //! Each row runs, per FQDN, exactly what `monitor::crawl` does between
-//! resolving and comparing: format the FQDN into the request's `Host`, serve
-//! the index page through the world's web view, and take the body's hash.
+//! resolving and comparing: fetch the index page through the world's web
+//! view, routed on the FQDN's `Name` (`monitor::Web`), and take the body's
+//! hash.
 
 use cloudsim::{AccountId, CloudPlatform, NamingModel, PlatformConfig, ServiceId};
 use contentgen::BenignKind;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use dangling_core::monitor::Web;
 use dangling_core::world::{OriginServers, WorldWeb};
 use dangling_core::{ScenarioConfig, World};
 use dns::Name;
-use httpsim::{Endpoint, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simcore::{RngTree, SimTime};
@@ -120,9 +121,8 @@ fn build() -> HttpWorld {
 
 /// The crawl's HTTP step for one FQDN; returns the status and body hash.
 fn fetch_index(web: &WorldWeb<'_>, fqdn: &Name, ip: Ipv4Addr) -> (u16, u64) {
-    let request = Request::get(fqdn.to_string(), "/");
     let resp = web
-        .http_serve(ip, &request, SimTime(2))
+        .fetch(ip, fqdn, "/")
         .expect("a front end or origin at every benched IP");
     (resp.status.0, resp.body.fnv())
 }

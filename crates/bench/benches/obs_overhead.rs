@@ -91,6 +91,9 @@ fn main() {
     let (platform, zs, monitored) = build(SITES);
     let tree = RngTree::new(1);
     let auth = std::sync::Arc::new(zs);
+    // Each name's shard in the stores below, hashed once as admission does.
+    let shard_store = SnapshotStore::new();
+    let shard_ids: Vec<u16> = monitored.iter().map(|f| shard_store.shard_id(f)).collect();
 
     // Every side commits its round into a fresh store, so every iteration
     // crawls every site on first sight.
@@ -116,6 +119,7 @@ fn main() {
         let mut store = SnapshotStore::new();
         let round = exec.run(
             &monitored,
+            &shard_ids,
             &mut store,
             &tree,
             SimTime(7),
@@ -131,6 +135,7 @@ fn main() {
         let mut store = SnapshotStore::new();
         let round = exec.run(
             &monitored,
+            &shard_ids,
             &mut store,
             &tree,
             SimTime(7),

@@ -75,6 +75,9 @@ fn bench_crawl_scaling(c: &mut Criterion) {
     // Shared authority: per-thread resolver construction must be cheap, as
     // it is in the real pipeline (`world.dns()` hands out a borrow).
     let auth = std::sync::Arc::new(zs);
+    // Each name's shard in the stores below, hashed once as admission does.
+    let shard_store = SnapshotStore::new();
+    let shard_ids: Vec<u16> = monitored.iter().map(|f| shard_store.shard_id(f)).collect();
     let mut g = c.benchmark_group("pipeline_parallel");
     g.throughput(Throughput::Elements(monitored.len() as u64));
     for threads in [1usize, 2, 4, 8] {
@@ -84,6 +87,7 @@ fn bench_crawl_scaling(c: &mut Criterion) {
                 let mut store = SnapshotStore::new();
                 let round = exec.run(
                     &monitored,
+                    &shard_ids,
                     &mut store,
                     &tree,
                     SimTime(7),
@@ -294,6 +298,9 @@ fn bench_paper_scale(c: &mut Criterion) {
         let (platform, zs, monitored) = build(100_000);
         let tree = RngTree::new(1);
         let auth = std::sync::Arc::new(zs);
+        // Each name's shard in the stores below, hashed once as admission does.
+        let shard_store = SnapshotStore::new();
+        let shard_ids: Vec<u16> = monitored.iter().map(|f| shard_store.shard_id(f)).collect();
         g.throughput(Throughput::Elements(monitored.len() as u64));
         for threads in [1usize, 8] {
             let exec = CrawlExecutor::new(threads, 0.0);
@@ -302,6 +309,7 @@ fn bench_paper_scale(c: &mut Criterion) {
                     let mut store = SnapshotStore::new();
                     let round = exec.run(
                         &monitored,
+                        &shard_ids,
                         &mut store,
                         &tree,
                         SimTime(7),
@@ -321,6 +329,9 @@ fn bench_paper_scale(c: &mut Criterion) {
     let (platform, zs, monitored) = build(1_000_000);
     let tree = RngTree::new(1);
     let auth = std::sync::Arc::new(zs);
+    // Each name's shard in the stores below, hashed once as admission does.
+    let shard_store = SnapshotStore::new();
+    let shard_ids: Vec<u16> = monitored.iter().map(|f| shard_store.shard_id(f)).collect();
     g.throughput(Throughput::Elements(monitored.len() as u64));
     for threads in [1usize, 8] {
         let exec = CrawlExecutor::new(threads, 0.0);
@@ -329,6 +340,7 @@ fn bench_paper_scale(c: &mut Criterion) {
                 let mut store = SnapshotStore::new();
                 let round = exec.run(
                     &monitored,
+                    &shard_ids,
                     &mut store,
                     &tree,
                     SimTime(7),
@@ -352,6 +364,7 @@ fn bench_paper_scale(c: &mut Criterion) {
         let start = std::time::Instant::now();
         let round = exec.run(
             &monitored,
+            &shard_ids,
             &mut store,
             &tree,
             SimTime(7),
@@ -379,6 +392,7 @@ fn bench_paper_scale(c: &mut Criterion) {
     let start = std::time::Instant::now();
     exec.run(
         &monitored,
+        &shard_ids,
         &mut steady,
         &tree,
         SimTime(14),

@@ -6,7 +6,7 @@
 //! headers. The page store behind a sitemap — up to 144,349 uploaded HTML
 //! files per abused site — is modelled by that size alone.
 
-use httpsim::{Body, Request, Response};
+use httpsim::{Body, Response};
 
 /// Serialized size in bytes of a sitemap listing `entries` URLs of ~80
 /// bytes each.
@@ -41,8 +41,8 @@ impl SiteContent {
 
     /// Serve a request path against this content: the index, the sitemap
     /// (an empty body advertising the sitemap's size), or a 404.
-    pub fn serve(&self, req: &Request) -> Response {
-        let mut resp = match (req.path, self.sitemap_bytes) {
+    pub fn serve(&self, path: &str) -> Response {
+        let mut resp = match (path, self.sitemap_bytes) {
             ("/" | "/index.html", _) => Response::ok(self.index_html.clone()),
             ("/sitemap.xml", Some(bytes)) => {
                 let mut r = Response::ok(Body::default());
@@ -66,20 +66,20 @@ mod tests {
     #[test]
     fn serves_index_and_404() {
         let c = SiteContent::placeholder("hello");
-        let r = c.serve(&Request::get("x", "/"));
+        let r = c.serve("/");
         assert_eq!(r.status, StatusCode::OK);
         assert!(r.body.as_str().contains("hello"));
-        let r = c.serve(&Request::get("x", "/nope.html"));
+        let r = c.serve("/nope.html");
         assert_eq!(r.status, StatusCode::NOT_FOUND);
-        let r = c.serve(&Request::get("x", "/sitemap.xml"));
+        let r = c.serve("/sitemap.xml");
         assert_eq!(r.status, StatusCode::NOT_FOUND);
     }
 
     #[test]
     fn index_body_is_shared_not_copied() {
         let c = SiteContent::placeholder("hello");
-        let a = c.serve(&Request::get("x", "/"));
-        let b = c.serve(&Request::get("y", "/index.html"));
+        let a = c.serve("/");
+        let b = c.serve("/index.html");
         assert_eq!(a.body.as_ptr(), c.index_html.as_ptr());
         assert_eq!(b.body.as_ptr(), c.index_html.as_ptr());
         assert_eq!(a.body.fnv(), simcore::fnv1a(&b.body));
@@ -90,7 +90,7 @@ mod tests {
     fn serves_sitemap_with_true_size() {
         let mut c = SiteContent::placeholder("s");
         c.sitemap_bytes = Some(sitemap_bytes(10_000));
-        let r = c.serve(&Request::get("x", "/sitemap.xml"));
+        let r = c.serve("/sitemap.xml");
         assert_eq!(r.status, StatusCode::OK);
         assert_eq!(r.content_length, 120 + 10_000 * 80);
         assert!(r.body.is_empty());
@@ -101,7 +101,7 @@ mod tests {
         let mut c = SiteContent::placeholder("s");
         c.extra_headers
             .push(("Strict-Transport-Security".into(), "max-age=300".into()));
-        let r = c.serve(&Request::get("x", "/"));
+        let r = c.serve("/");
         assert_eq!(
             r.headers.get("strict-transport-security"),
             Some("max-age=300")

@@ -457,41 +457,60 @@ impl Endpoint for CloudPlatform {
     }
 
     fn http_serve(&self, ip: Ipv4Addr, request: &Request, _now: SimTime) -> Option<Response> {
+        // A Host that is no DNS name routes to no resource.
+        let host = Name::parse(&request.host).ok();
+        self.route(ip, host.as_ref(), request.path, request.https)
+    }
+}
+
+impl CloudPlatform {
+    /// Serve a GET of `path` addressed to `ip` for virtual host `host`,
+    /// over TLS when `https`: what [`Endpoint::http_serve`] answers for a
+    /// request whose `Host` is `host`, without the string round trip.
+    /// `None` is no server at `ip` or a failed TLS handshake.
+    pub fn serve_host(
+        &self,
+        ip: Ipv4Addr,
+        host: &Name,
+        path: &str,
+        https: bool,
+    ) -> Option<Response> {
+        self.route(ip, Some(host), path, https)
+    }
+
+    /// The one routing implementation. `host` is `None` when the request's
+    /// `Host` is not a valid DNS name.
+    fn route(
+        &self,
+        ip: Ipv4Addr,
+        host: Option<&Name>,
+        path: &str,
+        https: bool,
+    ) -> Option<Response> {
         // Dedicated-IP resources serve regardless of Host.
         if let Some(res) = self.resource_by_ip(ip) {
-            if request.https {
-                let host: Name = request.host.parse().ok()?;
-                if !res.serves_https_for(&host) {
-                    return None; // TLS handshake failure
-                }
+            if https && !host.is_some_and(|h| res.serves_https_for(h)) {
+                return None; // TLS handshake failure
             }
-            return Some(res.content.serve(request));
+            return Some(res.content.serve(path));
         }
         // Virtual-hosting front ends route on the Host header. (The
         // tcp_open() percentage models *probe* observations of §2, not the
         // data path: front ends serve HTTP regardless.)
         let service = self.is_front_end(ip)?;
-        let Ok(host) = Name::parse(&request.host) else {
+        let Some(host) = host else {
             return Some(Self::default_error_page(service));
         };
-        match self
-            .host_routes
-            .get(&host)
-            .and_then(|id| self.resources.get(id))
-        {
+        match self.resource_by_host(host) {
             Some(res) if res.service == service => {
-                if request.https && !res.serves_https_for(&host) {
+                if https && !res.serves_https_for(host) {
                     return None;
                 }
-                Some(res.content.serve(request))
+                Some(res.content.serve(path))
             }
-            _ => {
-                if request.https {
-                    // No certificate for an unknown host: handshake fails.
-                    return None;
-                }
-                Some(Self::default_error_page(service))
-            }
+            // No certificate for an unknown host: handshake fails.
+            _ if https => None,
+            _ => Some(Self::default_error_page(service)),
         }
     }
 }
@@ -901,6 +920,98 @@ mod tests {
         assert!(p.icmp_responds(ip, SimTime(0)));
         assert!(p.tcp_open(ip, 80, SimTime(0)));
         assert!(!p.tcp_open(ip, 22, SimTime(0)));
+    }
+
+    /// Routed, TLS-bound, released and unknown hosts at a front end, any
+    /// host at a dedicated IP, and an IP with no server.
+    fn routing_cases() -> (CloudPlatform, Vec<(Ipv4Addr, Name)>) {
+        let mut p = platform();
+        let mut r = rng();
+        let mut register = |p: &mut CloudPlatform, service, name| {
+            p.register(service, name, None, AccountId::Org(1), SimTime(0), &mut r)
+                .unwrap()
+        };
+        let id = register(&mut p, ServiceId::AzureWebApp, Some("contoso"));
+        let mut content = SiteContent::placeholder("Contoso Shop");
+        content.sitemap_bytes = Some(crate::sitemap_bytes(10));
+        p.set_content(id, content);
+        let custom: Name = "shop.contoso.com".parse().unwrap();
+        let tls: Name = "www.contoso.com".parse().unwrap();
+        p.bind_custom_domain(id, custom.clone());
+        p.bind_custom_domain(id, tls.clone());
+        p.add_tls_host(id, tls.clone());
+        let fe = p.resource(id).unwrap().ip;
+        let gone = register(&mut p, ServiceId::HerokuApp, Some("gone"));
+        let gone_ip = p.resource(gone).unwrap().ip;
+        p.release(gone, SimTime(1));
+        let vm = register(&mut p, ServiceId::AwsEc2PublicIp, None);
+        p.set_content(vm, SiteContent::placeholder("VM site"));
+        let vm_ip = p.resource(vm).unwrap().ip;
+        let n = |s: &str| -> Name { s.parse().unwrap() };
+        let cases = vec![
+            (fe, n("contoso.azurewebsites.net")),
+            (fe, custom),
+            (fe, tls),
+            (fe, n("nobody.azurewebsites.net")),
+            (gone_ip, n("gone.herokuapp.com")),
+            (vm_ip, n("www.anything.com")),
+            (Ipv4Addr::new(9, 9, 9, 9), n("x.example.com")),
+        ];
+        (p, cases)
+    }
+
+    #[test]
+    fn name_keyed_serve_equals_http_serve() {
+        let (p, cases) = routing_cases();
+        let mut answered = 0;
+        for (ip, host) in &cases {
+            for https in [false, true] {
+                for path in ["/", "/sitemap.xml", "/nope.html"] {
+                    let request = if https {
+                        Request::get_https(host.to_string(), path)
+                    } else {
+                        Request::get(host.to_string(), path)
+                    };
+                    let by_string = p.http_serve(*ip, &request, SimTime(2));
+                    assert_eq!(
+                        p.serve_host(*ip, host, path, https),
+                        by_string,
+                        "{host} at {ip}, https={https}, {path}"
+                    );
+                    answered += usize::from(by_string.is_some());
+                }
+            }
+        }
+        // Both answers and refusals (no server, failed handshakes) occur.
+        assert_eq!(answered, 24);
+    }
+
+    #[test]
+    fn malformed_host_answers() {
+        // A Host that is no DNS name ("a..b") routes to nothing; "" parses
+        // as the root name, which no resource is bound to.
+        let (p, cases) = routing_cases();
+        let (fe, vm) = (cases[0].0, cases[5].0);
+        let now = SimTime(2);
+        let error_page = p
+            .http_serve(fe, &Request::get("nobody.azurewebsites.net", "/"), now)
+            .unwrap();
+        assert_eq!(error_page.status, StatusCode::NOT_FOUND);
+        for host in ["", "a..b"] {
+            let http = |ip| p.http_serve(ip, &Request::get(host, "/"), now);
+            let https = |ip| p.http_serve(ip, &Request::get_https(host, "/"), now);
+            assert_eq!(http(fe), Some(error_page.clone()), "{host:?}");
+            let vm_page = http(vm).unwrap();
+            assert!(vm_page.body.as_str().contains("VM site"), "{host:?}");
+            assert_eq!(https(vm), None, "{host:?}");
+        }
+        // Over TLS a front end fails the handshake for the root name, and
+        // answers an unparsable Host with the error page.
+        assert_eq!(p.http_serve(fe, &Request::get_https("", "/"), now), None);
+        assert_eq!(
+            p.http_serve(fe, &Request::get_https("a..b", "/"), now),
+            Some(error_page)
+        );
     }
 
     #[test]

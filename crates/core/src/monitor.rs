@@ -13,12 +13,41 @@
 //! through a caller-supplied hook, which is where the crawl executor prices
 //! the wait in virtual time; [`Crawler::sample`] passes a hook that charges
 //! nothing.
+//!
+//! The crawl fetches through [`Web`], which routes on the FQDN's [`Name`]
+//! itself: no `Host` string is formatted from it or parsed back.
+//! [`httpsim::Endpoint::http_serve`] stays the string-keyed surface for the
+//! liveness probes and answers the same (the platform parses the `Host`
+//! and takes the same route).
 
 use crate::snapshot::Snapshot;
+use cloudsim::CloudPlatform;
 use dns::resolver::Transport;
 use dns::{Name, Resolver};
-use httpsim::{Endpoint, Request};
+use httpsim::Response;
 use simcore::SimTime;
+use std::net::Ipv4Addr;
+
+/// What the crawl fetches pages from: a plain-HTTP GET of `path` sent to
+/// `ip` for the virtual host `host`. `None` is no server at `ip`.
+///
+/// `Sync` is a supertrait: crawl shards fetch from one shared web view on
+/// many threads.
+pub trait Web: Sync {
+    fn fetch(&self, ip: Ipv4Addr, host: &Name, path: &'static str) -> Option<Response>;
+}
+
+impl<W: Web + ?Sized> Web for &W {
+    fn fetch(&self, ip: Ipv4Addr, host: &Name, path: &'static str) -> Option<Response> {
+        (**self).fetch(ip, host, path)
+    }
+}
+
+impl Web for CloudPlatform {
+    fn fetch(&self, ip: Ipv4Addr, host: &Name, path: &'static str) -> Option<Response> {
+        self.serve_host(ip, host, path, false)
+    }
+}
 
 /// One network wait of a crawl, in the order [`crawl`] makes them: a DNS
 /// attempt per query (retries included) for each hop of the chain, then a
@@ -48,10 +77,10 @@ pub enum CrawlWait {
 /// HTTP waits). It returns true when a DNS attempt is lost on the wire; the
 /// resolver then retries or gives up (SERVFAIL). Its answer is ignored for
 /// the HTTP waits.
-pub fn crawl<T: Transport, E: Endpoint + ?Sized>(
+pub fn crawl<T: Transport, W: Web + ?Sized>(
     fqdn: &Name,
     resolver: &Resolver<T>,
-    web: &E,
+    web: &W,
     prev: Option<&Snapshot>,
     now: SimTime,
     fetch_dropped: bool,
@@ -69,11 +98,10 @@ pub fn crawl<T: Transport, E: Endpoint + ?Sized>(
     }
 
     // Request 1: the index page.
-    let mut request = Request::get(fqdn.to_string(), "/");
     wait(CrawlWait::Connect, fqdn);
     wait(CrawlWait::Index, fqdn);
     // `None` is no front end at the IP: the snapshot stays unreachable.
-    let Some(resp) = web.http_serve(ip, &request, now) else {
+    let Some(resp) = web.fetch(ip, fqdn, "/") else {
         return snap;
     };
     let hash = resp.body.fnv();
@@ -95,8 +123,7 @@ pub fn crawl<T: Transport, E: Endpoint + ?Sized>(
     // Request 2: the sitemap (only when we need to look closer).
     wait(CrawlWait::Connect, fqdn);
     wait(CrawlWait::Sitemap, fqdn);
-    request.path = "/sitemap.xml";
-    if let Some(sm) = web.http_serve(ip, &request, now) {
+    if let Some(sm) = web.fetch(ip, fqdn, "/sitemap.xml") {
         if sm.status.is_success() {
             snap.sitemap_bytes = Some(sm.content_length);
         }
@@ -109,10 +136,10 @@ pub struct Crawler;
 
 impl Crawler {
     /// [`crawl`] `fqdn` with every wait free and nothing lost.
-    pub fn sample<T: Transport, E: Endpoint + ?Sized>(
+    pub fn sample<T: Transport, W: Web + ?Sized>(
         fqdn: &Name,
         resolver: &Resolver<T>,
-        web: &E,
+        web: &W,
         prev: Option<&Snapshot>,
         now: SimTime,
     ) -> Snapshot {
@@ -127,6 +154,7 @@ mod tests {
         sitemap_bytes, AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent,
     };
     use dns::{RecordData, ResourceRecord, Zone, ZoneSet};
+    use httpsim::{Endpoint, Request};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

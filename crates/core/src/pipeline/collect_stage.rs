@@ -79,6 +79,7 @@ impl Stage for CollectStage {
                     }
                     ptr => {
                         if self.monitored_set.insert(fqdn.clone()) {
+                            rs.monitored_shards.push(rs.store.shard_id(&fqdn));
                             rs.monitored.push(fqdn);
                             if let Some(s) = ptr.service() {
                                 *rs.monitored_by_service.entry(s).or_insert(0) += 1;

@@ -9,8 +9,10 @@
 //! thread count, because
 //!
 //! 1. work is partitioned by [`SnapshotStore::shard_of`] — a fixed hash of
-//!    the FQDN — never by arrival or iteration order, so each FQDN is
-//!    crawled and committed by the one task that owns its shard,
+//!    the FQDN, computed once when the name is admitted
+//!    ([`RunState::monitored_shards`]) — never by arrival or iteration
+//!    order, so each FQDN is crawled and committed by the one task that
+//!    owns its shard,
 //! 2. each FQDN is crawled at most once per round (the collect stage admits
 //!    a name once), so a task only ever reads its FQDN's *pre-round*
 //!    snapshot and no task can observe another crawl's write — the commit
@@ -24,11 +26,10 @@
 
 use super::{RunState, ShardedExecutor, Stage};
 use crate::diff::{record as diff_record, ChangeRecord};
-use crate::monitor::{crawl, CrawlWait};
+use crate::monitor::{crawl, CrawlWait, Web};
 use crate::snapshot::{fqdn_shard, Snapshot, SnapshotStore};
 use dns::resolver::Transport;
 use dns::{Name, Resolver};
-use httpsim::Endpoint;
 use obs::causal::{SALT_DNS, SALT_INDEX, SALT_SITEMAP};
 use rand::Rng;
 use simcore::{LatencyModel, QueryClass, RngTree, SimTime};
@@ -91,6 +92,9 @@ impl CrawlExecutor {
     /// inserting it on first sight). Returns the round's change records in
     /// canonical order plus the per-crawl DNS times.
     ///
+    /// `shard_ids[i]` is `monitored[i]`'s [`SnapshotStore::shard_id`] in
+    /// `store` (the crawl is partitioned by it and commits by it).
+    ///
     /// `make_resolver` / `make_web` are per-worker factories: each shard
     /// builds its own resolver and web view over the round's read-only
     /// world.
@@ -99,10 +103,12 @@ impl CrawlExecutor {
     ///
     /// If an FQDN already holds a snapshot dated `now` or later, i.e. it
     /// appears twice in `monitored` or the round is not later than the
-    /// last one.
-    pub fn run<T, E, FR, FW>(
+    /// last one, or if `shard_ids` is not as long as `monitored`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run<T, W, FR, FW>(
         &self,
         monitored: &[Name],
+        shard_ids: &[u16],
         store: &mut SnapshotStore,
         tree: &RngTree,
         now: SimTime,
@@ -111,10 +117,15 @@ impl CrawlExecutor {
     ) -> CrawlRound
     where
         T: Transport,
-        E: Endpoint,
+        W: Web,
         FR: Fn() -> Resolver<T> + Sync,
-        FW: Fn() -> E + Sync,
+        FW: Fn() -> W + Sync,
     {
+        assert_eq!(
+            shard_ids.len(),
+            monitored.len(),
+            "one shard id per monitored name"
+        );
         // Work is partitioned by the store's shards — a stable, FQDN-keyed
         // split, so the same name always lands in the same bucket (and is
         // committed to the same shard) no matter how many workers run —
@@ -126,8 +137,12 @@ impl CrawlExecutor {
         let per_bucket = self.exec.fold_buckets(
             monitored,
             shards,
-            |fqdn| fqdn_shard(fqdn, n_shards),
-            |_b, shard, bucket| {
+            |i, _| usize::from(shard_ids[i]),
+            |b, shard, bucket| {
+                debug_assert!(
+                    bucket.iter().all(|(_, f)| fqdn_shard(f, n_shards) == b),
+                    "a shard id disagrees with the store's hash"
+                );
                 let resolver = make_resolver();
                 let web = make_web();
                 self.run_bucket(bucket, shard, tree, now, &resolver, &web)
@@ -162,14 +177,14 @@ impl CrawlExecutor {
     /// into the shard. Each crawl runs to completion in turn; its admission
     /// time in virtual time comes from the [`Slots`] list scheduler, and
     /// every network wait is priced by a [`WaitPricer`].
-    fn run_bucket<T: Transport, E: Endpoint + ?Sized>(
+    fn run_bucket<T: Transport, W: Web + ?Sized>(
         &self,
         bucket: &[(usize, &Name)],
         shard: &mut HashMap<Name, Snapshot>,
         tree: &RngTree,
         now: SimTime,
         resolver: &Resolver<T>,
-        web: &E,
+        web: &W,
     ) -> BucketCrawl {
         let latency = (!self.latency.is_free()).then_some(&self.latency);
         let mut slots = Slots::new(MAX_INFLIGHT);
@@ -437,6 +452,7 @@ impl Stage for CrawlStage {
             world,
             store,
             monitored,
+            monitored_shards,
             tree,
             changes,
             round_latency,
@@ -445,6 +461,7 @@ impl Stage for CrawlStage {
         let world = &*world;
         let mut round = self.exec.run(
             monitored,
+            monitored_shards,
             store,
             tree,
             now,
@@ -504,6 +521,10 @@ mod tests {
         (platform, zs, monitored)
     }
 
+    fn shard_ids(store: &SnapshotStore, monitored: &[Name]) -> Vec<u16> {
+        monitored.iter().map(|f| store.shard_id(f)).collect()
+    }
+
     /// Admit crawls of the given durations in order; returns their
     /// admission times and the makespan.
     fn schedule(slots: usize, durations: &[u64]) -> (Vec<u64>, u64) {
@@ -557,11 +578,13 @@ mod tests {
     ) -> (Vec<String>, Vec<String>) {
         let exec = CrawlExecutor::new(threads, 0.1);
         let mut store = SnapshotStore::with_shards(4);
+        let shard_ids = shard_ids(&store, monitored);
         let tree = RngTree::new(9);
         let mut changes = Vec::new();
         for &day in rounds {
             let round = exec.run(
                 monitored,
+                &shard_ids,
                 &mut store,
                 &tree,
                 SimTime(day),
@@ -607,6 +630,7 @@ mod tests {
                 let mut store = SnapshotStore::with_shards(4);
                 CrawlExecutor::new(threads, 0.0).run(
                     &monitored,
+                    &shard_ids(&store, &monitored),
                     &mut store,
                     &RngTree::new(9),
                     SimTime(7),
@@ -627,10 +651,12 @@ mod tests {
     fn failure_model_off_by_default() {
         let (platform, zs, monitored) = build(5);
         let mut store = SnapshotStore::new();
+        let shard_ids = shard_ids(&store, &monitored);
         let tree = RngTree::new(9);
         for day in [7, 14] {
             let round = CrawlExecutor::new(1, 0.0).run(
                 &monitored,
+                &shard_ids,
                 &mut store,
                 &tree,
                 SimTime(day),

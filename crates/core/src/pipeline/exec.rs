@@ -119,10 +119,11 @@ impl ShardedExecutor {
     /// `(input_index, item)` slice (indices ascending); the per-bucket
     /// results come back **in bucket-id order** — the canonical merge order.
     ///
-    /// There is one bucket per shard. Items land in bucket `shard_of(item)`,
-    /// which must be a pure function of item content below `shards.len()`,
-    /// so the same item always lands in the same bucket (and shard) no
-    /// matter how many workers run. Use this when a pass works per group
+    /// There is one bucket per shard. Item `i` lands in bucket
+    /// `shard_of(i, item)`, which must be a function of the item's content
+    /// below `shards.len()` (or read a column precomputed from it), so the
+    /// same item always lands in the same bucket (and shard) no matter how
+    /// many workers run. Use this when a pass works per group
     /// and commits into per-group state (the crawl's per-shard slot
     /// schedules and snapshot-store shards): each bucket runs in parallel,
     /// writes only its own shard, and the caller merges the results in a
@@ -138,14 +139,14 @@ impl ShardedExecutor {
         T: Sync,
         S: Send,
         B: Send,
-        FS: Fn(&T) -> usize,
+        FS: Fn(usize, &T) -> usize,
         FW: Fn(usize, &mut S, &[(usize, &T)]) -> B + Sync,
     {
         let buckets = shards.len();
         assert!(buckets > 0, "fold_buckets needs at least one shard");
         let mut parts: Vec<Vec<(usize, &T)>> = vec![Vec::new(); buckets];
         for (i, item) in items.iter().enumerate() {
-            let b = shard_of(item);
+            let b = shard_of(i, item);
             debug_assert!(b < buckets, "shard_of returned {b} for {buckets} buckets");
             parts[b.min(buckets - 1)].push((i, item));
         }
@@ -262,7 +263,7 @@ mod tests {
             let sums: Vec<u64> = exec(threads).fold_buckets(
                 &[] as &[u64],
                 &mut [(), (), ()],
-                |x| (*x % 3) as usize,
+                |_, x| (*x % 3) as usize,
                 |_, _, b| b.len() as u64,
             );
             assert_eq!(sums, vec![0, 0, 0]);
@@ -306,7 +307,7 @@ mod tests {
             let sums: Vec<u64> = exec(threads).fold_buckets(
                 &items,
                 &mut shards,
-                |x| (*x % 4) as usize,
+                |_, x| (*x % 4) as usize,
                 |b, shard, bucket| {
                     shard.extend(bucket.iter().map(|(_, x)| **x));
                     assert!(shard.iter().all(|x| *x % 4 == b as u64));

@@ -171,6 +171,10 @@ pub struct RunState {
     /// Monitored FQDNs in discovery order — the canonical crawl order every
     /// parallel schedule must reproduce.
     pub monitored: Vec<Name>,
+    /// Each monitored FQDN's [`SnapshotStore::shard_id`], in `monitored`
+    /// order: hashed once, when the collect stage admits the name, and read
+    /// by the crawl's partition and the persist stage's record.
+    pub monitored_shards: Vec<u16>,
     pub monitored_by_service: BTreeMap<ServiceId, u64>,
     pub monitored_monthly: analysis::MonthlySeries,
     pub store: SnapshotStore,
@@ -251,6 +255,7 @@ impl RunState {
             q,
             feed,
             monitored: Vec::new(),
+            monitored_shards: Vec::new(),
             monitored_by_service: BTreeMap::new(),
             monitored_monthly: analysis::MonthlySeries::new(),
             store: SnapshotStore::new(),

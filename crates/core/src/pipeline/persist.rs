@@ -546,8 +546,8 @@ impl PersistStage {
         // canonical order: walk both in step.
         let round_start = rs.changes.partition_point(|c| c.day < now);
         let mut round_changes = rs.changes[round_start..].iter().peekable();
-        for (i, fqdn) in rs.monitored.iter().enumerate() {
-            let shard = rs.store.shard_of(fqdn);
+        for (i, (fqdn, &shard)) in rs.monitored.iter().zip(&rs.monitored_shards).enumerate() {
+            let shard = usize::from(shard);
             let snap = rs.store.shards()[shard]
                 .get(fqdn)
                 .filter(|s| s.day == now)

@@ -299,6 +299,14 @@ impl SnapshotStore {
         fqdn_shard(fqdn, self.shards.len())
     }
 
+    /// [`SnapshotStore::shard_of`] as the compact id a pass keeps beside
+    /// each name, so it hashes the name once ([`RunState::monitored_shards`]).
+    ///
+    /// [`RunState::monitored_shards`]: crate::pipeline::RunState::monitored_shards
+    pub fn shard_id(&self, fqdn: &Name) -> u16 {
+        u16::try_from(self.shard_of(fqdn)).expect("a store has at most 65,536 shards")
+    }
+
     pub fn latest(&self, fqdn: &Name) -> Option<&Snapshot> {
         self.shards[self.shard_of(fqdn)].get(fqdn)
     }

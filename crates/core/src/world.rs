@@ -5,6 +5,7 @@
 //! reconstruct forensically and we get for free, which lets the test suite
 //! score the pipeline's precision/recall instead of taking it on faith.
 
+use crate::monitor::Web;
 use attacker::{BinaryArtifact, Campaign, CookieVault, MalwareModel};
 use certsim::{CaId, CertId, CtLog};
 use cloudsim::{
@@ -243,9 +244,14 @@ pub struct WorldDns<'a> {
 }
 
 impl Transport for WorldDns<'_> {
+    /// One zone search picks the authority: the org set answers from the
+    /// zone it found, and only a name no org zone holds searches the cloud
+    /// set.
     fn lookup(&self, name: &Name, qtype: RecordType) -> (Rcode, Vec<ResourceRecord>) {
-        let org_owns = self.org.find_zone(name).is_some();
-        dns::server::lookup_in(if org_owns { self.org } else { self.cloud }, name, qtype)
+        match self.org.find_zone(name) {
+            Some(zone) => dns::server::lookup_from(self.org, zone, name, qtype),
+            None => dns::server::lookup_in(self.cloud, name, qtype),
+        }
     }
 }
 
@@ -281,9 +287,20 @@ impl Endpoint for WorldWeb<'_> {
 
     fn http_serve(&self, ip: Ipv4Addr, request: &Request, now: SimTime) -> Option<Response> {
         if let Some(content) = self.origins.sites.get(&ip) {
-            return Some(content.serve(request));
+            return Some(content.serve(request.path));
         }
         self.platform.http_serve(ip, request, now)
+    }
+}
+
+/// The crawl's fetch: origin servers first, then the platform, as
+/// [`Endpoint::http_serve`] routes.
+impl Web for WorldWeb<'_> {
+    fn fetch(&self, ip: Ipv4Addr, host: &Name, path: &'static str) -> Option<Response> {
+        if let Some(content) = self.origins.sites.get(&ip) {
+            return Some(content.serve(path));
+        }
+        self.platform.fetch(ip, host, path)
     }
 }
 
@@ -342,13 +359,16 @@ mod tests {
     /// Each question goes to exactly one authority: the org set when it
     /// holds a zone for the name, else the cloud set; a name neither holds
     /// is REFUSED, and an org CNAME into a cloud suffix stops at the CNAME
-    /// for the resolver to chase.
+    /// for the resolver to chase. Every answer, from the one zone search
+    /// `WorldDns` makes, equals `lookup_in` on the set that owns the name.
     #[test]
     fn dns_view_dispatches_each_question_to_one_authority() {
+        use dns::server::lookup_in;
         use dns::Resolver;
         let mut w = tiny_world();
         let mut rng = w.rng_tree.rng("dispatch");
         let apex = w.population.orgs[0].apex.clone();
+        let other_apex = w.population.orgs[1].apex.clone();
         let rid = w
             .platform
             .register(
@@ -368,10 +388,17 @@ mod tests {
             .clone()
             .unwrap();
         let alias = apex.child("app").unwrap();
-        w.org_zones.get_mut(&apex).unwrap().add(ResourceRecord::new(
+        let across = apex.child("www").unwrap();
+        let zone = w.org_zones.get_mut(&apex).unwrap();
+        zone.add(ResourceRecord::new(
             alias.clone(),
             300,
             RecordData::Cname(cloud_name.clone()),
+        ));
+        zone.add(ResourceRecord::new(
+            across.clone(),
+            300,
+            RecordData::Cname(other_apex.clone()),
         ));
         let dns = w.dns();
         let ask = |name: &Name| dns.lookup(name, RecordType::A);
@@ -403,8 +430,76 @@ mod tests {
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].data, RecordData::Cname(cloud_name.clone()));
         let out = Resolver::new(w.dns()).resolve_a(&alias, SimTime(0));
-        assert_eq!(out.cname_chain, vec![cloud_name]);
+        assert_eq!(out.cname_chain, vec![cloud_name.clone()]);
         assert!(out.is_resolvable(), "{out:?}");
+
+        // A chain across two org zones is answered in full by the org set.
+        let (rcode, answers) = ask(&across);
+        assert_eq!(rcode, Rcode::NoError);
+        assert_eq!(answers.len(), 2);
+        assert_eq!(answers[1].name, other_apex);
+
+        let (org, cloud) = (&w.org_zones, w.platform.zones());
+        let cases = [
+            (apex.clone(), org),
+            (apex.child("nosuchhost").unwrap(), org),
+            (alias, org),
+            (across, org),
+            (cloud_name.parent().unwrap().child("gone").unwrap(), cloud),
+            (cloud_name, cloud),
+            ("www.unowned.invalid".parse().unwrap(), cloud),
+        ];
+        for (name, owner) in &cases {
+            for qtype in [RecordType::A, RecordType::Caa] {
+                assert_eq!(
+                    dns.lookup(name, qtype),
+                    lookup_in(owner, name, qtype),
+                    "{name} {qtype:?}"
+                );
+            }
+        }
+    }
+
+    /// The crawl's `Web::fetch` answers as `Endpoint::http_serve` does for
+    /// the same `Host`: origin apexes first, then the platform's routes.
+    #[test]
+    fn web_view_fetch_equals_http_serve() {
+        let mut w = tiny_world();
+        let mut rng = w.rng_tree.rng("fetch");
+        let rid = w
+            .platform
+            .register(
+                ServiceId::AzureWebApp,
+                Some("fetchsite"),
+                None,
+                AccountId::Org(0),
+                SimTime(0),
+                &mut rng,
+            )
+            .unwrap();
+        w.platform
+            .set_content(rid, SiteContent::placeholder("fetch site"));
+        let res = w.platform.resource(rid).unwrap();
+        let (cloud_ip, cloud_name) = (res.ip, res.generated_fqdn.clone().unwrap());
+        let apex = w.population.orgs[0].apex.clone();
+        let apex_ip = w.origins.ip_of(&apex).unwrap();
+        let unrouted: Name = "gone.azurewebsites.net".parse().unwrap();
+        let web = w.web();
+        for (ip, host) in [
+            (apex_ip, &apex),
+            (cloud_ip, &cloud_name),
+            (cloud_ip, &unrouted),
+            (Ipv4Addr::new(9, 9, 9, 9), &apex),
+        ] {
+            for path in ["/", "/sitemap.xml"] {
+                let request = Request::get(host.to_string(), path);
+                assert_eq!(
+                    web.fetch(ip, host, path),
+                    web.http_serve(ip, &request, SimTime(0)),
+                    "{host} at {ip}, {path}"
+                );
+            }
+        }
     }
 
     #[test]

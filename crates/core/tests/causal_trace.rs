@@ -224,6 +224,7 @@ fn queued_crawls_wait_for_the_earliest_slot() {
     let _g = lock();
     let (platform, zs, monitored) = bound_sites(1_200);
     let mut store = SnapshotStore::with_shards(1);
+    let shard_ids: Vec<u16> = monitored.iter().map(|f| store.shard_id(f)).collect();
     let tree = RngTree::new(1);
     let exec = CrawlExecutor::new(2, 0.0).with_latency(LatencyProfile::by_name("wan").unwrap());
     obs::take_causal();
@@ -231,6 +232,7 @@ fn queued_crawls_wait_for_the_earliest_slot() {
     obs::set_causal_tracing(true);
     let round = exec.run(
         &monitored,
+        &shard_ids,
         &mut store,
         &tree,
         SimTime(7),

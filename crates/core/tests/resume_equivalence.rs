@@ -19,7 +19,8 @@ mod golden;
 use dangling_core::pipeline::obs_codec::ShardCodec;
 use dangling_core::pipeline::persist::compact_state_dir;
 use dangling_core::scenario::{Scenario, ScenarioConfig};
-use dangling_core::{PersistError, PersistOptions};
+use dangling_core::snapshot::fqdn_shard;
+use dangling_core::{PersistError, PersistOptions, RoundSink, RoundView};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -102,6 +103,43 @@ fn interrupted_plus_resumed_is_byte_identical() {
             .any(|s| s.name == "persist.replay_round"),
         "traced resumed runs must have collected replay spans"
     );
+}
+
+/// Asserts at every committed round, live or replayed, that each
+/// monitored name's admission-time shard id is its store shard; counts the
+/// rounds it checked.
+struct ShardIdCheck(std::sync::Arc<AtomicU64>);
+
+impl RoundSink for ShardIdCheck {
+    fn round_committed(&mut self, view: RoundView<'_>) {
+        let rs = view.rs;
+        assert_eq!(rs.monitored_shards.len(), rs.monitored.len());
+        let shards = rs.store.shard_count();
+        for (fqdn, &id) in rs.monitored.iter().zip(&rs.monitored_shards) {
+            assert_eq!(usize::from(id), fqdn_shard(fqdn, shards), "{fqdn}");
+        }
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn monitored_shard_ids_match_the_store_after_run_and_resume() {
+    let dir = TempDir::new("shard_ids");
+    let run = |resume: bool, max_rounds: Option<u64>| {
+        let checked = std::sync::Arc::new(AtomicU64::new(0));
+        let mut opts = PersistOptions::new(&dir.0);
+        opts.resume = resume;
+        opts.max_rounds = max_rounds;
+        Scenario::new(study_cfg(2))
+            .round_sink(Box::new(ShardIdCheck(checked.clone())))
+            .run_persisted(&opts)
+            .expect("persisted run");
+        checked.load(Ordering::Relaxed)
+    };
+    assert_eq!(run(false, Some(12)), 12);
+    // The resumed run replays the 12 recorded rounds through the sink,
+    // then crawls the rest live.
+    assert!(run(true, None) > 12);
 }
 
 #[test]

@@ -4,11 +4,13 @@
 //! authoritative server would: in-zone CNAME chains are followed and
 //! included in the answers, NXDOMAIN (no such name) is kept apart from
 //! NODATA (`NoError` with no answers: the name exists, the type does not),
-//! and out-of-zone names get REFUSED.
+//! and out-of-zone names get REFUSED. [`lookup_from`] is the same answer
+//! for a caller that already found the question's zone, so a question
+//! costs one zone search however it is dispatched.
 
 use crate::name::Name;
 use crate::record::{Rcode, RecordData, RecordType, ResourceRecord};
-use crate::zone::{ZoneLookup, ZoneSet};
+use crate::zone::{Zone, ZoneLookup, ZoneSet};
 
 /// Look `name`/`qtype` up in `zones`: returns `(rcode, answers)`.
 ///
@@ -17,25 +19,38 @@ use crate::zone::{ZoneLookup, ZoneSet};
 /// as the final answer record (the resolver continues from there), matching
 /// real-world behaviour.
 pub fn lookup_in(zones: &ZoneSet, name: &Name, qtype: RecordType) -> (Rcode, Vec<ResourceRecord>) {
+    match zones.find_zone(name) {
+        Some(zone) => lookup_from(zones, zone, name, qtype),
+        // No zone for the question itself: not our name.
+        None => (Rcode::Refused, Vec::new()),
+    }
+}
+
+/// [`lookup_in`] with the question's zone already found: `zone` must be
+/// `zones.find_zone(name)`. Later hops of a CNAME chain search `zones`.
+pub fn lookup_from(
+    zones: &ZoneSet,
+    zone: &Zone,
+    name: &Name,
+    qtype: RecordType,
+) -> (Rcode, Vec<ResourceRecord>) {
     let mut answers: Vec<ResourceRecord> = Vec::new();
+    let mut zone = zone;
     let mut current = name.clone();
     // A CNAME chain longer than this inside one authority is a
     // misconfiguration; bail out with what we have.
     const MAX_CHAIN: usize = 16;
-    for _ in 0..MAX_CHAIN {
-        // The chain may cross into a different zone we are also
-        // authoritative for.
-        let Some(z) = zones.find_zone(&current) else {
-            // No zone for the question itself: not our name. Otherwise the
-            // chain left our authority; return what we have so far.
-            let rcode = if answers.is_empty() {
-                Rcode::Refused
-            } else {
-                Rcode::NoError
-            };
-            return (rcode, answers);
-        };
-        match z.lookup(&current, qtype) {
+    for hop in 0..MAX_CHAIN {
+        if hop > 0 {
+            // The chain may cross into a different zone we are also
+            // authoritative for; if it left our authority, return what we
+            // have so far (the CNAMEs: NOERROR).
+            match zones.find_zone(&current) {
+                Some(z) => zone = z,
+                None => return (Rcode::NoError, answers),
+            }
+        }
+        match zone.lookup(&current, qtype) {
             ZoneLookup::Found(mut rrs) => {
                 answers.append(&mut rrs);
                 return (Rcode::NoError, answers);

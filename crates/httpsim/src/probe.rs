@@ -61,11 +61,9 @@ impl ProbeResult {
 
 /// The network-visible surface of an IP address in the simulated world.
 /// `cloudsim` implements this for its front-end servers; tests implement it
-/// directly.
-///
-/// `Sync` is a supertrait: crawl shards probe one shared endpoint surface
-/// from many threads, so implementations must be safely shareable.
-pub trait Endpoint: Sync {
+/// directly. (The weekly crawl fetches through `dangling-core`'s
+/// `monitor::Web`, which routes on the FQDN's DNS name instead.)
+pub trait Endpoint {
     /// Does the IP answer ICMP echo at `now`? Cloud front ends commonly
     /// filter ICMP — this is what makes ping-based scans overestimate
     /// vulnerability.
@@ -78,20 +76,6 @@ pub trait Endpoint: Sync {
     /// Serve an HTTP request addressed to `ip` (routing on the Host header).
     /// `None` models connection failure (no server at the IP).
     fn http_serve(&self, ip: Ipv4Addr, request: &Request, now: SimTime) -> Option<Response>;
-}
-
-impl<E: Endpoint + ?Sized> Endpoint for &E {
-    fn icmp_responds(&self, ip: Ipv4Addr, now: SimTime) -> bool {
-        (**self).icmp_responds(ip, now)
-    }
-
-    fn tcp_open(&self, ip: Ipv4Addr, port: u16, now: SimTime) -> bool {
-        (**self).tcp_open(ip, port, now)
-    }
-
-    fn http_serve(&self, ip: Ipv4Addr, request: &Request, now: SimTime) -> Option<Response> {
-        (**self).http_serve(ip, request, now)
-    }
 }
 
 /// Run one probe of `kind` against `ip` for the FQDN `host`.
