@@ -1,7 +1,7 @@
 //! The committed golden digests and the study config they pin, shared by
 //! the suites that hold a run mode to them (`intern_equivalence`,
 //! `latency_equivalence`, `parallel_equivalence`, `causal_trace`,
-//! `resume_equivalence`).
+//! `resume_equivalence`, `advisory_equivalence`).
 //!
 //! Each `tests/fixtures/<fixture>/results.digest` holds the byte length and
 //! FNV-1a 64 of the full serialized `StudyResults`:
@@ -21,6 +21,11 @@
 //! `storelog_eq/state.digest` pins every file of the state dir a full
 //! recording of [`fixture_config`] at 2 threads leaves, in name order
 //! (`resume_equivalence`).
+//!
+//! `advisory_eq/rounds.digest` pins every round's `ProvisionalRound` of
+//! [`fixture_config`] run per round with a round sink attached, rendered
+//! as canonical lines (`advisory_equivalence`). It was recorded before the
+//! advisory validation became incremental.
 
 use dangling_core::scenario::ScenarioConfig;
 use simcore::fnv1a;
