@@ -55,8 +55,38 @@
 //!   as fqdns turn suspicious, so a mid-run verdict can be invalidated
 //!   later. Per-round validation feeds the `retro.incr.*` gauges and the
 //!   [`ProvisionalRound`]; `finalize` always revalidates against the final
-//!   corpus. This is the one step that cannot be folded exactly, and the
-//!   docs say so rather than pretend.
+//!   corpus with [`validate_signatures_sharded`]. This is the one step that
+//!   cannot be folded exactly, and the docs say so rather than pretend.
+//!
+//! ## The delta rule (advisory validation)
+//!
+//! An advisory round costs what changed since the previous one, not the
+//! history. The corpus is a walk of the monitored names kept in canonical
+//! order ([`BenignCorpus`]), never a sort of the store. Each corpus member
+//! carries a [`MatchStamp`]: what [`Signature::matches`] read from its
+//! snapshot (the page `Arc` and the sitemap size) in the previous advisory
+//! corpus. A member is *steady* if it was in that corpus and its stamp is
+//! unchanged; every other member (new to the corpus, or changed) is
+//! *fresh*. Each key then gets one of three treatments:
+//!
+//! - **kept last round**: matched against the fresh members only;
+//! - **discarded last round**: stays discarded if the member that matched
+//!   it (its witness) is a steady member of this corpus;
+//! - **anything else** (new, skipped a round, or its witness left or
+//!   changed): matched against the whole corpus, stopping at the first
+//!   match, which becomes its witness.
+//!
+//! This is exact because matching is pure in (key, stamp) for a serving
+//! snapshot, and every corpus member serves. A key kept last round matched
+//! no member of the last corpus, so it matches no steady member now: only
+//! a fresh one can discard it. A steady witness still matches, so the key
+//! is still discarded. The stamp holds a clone of the page `Arc`, so an
+//! unchanged pointer really is the same page: nothing else can be
+//! allocated at that address while the stamp lives, and a
+//! [`Snapshot::page_mut`] write through a shared page copies it first.
+//! `advisory_equivalence` pins the resulting stream to a digest recorded
+//! before the rule existed, and the unit tests below hold it to
+//! `validate_signatures_sharded` over random round sequences.
 //!
 //! ## Determinism under parallelism
 //!
@@ -70,8 +100,9 @@ use super::{RunState, ShardedExecutor, Stage};
 use crate::diff::ChangeRecord;
 use crate::report::StudyResults;
 use crate::signature::{
-    is_suspicious, validate_signatures_sharded, Signature, SignatureFold, SignatureKind,
+    is_suspicious, validate_signatures_sharded, MatchStamp, Signature, SignatureFold, SignatureKind,
 };
+use crate::snapshot::{Snapshot, SnapshotStore};
 use dns::Name;
 use simcore::SimTime;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -179,9 +210,198 @@ struct CachedSig {
     /// Verdict per suspicious entry, aligned with the entry list — extended
     /// every round, never recomputed.
     verdicts: Vec<bool>,
-    /// Did the key survive the *latest* advisory per-round validation?
-    /// Advisory only: finalize revalidates against the final corpus.
-    provisional_valid: bool,
+    /// The advisory round ([`BenignCorpus::round`]) that last validated this
+    /// key; 0 before its first. A key missing from a round's catalog is not
+    /// validated that round and keeps its last verdict.
+    validated_at: u64,
+    /// The corpus member that discarded the key at `validated_at`; `None`
+    /// if the key was kept. Together with `validated_at` this is all the
+    /// delta rule needs (module docs): a key kept last round is matched
+    /// only against the corpus members that are new or changed, and a key
+    /// discarded last round stays discarded while its witness stays in the
+    /// corpus unchanged.
+    witness: Option<Name>,
+}
+
+impl CachedSig {
+    /// Did the key survive its latest advisory validation? Advisory only:
+    /// finalize revalidates against the final corpus.
+    fn provisionally_valid(&self) -> bool {
+        self.validated_at > 0 && self.witness.is_none()
+    }
+}
+
+/// Most snapshots a benign validation corpus holds, advisory or final.
+const BENIGN_CORPUS_CAP: usize = 4000;
+
+/// One monitored name in the [`BenignCorpus`] list.
+struct CorpusName {
+    name: Name,
+    /// Its `RunState::monitored_shards` id: the store shard holding its
+    /// snapshot.
+    shard: u16,
+    /// Has produced a suspicious change: never in the corpus again.
+    suspicious: bool,
+    /// What [`Signature::matches`] read from the name's snapshot, held
+    /// while the name is in the latest advisory corpus (`None` otherwise).
+    stamp: Option<MatchStamp>,
+    /// In the latest advisory corpus with the stamp it had in the one
+    /// before.
+    steady: bool,
+}
+
+/// The benign validation corpus: the monitored names in canonical (`Name`)
+/// order, each with its shard and a suspicious flag, walked instead of
+/// sorting the store. The store's keys are exactly the monitored names
+/// (`PersistStage::record_round` refuses a round that leaves one without a
+/// snapshot), so the walk reads the same snapshots, in the same order, as
+/// a filter over the sorted `SnapshotStore::iter`.
+///
+/// The list catches up lazily, when a corpus is read: `rs.monitored` only
+/// grows, so each catch-up merges the sorted admissions since the last one
+/// and flags the names that turned suspicious since, by binary search.
+#[derive(Default)]
+struct BenignCorpus {
+    names: Vec<CorpusName>,
+    /// `rs.monitored` prefix already merged into `names`.
+    admitted: usize,
+    /// `IncrementalRetro::suspicious` prefix already flagged.
+    flagged: usize,
+    /// Advisory rounds validated so far.
+    round: u64,
+}
+
+impl BenignCorpus {
+    fn position(&self, name: &Name) -> Option<usize> {
+        self.names.binary_search_by(|e| e.name.cmp(name)).ok()
+    }
+
+    /// Merge the names admitted since the last call (`monitored` and
+    /// `shards` are `RunState`'s aligned columns), then flag the suspicious
+    /// entries pushed since.
+    fn sync(&mut self, monitored: &[Name], shards: &[u16], suspicious: &[SuspiciousEntry]) {
+        if self.admitted < monitored.len() {
+            let mut fresh: Vec<CorpusName> = monitored[self.admitted..]
+                .iter()
+                .zip(&shards[self.admitted..])
+                .map(|(name, &shard)| CorpusName {
+                    name: name.clone(),
+                    shard,
+                    suspicious: false,
+                    stamp: None,
+                    steady: false,
+                })
+                .collect();
+            fresh.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+            self.admitted = monitored.len();
+            // Place each admission by binary search, then move the list
+            // over in runs between those places. Comparing two names reads
+            // their labels' text, so a merge comparing every listed name
+            // each round would cost more than the round's validation.
+            let places: Vec<usize> = fresh
+                .iter()
+                .map(|f| self.names.partition_point(|e| e.name < f.name))
+                .collect();
+            let mut listed = std::mem::take(&mut self.names).into_iter();
+            let mut merged = Vec::with_capacity(listed.len() + fresh.len());
+            let mut moved = 0;
+            for (f, place) in fresh.into_iter().zip(places) {
+                merged.extend(listed.by_ref().take(place - moved));
+                moved = place;
+                merged.push(f);
+            }
+            merged.extend(listed);
+            self.names = merged;
+        }
+        for e in &suspicious[self.flagged..] {
+            if let Some(i) = self.position(&e.fqdn) {
+                self.names[i].suspicious = true;
+            }
+        }
+        self.flagged = suspicious.len();
+    }
+
+    /// The corpus: latest snapshots of serving monitored names that have
+    /// not produced a suspicious change, the first `cap` in canonical order
+    /// (so every run and thread count samples the same corpus), each with
+    /// its position in `names`.
+    fn members<'s>(&self, store: &'s SnapshotStore, cap: usize) -> Vec<(usize, &'s Snapshot)> {
+        let shards = store.shards();
+        self.names
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| !e.suspicious)
+            .filter_map(|(i, e)| {
+                shards[usize::from(e.shard)]
+                    .get(&e.name)
+                    .filter(|s| s.is_serving())
+                    .map(|s| (i, s))
+            })
+            .take(cap)
+            .collect()
+    }
+
+    /// One advisory round: walk the corpus, restamp it, and validate
+    /// `keys` by the delta rule (module docs), recording each key's round
+    /// and witness.
+    fn validate(
+        &mut self,
+        store: &SnapshotStore,
+        cap: usize,
+        mut keys: Vec<&mut CachedSig>,
+        exec: &ShardedExecutor,
+    ) {
+        self.round += 1;
+        let round = self.round;
+        let corpus = self.members(store, cap);
+        // Restamp: only this corpus's members keep a stamp, so a stamp
+        // found here was taken in the previous advisory corpus. Collect the
+        // positions (in `corpus`) of the members that are new or changed.
+        let mut changed: Vec<usize> = Vec::new();
+        let mut members = corpus.iter().enumerate().peekable();
+        for (i, e) in self.names.iter_mut().enumerate() {
+            let Some((pos, &(_, snap))) = members.next_if(|(_, (m, _))| *m == i) else {
+                e.stamp = None;
+                e.steady = false;
+                continue;
+            };
+            e.steady = e.stamp.as_ref().is_some_and(|st| st.unchanged(snap));
+            if !e.steady {
+                e.stamp = Some(MatchStamp::of(snap));
+                changed.push(pos);
+            }
+        }
+
+        let everything: Vec<usize> = (0..corpus.len()).collect();
+        let hits: Vec<(usize, Option<usize>)> = {
+            let mut scans: Vec<(usize, &Signature, &[usize])> = Vec::new();
+            for (k, c) in keys.iter().enumerate() {
+                let last_round = c.validated_at > 0 && c.validated_at + 1 == round;
+                match &c.witness {
+                    None if last_round => scans.push((k, &c.matcher, &changed)),
+                    Some(w) if last_round && self.holds_steady(w) => {}
+                    _ => scans.push((k, &c.matcher, &everything)),
+                }
+            }
+            let first_match: Vec<Option<usize>> = exec.map(
+                &scans,
+                || (),
+                |_, _, (_, sig, at)| at.iter().copied().find(|&p| sig.matches(corpus[p].1)),
+            );
+            scans.iter().map(|s| s.0).zip(first_match).collect()
+        };
+        for (k, hit) in hits {
+            keys[k].witness = hit.map(|p| self.names[corpus[p].0].name.clone());
+        }
+        for c in keys {
+            c.validated_at = round;
+        }
+    }
+
+    /// Is `name` in the current round's corpus with an unchanged stamp?
+    fn holds_steady(&self, name: &Name) -> bool {
+        self.position(name).is_some_and(|i| self.names[i].steady)
+    }
 }
 
 /// The retro fold. Optionally feed it every round via [`Stage::weekly`]
@@ -199,8 +419,8 @@ pub struct IncrementalRetro {
     /// All suspicious changes so far, in `(day, fqdn)` order (append-only:
     /// days strictly increase across rounds, fqdns are sorted within one).
     suspicious: Vec<SuspiciousEntry>,
-    /// Fqdns of `suspicious` — the corpus exclusion set.
-    suspicious_fqdns: BTreeSet<Name>,
+    /// The benign validation corpus, with `suspicious` as its exclusion set.
+    corpus: BenignCorpus,
     /// The running greedy grouping over the non-ruled suspicious prefix.
     fold: SignatureFold,
     /// Verdict columns per signature content key.
@@ -223,7 +443,7 @@ impl IncrementalRetro {
             cluster_map: HashMap::new(),
             ruled_out: BTreeSet::new(),
             suspicious: Vec::new(),
-            suspicious_fqdns: BTreeSet::new(),
+            corpus: BenignCorpus::default(),
             fold: SignatureFold::new(),
             match_cache: BTreeMap::new(),
             registrars: None,
@@ -241,18 +461,6 @@ impl IncrementalRetro {
 
     fn registrar_of(&self, sld: &Name) -> Option<u16> {
         self.registrars.as_ref().and_then(|m| m.get(sld)).copied()
-    }
-
-    /// The benign validation corpus: latest snapshots of serving monitored
-    /// fqdns that have not produced a suspicious change. `store.iter()` is
-    /// in canonical order, so the `take` samples the same corpus on every
-    /// run and thread count.
-    fn benign_corpus<'a>(&self, rs: &'a RunState) -> Vec<&'a crate::snapshot::Snapshot> {
-        rs.store
-            .iter()
-            .filter(|s| !self.suspicious_fqdns.contains(&s.fqdn) && s.is_serving())
-            .take(4000)
-            .collect()
     }
 
     /// Recompute the rule-out set from the cluster map: members of any
@@ -335,9 +543,6 @@ impl IncrementalRetro {
         obs::counter("retro.incr.rounds").add(1);
         obs::counter("retro.incr.new_suspicious").add(fresh.len() as u64);
         let prev_len = self.suspicious.len();
-        for e in &fresh {
-            self.suspicious_fqdns.insert(e.fqdn.clone());
-        }
         crate::benign::fold_cluster_map(
             &mut self.cluster_map,
             fresh.iter().map(|e| &rs.changes[e.change_idx]),
@@ -423,7 +628,8 @@ impl IncrementalRetro {
                     CachedSig {
                         matcher,
                         verdicts: columns.iter().map(|col| col[ki]).collect(),
-                        provisional_valid: false,
+                        validated_at: 0,
+                        witness: None,
                     },
                 );
             }
@@ -444,30 +650,27 @@ impl IncrementalRetro {
     /// the provisional-abuse gauge and the structured [`ProvisionalRound`].
     /// Advisory by design: the corpus shrinks as fqdns turn suspicious, so
     /// these verdicts steer dashboards and service-mode queries, not the
-    /// final result.
+    /// final result. Its cost follows what changed since the last advisory
+    /// round, not the history (the delta rule, module docs).
     fn advisory_validation(&mut self, rs: &RunState, sigs_all: Vec<Signature>, day: SimTime) {
         let _s = obs::span("retro.incr.validate", "retro").record_into("retro.incr.validate_ns");
-        let corpus = self.benign_corpus(rs);
-        let discarded_keys: BTreeSet<SigKey> = {
-            let (kept, _) = validate_signatures_sharded(sigs_all.clone(), &corpus, &self.exec);
-            let kept_keys: BTreeSet<SigKey> = kept.iter().map(sig_key).collect();
-            sigs_all
-                .iter()
-                .map(sig_key)
-                .filter(|k| !kept_keys.contains(k))
-                .collect()
-        };
-        let mut valid = 0usize;
-        for sig in &sigs_all {
-            let key = sig_key(sig);
-            let ok = !discarded_keys.contains(&key);
-            if let Some(c) = self.match_cache.get_mut(&key) {
-                c.provisional_valid = ok;
-            }
-            if ok {
-                valid += 1;
-            }
-        }
+        self.corpus
+            .sync(&rs.monitored, &rs.monitored_shards, &self.suspicious);
+        let catalog: BTreeSet<SigKey> = sigs_all.iter().map(sig_key).collect();
+        let keys: Vec<&mut CachedSig> = self
+            .match_cache
+            .iter_mut()
+            .filter(|(k, _)| catalog.contains(*k))
+            .map(|(_, c)| c)
+            .collect();
+        self.corpus
+            .validate(&rs.store, BENIGN_CORPUS_CAP, keys, &self.exec);
+        // Every catalog key is cached: ingest inserted the new ones.
+        let sig_valid: Vec<bool> = sigs_all
+            .iter()
+            .map(|s| self.match_cache[&sig_key(s)].provisionally_valid())
+            .collect();
+        let valid = sig_valid.iter().filter(|v| **v).count();
         obs::gauge("retro.incr.valid_signatures").set(valid as f64);
         // Provisional abuse: non-ruled suspicious fqdns with at least one
         // provisionally-valid signature hit. Alongside the flat hit vector,
@@ -475,7 +678,11 @@ impl IncrementalRetro {
         // verdicts can say *how* each fqdn was flagged.
         let mut hit = vec![false; self.suspicious.len()];
         let mut hit_kinds: Vec<Vec<SignatureKind>> = vec![Vec::new(); self.suspicious.len()];
-        for c in self.match_cache.values().filter(|c| c.provisional_valid) {
+        for c in self
+            .match_cache
+            .values()
+            .filter(|c| c.provisionally_valid())
+        {
             let kind = c.matcher.kind();
             for (i, v) in c.verdicts.iter().enumerate() {
                 if *v {
@@ -518,13 +725,14 @@ impl IncrementalRetro {
 
         let signatures: Vec<ProvisionalSignature> = sigs_all
             .iter()
-            .map(|s| ProvisionalSignature {
+            .zip(sig_valid)
+            .map(|(s, valid)| ProvisionalSignature {
                 id: s.id,
                 kind: s.kind(),
                 keywords: s.keywords.clone(),
                 source_members: s.source_members,
                 source_slds: s.source_slds,
-                valid: !discarded_keys.contains(&sig_key(s)),
+                valid,
             })
             .collect();
         let clusters: Vec<ProvisionalCluster> =
@@ -565,7 +773,14 @@ impl IncrementalRetro {
         let change_clusters =
             crate::benign::clusters_from_map(&self.cluster_map, |sld| self.registrar_of(sld));
         let sigs_all = self.fold.signatures(self.min_signature_slds);
-        let corpus = self.benign_corpus(&rs);
+        self.corpus
+            .sync(&rs.monitored, &rs.monitored_shards, &self.suspicious);
+        let corpus: Vec<&Snapshot> = self
+            .corpus
+            .members(&rs.store, BENIGN_CORPUS_CAP)
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect();
         let (signatures, signatures_discarded) =
             validate_signatures_sharded(sigs_all, &corpus, &self.exec);
         obs::gauge("retro.incr.signatures").set(signatures.len() as f64);
@@ -655,5 +870,208 @@ impl Stage for IncrementalRetro {
 
     fn weekly(&mut self, rs: &mut RunState, now: SimTime) {
         self.ingest(rs, Some(now));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dns::Rcode;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseResult;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const VOCAB: &[&str] = &["slot", "judi", "gacor", "casino", "bonus"];
+
+    fn words(rng: &mut StdRng, max: usize) -> Vec<String> {
+        let n = rng.gen_range(0..=max);
+        (0..n)
+            .map(|_| VOCAB[rng.gen_range(0..VOCAB.len())].to_string())
+            .collect()
+    }
+
+    fn sitemap(rng: &mut StdRng) -> Option<u64> {
+        [None, Some(1_000), Some(500_000)][rng.gen_range(0..3)]
+    }
+
+    fn status(rng: &mut StdRng) -> Option<u16> {
+        [Some(200), Some(200), Some(200), Some(404), Some(503), None][rng.gen_range(0..6)]
+    }
+
+    /// A snapshot on a page of its own, small enough that signatures hit
+    /// it often.
+    fn snapshot(rng: &mut StdRng, fqdn: &Name, day: i32) -> Snapshot {
+        let mut s = Snapshot::unreachable(fqdn.clone(), SimTime(day), Rcode::NoError, None);
+        s.http_status = status(rng);
+        s.sitemap_bytes = sitemap(rng);
+        let page = s.page_mut();
+        page.keywords = words(rng, 3);
+        page.meta_keywords = words(rng, 1);
+        if rng.gen_bool(0.3) {
+            page.script_srcs = vec!["https://cdn.evil.example/x.js".into()];
+        }
+        if rng.gen_bool(0.3) {
+            page.identifiers = vec!["phone:62x".into()];
+        }
+        s
+    }
+
+    fn signature_pool(rng: &mut StdRng) -> Vec<Signature> {
+        (0..10)
+            .map(|id| Signature {
+                id,
+                keywords: {
+                    let mut k = words(rng, 2);
+                    k.push(VOCAB[rng.gen_range(0..VOCAB.len())].to_string());
+                    k
+                },
+                min_sitemap_bytes: rng.gen_bool(0.3).then_some(400_000),
+                script_markers: if rng.gen_bool(0.3) {
+                    vec!["evil".into()]
+                } else {
+                    Vec::new()
+                },
+                requires_identifiers: rng.gen_bool(0.2),
+                source_members: 2,
+                source_slds: 2,
+            })
+            .collect()
+    }
+
+    /// A store and a monitored list grown and rewritten at random, round by
+    /// round, with every kind of write the validation must notice: pages
+    /// replaced, pages written through `page_mut` (in place or, while the
+    /// corpus holds the page's stamp, copied), pages inherited unchanged,
+    /// sitemap sizes and serving flips. Every advisory round, the delta
+    /// validation must give each catalog key the verdict that
+    /// `validate_signatures_sharded` gives it over the filtered, sorted
+    /// `store.iter()` corpus, which must also be the walked corpus.
+    fn check_rounds(seed: u64, cap: usize, rounds: usize) -> TestCaseResult {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let exec = ShardedExecutor::new(2, crate::exec_metric_names!("test.incr"));
+        let pool: Vec<Name> = (0..30)
+            .map(|i| format!("h{}.site{}.com", i, i % 7).parse().unwrap())
+            .collect();
+        let sigs = signature_pool(&mut rng);
+        let mut store = SnapshotStore::with_shards(4);
+        let mut monitored: Vec<Name> = Vec::new();
+        let mut shards: Vec<u16> = Vec::new();
+        let mut suspicious: Vec<SuspiciousEntry> = Vec::new();
+        let mut cache: BTreeMap<SigKey, CachedSig> = BTreeMap::new();
+        let mut corpus = BenignCorpus::default();
+
+        for round in 0..rounds {
+            let day = round as i32 * 7;
+            // Admissions, each with its first snapshot.
+            for _ in 0..rng.gen_range(0..4) {
+                let name = &pool[rng.gen_range(0..pool.len())];
+                if !monitored.contains(name) {
+                    monitored.push(name.clone());
+                    shards.push(store.shard_id(name));
+                    store.insert(snapshot(&mut rng, name, day));
+                }
+            }
+            // Rewrites of monitored names' snapshots.
+            for (name, &shard) in monitored.iter().zip(&shards) {
+                let snap = store.shards_mut()[usize::from(shard)]
+                    .get_mut(name)
+                    .expect("monitored names have snapshots");
+                match rng.gen_range(0..12) {
+                    0 => *snap = snapshot(&mut rng, name, day),
+                    1 => snap.page_mut().keywords = words(&mut rng, 3),
+                    2 => snap.sitemap_bytes = sitemap(&mut rng),
+                    3 => snap.http_status = status(&mut rng),
+                    4 => {
+                        let mut next =
+                            Snapshot::unreachable(name.clone(), SimTime(day), Rcode::NoError, None);
+                        next.http_status = snap.http_status;
+                        next.inherit_features(snap);
+                        *snap = next;
+                    }
+                    _ => {}
+                }
+            }
+            // Names turning suspicious.
+            for _ in 0..rng.gen_range(0..2) {
+                if monitored.is_empty() {
+                    break;
+                }
+                let fqdn = monitored[rng.gen_range(0..monitored.len())].clone();
+                suspicious.push(SuspiciousEntry {
+                    change_idx: suspicious.len(),
+                    fqdn,
+                    day: SimTime(day),
+                });
+            }
+            // This round's catalog: keys appear, vanish and come back.
+            let catalog: Vec<&Signature> = sigs.iter().filter(|_| rng.gen_bool(0.6)).collect();
+            for sig in &catalog {
+                cache.entry(sig_key(sig)).or_insert_with(|| CachedSig {
+                    matcher: (*sig).clone(),
+                    verdicts: Vec::new(),
+                    validated_at: 0,
+                    witness: None,
+                });
+            }
+            // Some rounds run no advisory validation (no sink reads them).
+            if rng.gen_bool(0.25) {
+                continue;
+            }
+
+            corpus.sync(&monitored, &shards, &suspicious);
+            let keys: BTreeSet<SigKey> = catalog.iter().map(|s| sig_key(s)).collect();
+            let wanted: Vec<&mut CachedSig> = cache
+                .iter_mut()
+                .filter(|(k, _)| keys.contains(*k))
+                .map(|(_, c)| c)
+                .collect();
+            corpus.validate(&store, cap, wanted, &exec);
+
+            let excluded: BTreeSet<&Name> = suspicious.iter().map(|e| &e.fqdn).collect();
+            let oracle: Vec<&Snapshot> = store
+                .iter()
+                .filter(|s| !excluded.contains(&s.fqdn) && s.is_serving())
+                .take(cap)
+                .collect();
+            let walked = corpus.members(&store, cap);
+            prop_assert_eq!(walked.len(), oracle.len(), "round {}", round);
+            for ((_, w), o) in walked.iter().zip(&oracle) {
+                prop_assert!(std::ptr::eq(*w, *o), "round {}: corpus differs", round);
+            }
+            let (kept, _) = validate_signatures_sharded(
+                catalog.iter().map(|s| (*s).clone()).collect(),
+                &oracle,
+                &exec,
+            );
+            let kept: BTreeSet<SigKey> = kept.iter().map(sig_key).collect();
+            for key in &keys {
+                prop_assert_eq!(
+                    cache[key].provisionally_valid(),
+                    kept.contains(key),
+                    "round {}: key {:?}",
+                    round,
+                    key
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A cap of 8 over up to 30 names: the window fills and slides as
+        /// names are admitted ahead of it, turn suspicious or stop serving.
+        #[test]
+        fn delta_validation_matches_the_oracle_with_a_sliding_window(seed in any::<u64>()) {
+            check_rounds(seed, 8, 40)?;
+        }
+
+        /// A cap no corpus reaches: the window never slides.
+        #[test]
+        fn delta_validation_matches_the_oracle_with_an_open_window(seed in any::<u64>()) {
+            check_rounds(seed, BENIGN_CORPUS_CAP, 40)?;
+        }
     }
 }

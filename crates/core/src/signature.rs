@@ -8,10 +8,11 @@
 
 use crate::diff::{ChangeKind, ChangeRecord};
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::{PageFeatures, Snapshot};
 use dns::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Sitemap size that indicates a mass-upload (≈5,000 pages × ~80 B/entry;
 /// the paper's example signature names "> 5 MB" sitemaps, reached by the
@@ -99,6 +100,35 @@ impl Signature {
             return false;
         }
         true
+    }
+}
+
+/// Everything [`Signature::matches`] reads from a serving snapshot: the
+/// shared page and the advertised sitemap size. Two serving snapshots with
+/// [`MatchStamp::unchanged`] stamps get the same verdict from every
+/// signature.
+///
+/// The stamp holds a clone of the page `Arc`, which makes the pointer
+/// comparison sound: the allocation cannot be freed and reused while the
+/// stamp lives, and a [`Snapshot::page_mut`] write through a snapshot that
+/// shares the page copies it first, so the written page has a new address.
+pub(crate) struct MatchStamp {
+    page: Arc<PageFeatures>,
+    sitemap_bytes: Option<u64>,
+}
+
+impl MatchStamp {
+    pub(crate) fn of(snap: &Snapshot) -> Self {
+        MatchStamp {
+            page: Arc::clone(&snap.page),
+            sitemap_bytes: snap.sitemap_bytes,
+        }
+    }
+
+    /// Does serving `snap` still show what this stamp took from a serving
+    /// snapshot? Serving status is the caller's to check.
+    pub(crate) fn unchanged(&self, snap: &Snapshot) -> bool {
+        Arc::ptr_eq(&self.page, &snap.page) && self.sitemap_bytes == snap.sitemap_bytes
     }
 }
 
