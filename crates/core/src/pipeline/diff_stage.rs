@@ -6,8 +6,8 @@
 //! resumed run's replayed round has no crawl, so
 //! [`super::PersistStage::replay_round`] installs the logged observations
 //! as [`RunState::crawl_batch`] — in canonical monitored order — and this
-//! stage appends their changes to the change log and commits their
-//! snapshots to the sharded store.
+//! stage appends their changes to the change log and commits each snapshot
+//! into the store shard its record was read from.
 //!
 //! The change log is append-only: records are pushed with strictly
 //! increasing days (one round, one day) and never mutated afterwards. The
@@ -24,6 +24,9 @@ use simcore::SimTime;
 /// crawl produced and, when there was a previous one, the diff against it.
 #[derive(Debug, Clone)]
 pub struct CrawlOutcome {
+    /// The store shard the record was read from. Its replay cursor checked
+    /// that the name belongs there, so the commit need not hash it again.
+    pub shard: usize,
     pub snap: Snapshot,
     pub change: Option<ChangeRecord>,
 }
@@ -44,7 +47,8 @@ impl Stage for DiffStage {
                 rs.changes.push(rec);
                 changes += 1;
             }
-            rs.store.insert(out.snap);
+            debug_assert_eq!(out.shard, rs.store.shard_of(&out.snap.fqdn));
+            rs.store.shards_mut()[out.shard].insert(out.snap.fqdn.clone(), out.snap);
             snapshots += 1;
         }
         obs::counter("diff.changes").add(changes);

@@ -357,13 +357,15 @@ impl ReplayData {
         }))
     }
 
-    /// Pull round `now`'s records off every shard cursor, in `seq` order.
-    /// Compaction may have thinned the round (superseded no-change
-    /// records); whatever remains replays in original order and rebuilds
-    /// the change log exactly and the store eventually.
-    fn take_round(&mut self, now: SimTime) -> Result<Vec<ObsRecord>, PersistError> {
-        let mut records: Vec<ObsRecord> = Vec::new();
+    /// Pull round `now`'s records off every shard cursor, in `seq` order,
+    /// each with the shard it was read from. Compaction may have thinned
+    /// the round (superseded no-change records); whatever remains replays
+    /// in original order and rebuilds the change log exactly and the store
+    /// eventually.
+    fn take_round(&mut self, now: SimTime) -> Result<Vec<(usize, ObsRecord)>, PersistError> {
+        let mut records: Vec<(usize, ObsRecord)> = Vec::new();
         for cursor in &mut self.cursors {
+            let shard = cursor.shard;
             while let Some(round) = cursor.ahead.as_ref().map(|r| r.round) {
                 if round > now {
                     break;
@@ -375,7 +377,7 @@ impl ReplayData {
                         cursor.shard, round.0, now.0
                     )));
                 }
-                records.extend(cursor.advance()?);
+                records.extend(cursor.advance()?.map(|rec| (shard, rec)));
             }
             if now == self.frontier {
                 if let Some(rec) = &cursor.ahead {
@@ -386,8 +388,8 @@ impl ReplayData {
                 }
             }
         }
-        records.sort_unstable_by_key(|r| r.seq);
-        if records.windows(2).any(|w| w[0].seq == w[1].seq) {
+        records.sort_unstable_by_key(|(_, r)| r.seq);
+        if records.windows(2).any(|w| w[0].1.seq == w[1].1.seq) {
             return Err(PersistError::Decode(format!(
                 "round {}: duplicate seq (spliced or duplicated frame)",
                 now.0
@@ -523,7 +525,8 @@ impl PersistStage {
         }
         rs.crawl_batch = records
             .into_iter()
-            .map(|rec| CrawlOutcome {
+            .map(|(shard, rec)| CrawlOutcome {
+                shard,
                 change: rec.change.map(|m| m.into_record(&rec.snap)),
                 snap: rec.snap,
             })
@@ -834,10 +837,15 @@ mod tests {
         let mut rep = replay_of(&dir);
         for round in [0, 7] {
             let got = rep.take_round(SimTime(round)).unwrap();
-            let seqs: Vec<u32> = got.iter().map(|r| r.seq).collect();
+            let seqs: Vec<u32> = got.iter().map(|(_, r)| r.seq).collect();
             assert_eq!(seqs, vec![0, 1, 2, 3]);
-            assert!(got.iter().all(|r| r.round == SimTime(round)));
-            assert_eq!(got[2].snap.fqdn.to_string(), NAMES[2]);
+            assert!(got.iter().all(|(_, r)| r.round == SimTime(round)));
+            assert_eq!(got[2].1.snap.fqdn.to_string(), NAMES[2]);
+            // Each record comes with the shard it was read from.
+            let shards = rep.cursors.len();
+            assert!(got
+                .iter()
+                .all(|(shard, r)| *shard == fqdn_shard(&r.snap.fqdn, shards)));
         }
         assert!(rep.cursors.iter().all(|c| c.ahead.is_none()));
         let _ = std::fs::remove_dir_all(&dir);
