@@ -357,8 +357,10 @@ impl SnapshotStore {
             .sum()
     }
 
-    /// All latest snapshots in canonical (sorted-FQDN) order. O(n log n),
-    /// paid once by the retrospective pass — the price of determinism.
+    /// All latest snapshots in canonical (sorted-FQDN) order. O(n log n)
+    /// per call, so no pipeline stage calls it per round: the retrospective
+    /// pass walks its own name-ordered list of the monitored names instead.
+    /// Tests and benches use it as the reference for the canonical order.
     pub fn iter(&self) -> impl Iterator<Item = &Snapshot> {
         let mut all: Vec<&Snapshot> = self.shards.iter().flat_map(HashMap::values).collect();
         all.sort_unstable_by(|a, b| a.fqdn.cmp(&b.fqdn));
